@@ -39,10 +39,10 @@ def main() -> None:
     result = walker.run(walk_length=20)
 
     # 5. Results: the walks themselves plus the simulated execution profile.
-    #    The engine runs in the batched (frontier) execution mode by default;
-    #    pass FlexiWalkerConfig(execution="scalar") to use the reference
-    #    interpreter instead — the walks and simulated profile are identical,
-    #    only the host-side throughput changes.
+    #    Every run goes through the batched frontier driver.  The reference
+    #    interpreter, WalkEngine(..., execution="scalar").run(queries),
+    #    produces identical walks and simulated profile, only slower on the
+    #    host; it exists so the tests have an oracle.
     print(f"first walk: {result.paths[0]}")
     print(f"simulated kernel time: {result.time_ms:.4f} ms "
           f"(+{result.overhead_ms:.4f} ms profiling/preprocessing)")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Microbenchmark: scalar vs batched walk-engine wall clock, per workload.
 
-Runs the scale-model YT dataset through both execution modes of the walk
-engine for three workloads — DeepWalk (static, transition-cache eligible),
+Runs the scale-model YT dataset through the batched serving path and the
+scalar reference oracle (``WalkEngine(execution="scalar")``) for three
+workloads — DeepWalk (static, transition-cache eligible),
 weighted Node2Vec (the quickstart workload) and MetaPath — and reports host
 wall-clock time plus simulated-steps-per-second throughput for each.  Emits a
 multi-entry ``BENCH_engine.json`` next to the repository root so the numbers
@@ -31,6 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from repro import DeviceFleet, FlexiWalkerConfig, WalkService, load_dataset, make_queries  # noqa: E402
+from repro.runtime.engine import WalkEngine  # noqa: E402
 from repro.graph.labels import random_edge_labels  # noqa: E402
 from repro.walks.deepwalk import DeepWalkSpec  # noqa: E402
 from repro.walks.metapath import MetaPathSpec  # noqa: E402
@@ -100,14 +102,41 @@ def no_gc():
 
 
 def bench_mode(graph, spec, mode: str, walk_length: int, repeats: int) -> dict[str, float]:
-    """Best-of-N wall clock for one execution mode (service compiled once)."""
-    service = WalkService(graph)
-    config = FlexiWalkerConfig(execution=mode)
+    """Best-of-N wall clock for one execution mode (service compiled once).
 
-    def one_run():
-        session = service.session(spec, config)
-        session.submit(make_queries(graph.num_nodes, walk_length=walk_length))
-        return session.collect()
+    ``"batched"`` runs a service session (submit everything, collect);
+    ``"scalar"`` runs the reference oracle, ``WalkEngine(execution="scalar")``,
+    over the same service-compiled workload, selector and seed.
+    """
+    service = WalkService(graph)
+    config = FlexiWalkerConfig()
+
+    if mode == "scalar":
+        engine = service.session(spec, config).engine
+        oracle = WalkEngine(
+            graph=engine.graph,
+            spec=engine.spec,
+            device=engine.device,
+            selector=engine.selector,
+            compiled=engine.compiled,
+            seed=engine.seed,
+            warp_width=engine.warp_width,
+            weight_bytes=engine.weight_bytes,
+            scheduling=engine.scheduling,
+            selection_overhead=engine.selection_overhead,
+            warp_switch_overhead=engine.warp_switch_overhead,
+            execution="scalar",
+            use_transition_cache=engine.use_transition_cache,
+            caches=engine.caches,
+        )
+
+        def one_run():
+            return oracle.run(make_queries(graph.num_nodes, walk_length=walk_length))
+    else:
+        def one_run():
+            session = service.session(spec, config)
+            session.submit(make_queries(graph.num_nodes, walk_length=walk_length))
+            return session.collect()
 
     one_run()  # warm-up (profile, hint tables, transition caches)
     best = None

@@ -9,7 +9,7 @@ from repro.errors import ReproError
 from repro.gpusim.device import A6000, DeviceSpec
 from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.sharded import SHARD_POLICIES
-from repro.runtime.engine import EXECUTION_MODES, GRAPH_PLACEMENTS
+from repro.runtime.engine import GRAPH_PLACEMENTS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime.faults import FaultPlan
@@ -51,18 +51,11 @@ class FlexiWalkerConfig:
         Cooperative width of warp kernels.
     scheduling:
         ``"dynamic"`` (global query queue, Section 5.3) or ``"static"``.
-    execution:
-        Walk-engine execution mode: ``"batched"`` (default) runs all active
-        walkers through the step-synchronous vectorised frontier loop;
-        ``"scalar"`` interprets one query at a time.  Both modes produce
-        identical walks, counters and simulated timings for a fixed seed
-        policy — the scalar mode is kept for exact-parity checks.
     num_devices:
-        Number of replicated-graph devices the query batch is partitioned
-        over (Fig. 15).  Each device runs its own frontier/scheduler
-        instance of the configured execution mode; because walker randomness
-        is counter-based per query id, the walks and counter totals are
-        identical for every device count — only the makespan changes.
+        Number of simulated devices the query batch is placed on (Fig. 15).
+        Because walker randomness is counter-based per query id, the walks
+        and counter totals are identical for every device count — only the
+        makespan changes.
     partition_policy:
         Query-to-device mapping used when ``num_devices > 1``: ``"hash"``
         (multiplicative start-node hashing, the paper's choice), ``"range"``
@@ -91,12 +84,11 @@ class FlexiWalkerConfig:
         fault-tolerance subsystem, :mod:`repro.runtime.faults`).  0
         (default) disables explicit checkpointing; recovery then replays
         from the implicit cost-free checkpoint of the initial state.
-        Checkpointing requires the batched execution mode.
     fault_plan:
         Optional :class:`~repro.runtime.faults.FaultPlan` of deterministic
         injected faults.  Recovered runs stay bit-identical to fault-free
         runs in paths, counters and per-query base times — only simulated
-        time differs.  Requires the batched execution mode.
+        time differs.
     """
 
     device: DeviceSpec = A6000
@@ -108,7 +100,6 @@ class FlexiWalkerConfig:
     weight_bytes: int = 8
     warp_width: int = 32
     scheduling: str = "dynamic"
-    execution: str = "batched"
     num_devices: int = 1
     partition_policy: str = "hash"
     graph_placement: str = "auto"
@@ -122,10 +113,6 @@ class FlexiWalkerConfig:
         if self.selection not in SELECTION_POLICIES:
             raise ReproError(
                 f"unknown selection policy {self.selection!r}; valid: {SELECTION_POLICIES}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ReproError(
-                f"unknown execution mode {self.execution!r}; valid: {EXECUTION_MODES}"
             )
         if self.num_devices < 1:
             raise ReproError("num_devices must be at least 1")
@@ -153,10 +140,3 @@ class FlexiWalkerConfig:
             raise ReproError("degree_threshold must be at least 1")
         if self.checkpoint_interval < 0:
             raise ReproError("checkpoint_interval must be non-negative")
-        if self.execution == "scalar" and (
-            self.checkpoint_interval > 0
-            or (self.fault_plan is not None and not self.fault_plan.empty)
-        ):
-            raise ReproError(
-                "fault injection and checkpointing require the batched execution mode"
-            )

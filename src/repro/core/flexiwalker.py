@@ -162,7 +162,7 @@ class FlexiWalker:
             "edge_cost_ratio": self.cost_model.edge_cost_ratio,
             "selector": self.selector.name,
             "device": self.config.device.name,
-            "execution": self.config.execution,
+            "execution": self.engine.execution,
             "num_devices": self.config.num_devices,
             "partition_policy": self.config.partition_policy,
         }

@@ -5,10 +5,9 @@ device and partitioning the walk queries across them — hash-based index
 mapping of the start nodes, because naive range-based mapping showed lower
 scalability.  This module holds the partitioning policies and the
 :class:`MultiGPUExecutor` front-end.  The executor drives the *real* walk
-engine: each partition runs through its own step-synchronous frontier loop
-(one :class:`~repro.walks.state.WalkerFrontier` and one
-:class:`~repro.runtime.scheduler.DynamicQueryQueue` per simulated device) and
-the job finishes when the slowest device does.  A legacy cost-array replay
+engine: every device's walkers advance through the engine's shared
+step-synchronous frontier, each partition is scheduled on its own device,
+and the job finishes when the slowest device does.  A legacy cost-array replay
 (:meth:`MultiGPUExecutor.execute`) is kept for analyses that only have
 per-query times, e.g. what-if makespan studies.
 """

@@ -40,11 +40,45 @@ from repro.walks.state import WalkerState, WalkQuery
 #: Valid execution modes of :class:`WalkEngine`.
 EXECUTION_MODES = ("batched", "scalar")
 
+#: Why a scalar engine refuses multi-device and sharded configurations.
+_SCALAR_SINGLE_DEVICE = (
+    "the scalar execution mode is the single-device reference oracle; "
+    "multi-device and sharded runs require the batched execution mode"
+)
+
 #: Valid graph placements of a multi-device run: ``"replicated"`` copies the
 #: whole graph onto every device and partitions the queries (Fig. 15);
 #: ``"sharded"`` partitions the graph into per-device node-range shards and
 #: migrates walkers across the interconnect instead.
 GRAPH_PLACEMENTS = ("replicated", "sharded")
+
+
+def _check_placement(
+    execution: str,
+    num_devices: int,
+    partition_policy: str,
+    graph_placement: str,
+    shard_policy: str,
+    ghost_cache_bytes: int,
+) -> None:
+    """Validate an engine's execution mode and device placement."""
+    from repro.graph.sharded import SHARD_POLICIES
+
+    choices = (
+        ("execution mode", execution, EXECUTION_MODES),
+        ("partition policy", partition_policy, PARTITION_POLICIES),
+        ("graph placement", graph_placement, GRAPH_PLACEMENTS),
+        ("shard policy", shard_policy, SHARD_POLICIES),
+    )
+    for what, value, valid in choices:
+        if value not in valid:
+            raise SimulationError(f"unknown {what} {value!r}; valid: {valid}")
+    if num_devices < 1:
+        raise SimulationError("num_devices must be at least 1")
+    if ghost_cache_bytes < 0:
+        raise SimulationError("ghost_cache_bytes must be non-negative")
+    if execution == "scalar" and (num_devices > 1 or graph_placement == "sharded"):
+        raise SimulationError(_SCALAR_SINGLE_DEVICE)
 
 
 class EngineCaches:
@@ -294,18 +328,20 @@ class WalkEngine:
     step_overhead:
         Optional per-step hook for baseline framework overheads.
     execution:
-        ``"batched"`` (default) runs the step-synchronous frontier loop that
-        vectorises each superstep across all active walkers;``"scalar"``
-        keeps the original one-query-at-a-time interpreter.  Both modes
-        produce identical paths, counter totals and simulated timings for a
-        fixed seed policy (the parity suite enforces this), so the scalar
-        mode exists purely as the executable specification the batched
-        engine is checked against.
+        ``"batched"`` (default) runs the step-synchronous frontier loop of
+        :class:`~repro.runtime.frontier.FrontierDriver`, which vectorises
+        each superstep across all active walkers.  ``"scalar"`` is the
+        one-query-at-a-time reference interpreter: single device only, no
+        faults or checkpoints.  Both modes produce identical paths, counter
+        totals and simulated timings for a fixed seed policy (the parity
+        suite enforces this); the scalar mode exists purely as the oracle
+        the batched driver is checked against.
     num_devices:
-        Number of replicated-graph devices the query batch is partitioned
-        over (Fig. 15).  Each device runs its own frontier/queue instance of
-        the selected execution mode; walker randomness is keyed by query id,
-        so placement never changes any walk — only the makespan.
+        Number of simulated devices (Fig. 15).  All devices' walkers advance
+        in one shared frontier; the placement ledger only decides which
+        device each walker's work lands on.  Walker randomness is keyed by
+        query id, so placement never changes any walk — only the makespan.
+        Values above 1 need the batched execution mode.
     partition_policy:
         Query-to-device mapping: ``"hash"`` (the paper's choice),
         ``"range"`` (contiguous slices) or ``"balanced"`` (greedy
@@ -387,32 +423,10 @@ class WalkEngine:
         checkpoint_interval: int = 0,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        from repro.graph.sharded import SHARD_POLICIES
-
-        if execution not in EXECUTION_MODES:
-            raise SimulationError(
-                f"unknown execution mode {execution!r}; valid: {EXECUTION_MODES}"
-            )
-        if num_devices < 1:
-            raise SimulationError("num_devices must be at least 1")
-        if partition_policy not in PARTITION_POLICIES:
-            raise SimulationError(
-                f"unknown partition policy {partition_policy!r}; valid: {PARTITION_POLICIES}"
-            )
-        if graph_placement not in GRAPH_PLACEMENTS:
-            raise SimulationError(
-                f"unknown graph placement {graph_placement!r}; valid: {GRAPH_PLACEMENTS}"
-            )
-        if shard_policy not in SHARD_POLICIES:
-            raise SimulationError(
-                f"unknown shard policy {shard_policy!r}; valid: {SHARD_POLICIES}"
-            )
-        if graph_placement == "sharded" and execution != "batched":
-            raise SimulationError(
-                "sharded graph placement requires the batched execution mode"
-            )
-        if ghost_cache_bytes < 0:
-            raise SimulationError("ghost_cache_bytes must be non-negative")
+        _check_placement(
+            execution, num_devices, partition_policy, graph_placement,
+            shard_policy, ghost_cache_bytes,
+        )
         if checkpoint_interval < 0:
             raise SimulationError("checkpoint_interval must be non-negative")
         if execution == "scalar" and (
@@ -451,24 +465,13 @@ class WalkEngine:
         profile: ProfileResult | None = None,
     ) -> WalkRunResult:
         """Execute every query and return walks plus the simulated profile."""
+        if self.execution == "batched":
+            from repro.runtime.frontier import FrontierDriver
+
+            return FrontierDriver(self).run(queries, profile)
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        if self.num_devices > 1 and self.graph_placement == "sharded":
-            from repro.runtime.frontier import run_sharded
-
-            result = run_sharded(self, queries, profile)
-        elif self.num_devices > 1:
-            from repro.runtime.frontier import run_multi_device
-
-            result = run_multi_device(self, queries, profile)
-        elif self.execution == "batched":
-            from repro.runtime.frontier import run_batched
-
-            result = run_batched(self, queries, profile)
-        else:
-            result = self._run_scalar(queries, profile)
+        result = self._run_scalar(queries, profile)
         result.wall_clock_s = time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-        if self.compiled is not None and not self.compiled.analysis.supported:
-            result.compiler_warnings = tuple(self.compiled.analysis.warnings)
         return result
 
     def with_devices(
@@ -489,33 +492,12 @@ class WalkEngine:
         decomposition built by either engine (before *or* after the clone)
         is seen by both.
         """
-        from repro.graph.sharded import SHARD_POLICIES
-
-        clone = copy.copy(self)
-        if num_devices < 1:
-            raise SimulationError("num_devices must be at least 1")
         policy = self.partition_policy if partition_policy is None else partition_policy
-        if policy not in PARTITION_POLICIES:
-            raise SimulationError(
-                f"unknown partition policy {policy!r}; valid: {PARTITION_POLICIES}"
-            )
         placement = self.graph_placement if graph_placement is None else graph_placement
-        if placement not in GRAPH_PLACEMENTS:
-            raise SimulationError(
-                f"unknown graph placement {placement!r}; valid: {GRAPH_PLACEMENTS}"
-            )
         shards = self.shard_policy if shard_policy is None else shard_policy
-        if shards not in SHARD_POLICIES:
-            raise SimulationError(
-                f"unknown shard policy {shards!r}; valid: {SHARD_POLICIES}"
-            )
-        if placement == "sharded" and self.execution != "batched":
-            raise SimulationError(
-                "sharded graph placement requires the batched execution mode"
-            )
         ghost = self.ghost_cache_bytes if ghost_cache_bytes is None else ghost_cache_bytes
-        if ghost < 0:
-            raise SimulationError("ghost_cache_bytes must be non-negative")
+        _check_placement(self.execution, num_devices, policy, placement, shards, ghost)
+        clone = copy.copy(self)
         clone.num_devices = int(num_devices)
         clone.partition_policy = policy
         clone.graph_placement = placement
@@ -523,7 +505,7 @@ class WalkEngine:
         clone.ghost_cache_bytes = int(ghost)
         return clone
 
-    def _fault_runtime(self, num_devices: int | None = None):
+    def _fault_runtime(self):
         """The per-run fault-tolerance runtime, or ``None`` on the fast path.
 
         Returns ``None`` whenever no fault plan is configured and explicit
@@ -541,7 +523,7 @@ class WalkEngine:
             self.device,
             plan=plan,
             checkpoint_interval=self.checkpoint_interval,
-            num_devices=num_devices if num_devices is not None else self.num_devices,
+            num_devices=self.num_devices,
         )
 
     def _sharded_graph(self):
@@ -628,9 +610,7 @@ class WalkEngine:
         simulated time accumulates per-step costs *onto* ``start_ns``
         (normally the already-priced queue-fetch cost) in step order — the
         same float association the batched engine uses, so the value is
-        bit-identical however the surrounding loop batches queries.  This is
-        the property both :meth:`_run_scalar` and the session layer's wave
-        execution rely on.
+        bit-identical to the batched driver's per-slot accumulation.
         """
         state = WalkerState.start(query)
         query_ns = float(start_ns)
@@ -730,5 +710,10 @@ class WalkEngine:
             profile=profile,
             preprocess_time_ns=(
                 self.compiled.preprocessing_time_ns if self.compiled is not None else 0.0
+            ),
+            compiler_warnings=(
+                tuple(self.compiled.analysis.warnings)
+                if self.compiled is not None and not self.compiled.analysis.supported
+                else ()
             ),
         )

@@ -304,11 +304,6 @@ class FaultRuntime:
                 )
             self._drops = {drop.step for drop in plan.interconnect_drops}
 
-    @property
-    def active(self) -> bool:
-        """Whether the run needs the resilient superstep path at all."""
-        return self.interval > 0 or (self.plan is not None and not self.plan.empty)
-
     def survivors(self) -> list[int]:
         return [d for d in range(self.num_devices) if d not in self.degraded]
 

@@ -23,18 +23,24 @@ construction, not by accident:
 The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
-Multi-device execution reuses the same loop: :func:`run_multi_device` fuses
-the frontiers of every simulated device into **one** shared superstep
-(per-device bookkeeping kept through device-id slots), so a D-device run
-costs one Python loop instead of D — the serial per-device composition is
-kept as :func:`run_multi_device_serial` for the scalar mode and as the
-executable specification the fused loop is property-tested against.
+Every batched run goes through one driver, :class:`FrontierDriver`: it owns
+the launch accounting, the superstep iterator (plain or fault-tolerant), one
+per-superstep placement ledger (none, :class:`ReplicatedRunAccounting` or
+:class:`ShardedRunAccounting`) and the result assembly.  ``WalkEngine.run``
+launches everything and collects; a ``WalkSession`` launches waves and
+streams their supersteps.  Multi-device runs advance every device's walkers
+in the same shared superstep — the ledger only decides where each walker's
+work lands — so a D-device run costs one Python loop instead of D.  The
+serial per-device composition is kept as :func:`run_multi_device_serial`,
+the executable specification the replicated ledger is property-tested
+against.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +49,8 @@ from repro.errors import SimulationError
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.rng.streams import StreamPool
-from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
+from repro.runtime.faults import FaultRuntime, reassign_owners, resilient_supersteps
+from repro.runtime.scheduler import validate_queries
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
 
@@ -109,20 +116,14 @@ class NodeHintTables:
         return self.bounds[nodes], self.sums[nodes]
 
 
-#: Per-superstep hook of the fused multi-device loop: receives the active
-#: frontier indices and the superstep's CounterBatch so the caller can fold
-#: per-walker counts into per-device aggregates.
-SuperstepFold = Callable[[np.ndarray, CounterBatch], None]
-
-
 @dataclass(frozen=True)
 class SuperstepReport:
     """What one superstep of the frontier loop did.
 
     Yielded by :func:`iter_supersteps` after each superstep's accounting has
     already landed in the caller-supplied ``per_query_ns`` / ``aggregate`` /
-    ``usage`` structures, so observers (the fused multi-device fold, the
-    streaming session layer) only need the per-superstep views.
+    ``usage`` structures, so observers (the placement ledgers, the streaming
+    session layer) only need the per-superstep views.
 
     Attributes
     ----------
@@ -166,33 +167,6 @@ class SuperstepReport:
     def steps(self) -> int:
         """Walker-steps executed this superstep (one per active walker)."""
         return int(self.active.size)
-
-
-def _drive_supersteps(
-    engine: WalkEngine,
-    frontier: WalkerFrontier,
-    streams,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
-    fold: SuperstepFold | None = None,
-) -> int:
-    """Advance the whole frontier step-synchronously until every walk ends.
-
-    The shared core of :func:`run_batched` and the fused multi-device loop:
-    a thin consumer of :func:`iter_supersteps` that applies ``fold`` — when
-    given — to every superstep's (active walkers, counter batch) pair for
-    per-device bookkeeping.  Returns the number of walker-steps executed.
-    """
-    total_steps = 0
-    reports = iter_supersteps(
-        engine, frontier, streams, per_query_ns, aggregate, usage, track_finished=False
-    )
-    for report in reports:
-        total_steps += report.steps
-        if fold is not None:
-            fold(report.active, report.counters)
-    return total_steps
 
 
 #: Shared empty finished-set for untracked supersteps.
@@ -263,9 +237,9 @@ def iter_supersteps(
     accounting in ``per_query_ns`` (indexed by frontier position) and
     ``aggregate``, and yields a :class:`SuperstepReport` describing what
     happened — which walkers stepped, what they charged, and whose walks
-    completed.  The streaming service layer drives this directly to emit
-    per-superstep :class:`~repro.service.WalkChunk`s; :func:`_drive_supersteps`
-    wraps it for the one-shot paths.
+    completed.  :class:`FrontierDriver` drives it for ``WalkEngine.run`` and
+    for the streaming session layer, which turns the reports into
+    per-superstep :class:`~repro.service.WalkChunk`s.
 
     Because every walker owns a counter-based random stream keyed by its
     query id and every walker's counts land in its own slot, suspending the
@@ -273,8 +247,8 @@ def iter_supersteps(
     frontiers) cannot change any walk, count or simulated time.
 
     ``track_finished=False`` skips the per-superstep completion bookkeeping
-    (reports carry an empty ``finished``) — used by the one-shot drivers,
-    which never read it, to keep the benchmarked hot path free of it.
+    (reports carry an empty ``finished``) — used by one-shot driver runs,
+    which never read it.
 
     ``run`` enables mid-flight frontier injection: when a
     :class:`FrontierRun` is given, the ``(frontier, streams, per_query_ns)``
@@ -415,72 +389,6 @@ def iter_supersteps(
         )
 
 
-def run_batched(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Execute a query batch step-synchronously on the simulated device."""
-    from repro.runtime.engine import WalkRunResult
-
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    pool = StreamPool(engine.seed)
-    queue = DynamicQueryQueue(queries)
-    n = len(queries)
-
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    usage: dict[str, int] = {}
-
-    # -- launch: claim the whole batch from the dynamic queue ------------- #
-    fetched = queue.fetch_batch(n)
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-
-    frontier = WalkerFrontier(fetched)
-    streams = pool.batch([q.query_id for q in fetched])
-
-    faults = engine._fault_runtime(num_devices=1)
-    if faults is None:
-        total_steps = _drive_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage
-        )
-    else:
-        from repro.runtime.faults import resilient_supersteps
-
-        total_steps = 0
-        for _, report, replayed in resilient_supersteps(
-            engine, faults, frontier, pool, streams, per_query_ns, aggregate, usage
-        ):
-            if not replayed:
-                total_steps += report.steps
-
-    executor = KernelExecutor(engine.device)
-    kernel = executor.execute(
-        per_query_ns,
-        counters=aggregate,
-        scheduling=engine.scheduling,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
-    return WalkRunResult(
-        paths=frontier.paths(),
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
-    )
-
-
 def fold_counters_by_owner(
     owners: np.ndarray,
     counters: CounterBatch,
@@ -506,12 +414,11 @@ def fold_counters_by_owner(
                 setattr(agg, name, getattr(agg, name) + int(sums[d]))
 
 
-def _partition_for_devices(engine: WalkEngine, queries: list[WalkQuery]):
-    """Partition queries by the engine's policy (with degree costs attached)."""
+def _partition_for_devices(engine: WalkEngine, starts: np.ndarray) -> list[np.ndarray]:
+    """Partition walkers (by start node) with the engine's policy."""
     from repro.gpusim.multigpu import partition_queries
 
     graph = engine.graph
-    starts = np.array([q.start_node for q in queries], dtype=np.int64)
     # The balanced policy packs by start-node out-degree — the first-order
     # proxy for a walk's cost that is known *before* the walk runs (+1 so
     # zero-degree starts still carry their fetch cost).
@@ -521,218 +428,134 @@ def _partition_for_devices(engine: WalkEngine, queries: list[WalkQuery]):
     )
 
 
-def run_multi_device(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Execute a query batch across ``engine.num_devices`` replicated devices.
+class ReplicatedRunAccounting:
+    """Per-device bookkeeping of a replicated-graph multi-device run.
 
-    The Fig. 15 execution model made real: queries are partitioned by the
-    engine's ``partition_policy`` and the job completes at the makespan of
-    the slowest device.  In batched mode the devices execute through **one
-    fused frontier** (:func:`_run_multi_device_fused`): all devices' walkers
-    advance in the same shared superstep, per-device counter/kernel
-    bookkeeping is kept via device-id slots, and the D× Python-loop and
-    context-rebuild overhead of running the devices one after another
-    disappears.  Scalar mode keeps the serial per-device composition
-    (:func:`run_multi_device_serial`).
+    Every device holds the whole graph and the queries are partitioned over
+    the devices by the engine's policy (Fig. 15).  Each walker's integer
+    operation counts — its queue fetch plus every step — accumulate in its
+    own column, so the partition is taken at assembly time over the whole
+    launched batch: a session that launched its queries in several waves
+    gets exactly the partition, per-device counters and per-device
+    schedules of the one-shot run.
 
-    Placement cannot change any walk: each walker's counter-based stream is
-    keyed by its query id (every device derives streams from the same engine
-    seed), each walker's counters land in its own slot, and the dead-end /
-    termination rules are per-walker.  Paths, per-query simulated times and
-    counter totals are therefore bit-identical to a single-device run — and
-    the fused loop is bit-identical to the serial composition (the
-    multi-device parity and property suites enforce both) — while
-    ``kernel.time_ns`` becomes the cross-device makespan and
-    ``device_kernels`` records what each device did.
+    A permanent device failure (degraded mode) pins the ownership down: the
+    counts executed so far settle on the devices that ran them, and the dead
+    device's walkers move round-robin onto the survivors for the rest of the
+    run (:func:`~repro.runtime.faults.reassign_owners`).
     """
-    if engine.execution == "batched":
-        return _run_multi_device_fused(engine, queries, profile)
-    return run_multi_device_serial(engine, queries, profile)
 
+    def __init__(self, engine: WalkEngine) -> None:
+        self.engine = engine
+        self.num_devices = engine.num_devices
+        fields = len(CostCounters._COUNT_FIELDS)
+        self._starts = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros((fields, 0), dtype=np.int64)
+        # Counts settled on their executing device by a failure, and the
+        # ownership a failure fixed (None: partition at assembly).
+        self._settled = np.zeros((fields, self.num_devices), dtype=np.int64)
+        self._fixed: np.ndarray | None = None
 
-def _run_multi_device_fused(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """One shared superstep loop advancing every device's walkers together."""
-    from repro.runtime.engine import WalkRunResult
-    from repro.runtime.scheduler import split_for_devices
+    def _append(self, start_nodes: np.ndarray, counts: np.ndarray) -> None:
+        # Launches and records arrive in launch order, so walker ``offset +
+        # i`` always lands in column ``offset + i``.
+        self._starts = np.concatenate([self._starts, start_nodes])
+        self._counts = np.concatenate([self._counts, counts], axis=1)
 
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    partitions = _partition_for_devices(engine, queries)
-    # Materialising the per-device batches enforces the every-query-exactly-
-    # once invariant the parity guarantee rests on, fused or not.
-    split_for_devices(queries, partitions)
-    num_devices = engine.num_devices
+    def charge_fetch(
+        self, start_nodes: np.ndarray, fetch_ns: np.ndarray, offset: int = 0
+    ) -> None:
+        """One queue-fetch atomic per launched walker."""
+        counts = np.zeros((self._counts.shape[0], len(start_nodes)), dtype=np.int64)
+        counts[_ATOMIC_ROW] = 1
+        self._append(start_nodes, counts)
 
-    n = len(queries)
-    owner = np.empty(n, dtype=np.int64)
-    for d, part in enumerate(partitions):
-        owner[part] = d
-
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    device_aggs = [
-        CostCounters(bytes_per_weight=engine.weight_bytes) for _ in range(num_devices)
-    ]
-    usage: dict[str, int] = {}
-
-    # -- launch ------------------------------------------------------------ #
-    # Each device's queue hands out its whole partition at one atomic per
-    # query (see DynamicQueryQueue.fetch_batch); charging one atomic into
-    # every walker's fetch slot reproduces the serial composition exactly.
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-    for d, part in enumerate(partitions):
-        device_aggs[d].atomic_ops += int(part.size)
-
-    # The fused frontier holds every query in submission order; ``owner``
-    # remembers which simulated device each walker executes on.
-    frontier = WalkerFrontier(queries)
-    pool = StreamPool(engine.seed)
-    streams = pool.batch([q.query_id for q in queries])
-
-    def fold(active: np.ndarray, counters: CounterBatch) -> None:
-        """Attribute one superstep's counts to each walker's fixed device."""
-        fold_counters_by_owner(owner[active], counters, device_aggs, num_devices)
-
-    faults = engine._fault_runtime()
-    if faults is None:
-        total_steps = _drive_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage, fold=fold
+    def record(self, start_nodes: np.ndarray, counts: dict[str, np.ndarray]) -> None:
+        """Per-walker counts of walkers executed elsewhere (the scheduler)."""
+        self._append(
+            start_nodes, np.array([counts[name] for name in CostCounters._COUNT_FIELDS])
         )
-    else:
-        from repro.runtime.faults import reassign_owners, resilient_supersteps
 
-        def on_failure(dead: list[int]) -> None:
-            # Degraded mode: the dead device's walkers continue on the
-            # survivors.  Counts folded before the failure stay where the
-            # work actually executed; only future supersteps move.
-            reassign_owners(owner, dead, faults.survivors())
+    def observe(
+        self,
+        report: SuperstepReport,
+        frontier: WalkerFrontier,
+        step_ordinal: int,
+        offset: int = 0,
+    ) -> None:
+        """Land one superstep's per-walker counts in the walkers' columns."""
+        active = report.active
+        if active.size == 0:
+            return
+        cols = active + offset if offset else active
+        for j, name in enumerate(CostCounters._COUNT_FIELDS):
+            column = getattr(report.counters, name)
+            if column.any():
+                self._counts[j, cols] += column
 
-        total_steps = 0
-        for _, report, replayed in resilient_supersteps(
-            engine,
-            faults,
-            frontier,
-            pool,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            on_failure=on_failure,
-        ):
-            if not replayed:
-                total_steps += report.steps
-                fold(report.active, report.counters)
-        if faults.degraded and faults.survivors():
-            # Rebuild the per-device schedules against the surviving
-            # ownership: migrated walkers queue on their new device.
-            partitions = [
-                np.flatnonzero(owner == d) for d in range(num_devices)
-            ]
+    def owners(self) -> np.ndarray:
+        """The device of every registered walker."""
+        owner = np.empty(self._starts.size, dtype=np.int64)
+        for d, part in enumerate(_partition_for_devices(self.engine, self._starts)):
+            owner[part] = d
+        if self._fixed is not None:
+            owner[: self._fixed.size] = self._fixed
+        return owner
 
-    executor = KernelExecutor(engine.device)
-    device_kernels = [
-        executor.execute(
-            per_query_ns[part], counters=device_aggs[d], scheduling=engine.scheduling
-        )
-        for d, part in enumerate(partitions)
-    ]
-    kernel = _merge_device_kernels(
-        engine,
-        device_kernels,
-        aggregate,
-        n,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
-    return WalkRunResult(
-        paths=frontier.paths(),
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        num_devices=num_devices,
-        partition_policy=engine.partition_policy,
-        device_kernels=device_kernels,
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
-    )
+    def take_over(
+        self,
+        dead: list[int],
+        survivors: list[int],
+        frontier: WalkerFrontier | None = None,
+        offset: int = 0,
+    ) -> None:
+        """Degraded mode: settle counts so far, move the dead devices' walkers.
+
+        With no survivors the replacement-device policy applies and nothing
+        moves.
+        """
+        if not survivors:
+            return
+        owner = self.owners()
+        counts = self._counts
+        for j in np.flatnonzero(counts.any(axis=1)):
+            self._settled[j] += np.bincount(
+                owner, weights=counts[j], minlength=self.num_devices
+            ).astype(np.int64)
+        counts[:] = 0
+        reassign_owners(owner, dead, survivors)
+        self._fixed = owner
+
+    def device_kernels(
+        self, scheduling: str, per_query_ns: np.ndarray
+    ) -> list[KernelResult]:
+        """One kernel per device over the walkers it owns, in launch order."""
+        owner = self.owners()
+        executor = KernelExecutor(self.engine.device)
+        kernels = []
+        for d in range(self.num_devices):
+            part = np.flatnonzero(owner == d)
+            totals = self._counts[:, part].sum(axis=1) + self._settled[:, d]
+            kernels.append(
+                executor.execute(
+                    per_query_ns[part],
+                    counters=_device_counters(self.engine, totals),
+                    scheduling=scheduling,
+                )
+            )
+        return kernels
 
 
-def run_multi_device_serial(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Serial per-device composition (the fused loop's executable spec).
+#: Row of the queue-fetch atomic in the ledgers' per-field count matrices.
+_ATOMIC_ROW = CostCounters._COUNT_FIELDS.index("atomic_ops")
 
-    Every device runs its *own* engine instance — a fresh
-    :class:`~repro.walks.state.WalkerFrontier` and
-    :class:`~repro.runtime.scheduler.DynamicQueryQueue` through
-    :func:`run_batched` (or the scalar interpreter when
-    ``execution="scalar"``) — one after another.  Used directly for scalar
-    execution and as the reference the fused batched loop is property-tested
-    against.
-    """
-    from repro.runtime.engine import WalkRunResult
-    from repro.runtime.scheduler import split_for_devices
 
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    partitions = _partition_for_devices(engine, queries)
-    device_queries = split_for_devices(queries, partitions)
-
-    n = len(queries)
-    paths: list[list[int]] = [[] for _ in range(n)]
-    per_query_ns = np.zeros(n, dtype=np.float64)
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    usage: dict[str, int] = {}
-    total_steps = 0
-    device_kernels = []
-
-    for part, sub_queries in zip(partitions, device_queries, strict=False):
-        if engine.execution == "batched":
-            sub = run_batched(engine, sub_queries, None)
-        else:
-            sub = engine._run_scalar(sub_queries, None)
-        device_kernels.append(sub.kernel)
-        per_query_ns[part] = sub.per_query_ns
-        for index, path in zip(part, sub.paths, strict=False):
-            paths[int(index)] = path
-        aggregate.merge(sub.counters)
-        for name, count in sub.sampler_usage.items():
-            usage[name] = usage.get(name, 0) + count
-        total_steps += sub.total_steps
-
-    kernel = _merge_device_kernels(engine, device_kernels, aggregate, n)
-    return WalkRunResult(
-        paths=paths,
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        num_devices=engine.num_devices,
-        partition_policy=engine.partition_policy,
-        device_kernels=device_kernels,
-    )
+def _device_counters(engine: WalkEngine, totals: np.ndarray) -> CostCounters:
+    """One device's counters from a per-field column of integer totals."""
+    agg = CostCounters(bytes_per_weight=engine.weight_bytes)
+    for name, value in zip(CostCounters._COUNT_FIELDS, totals, strict=True):
+        setattr(agg, name, int(value))
+    return agg
 
 
 #: Bytes of one migrating walker record: query id, current node, previous
@@ -762,8 +585,8 @@ class _CommSummary:
 class ShardedRunAccounting:
     """Per-device bookkeeping of a graph-sharded run.
 
-    The sharded driver executes the *same* fused superstep loop as the
-    replicated path (walks, counters and per-query base times are therefore
+    A sharded run executes the *same* fused superstep loop as the
+    replicated placement (walks, counters and per-query base times are therefore
     bit-identical by construction); this object is where the sharding shows
     up.  Each walker-step is attributed to the device *hosting* the walker
     — the shard owning its current node, unless the node is a ghost-cached
@@ -790,7 +613,6 @@ class ShardedRunAccounting:
         self.sharded = sharded
         self.ghost = ghost
         self.num_shards = sharded.num_shards
-        self.migration_ns = engine.device.migration_time_ns(WALKER_MIGRATION_BYTES)
         self._latency_ns = float(engine.device.interconnect_latency_ns)
         self._bytes_per_ns = float(engine.device.interconnect_bytes_per_ns)
         self._owner = sharded.owner_map
@@ -798,10 +620,6 @@ class ShardedRunAccounting:
         # Flat view for cheap (host, node) lookups on the crossing subset.
         self._ghost_flat = self._ghost_mask.ravel() if ghost is not None else None
         self._num_nodes = int(self._owner.size)
-        self.device_aggs = [
-            CostCounters(bytes_per_weight=engine.weight_bytes)
-            for _ in range(self.num_shards)
-        ]
         # Resident-walker ledger: cell (d, q) accumulates all the lane time
         # query ``q`` executed on device ``d`` (its fetch, then every step
         # hosted there, added in walk-step order — so the float sums are
@@ -815,7 +633,7 @@ class ShardedRunAccounting:
         # Per-device counter accumulation: one float64 cell per (counter
         # field, device), folded eagerly every superstep so the superstep's
         # CounterBatch can be released immediately (integer counts sum
-        # exactly in float64).  Materialised into ``device_aggs`` lazily.
+        # exactly in float64).
         self._counter_sums = np.zeros(
             (len(CostCounters._COUNT_FIELDS), self.num_shards), dtype=np.float64
         )
@@ -865,9 +683,7 @@ class ShardedRunAccounting:
         # fetch_ns aliases the live per-query accumulator — copy the values.
         self._res_times[owners, cols] += fetch_ns
         self._res_seen[owners, cols] = True
-        counts = np.bincount(owners, minlength=self.num_shards)
-        for d in np.nonzero(counts)[0]:
-            self.device_aggs[d].atomic_ops += int(counts[d])
+        self._counter_sums[_ATOMIC_ROW] += np.bincount(owners, minlength=self.num_shards)
 
     def observe(
         self,
@@ -954,15 +770,21 @@ class ShardedRunAccounting:
         return _NO_FINISHED, _NO_FINISHED
 
     def take_over(
-        self, dead: list[int], survivors: list[int], frontier: WalkerFrontier
+        self,
+        dead: list[int],
+        survivors: list[int],
+        frontier: WalkerFrontier,
+        offset: int = 0,
     ) -> None:
         """Degraded-mode shard takeover after permanent device failures.
 
         The dead devices' node ranges are re-owned round-robin by the
         survivors (on a private copy — the shared
         :class:`~repro.graph.sharded.ShardedCSRGraph` decomposition is never
-        mutated), and every walker hosted on a dead device re-hosts onto
-        the new owner of its current node.  With no survivors the
+        mutated), and every walker of the wave launched at ``offset`` (the
+        one ``frontier`` executes) hosted on a dead device re-hosts onto the
+        new owner of its current node; walkers of earlier waves have all
+        finished and take no further steps.  With no survivors the
         replacement-device policy applies: ownership stays with the standby
         that inherits the dead device's identity.
 
@@ -979,11 +801,10 @@ class ShardedRunAccounting:
             if nodes.size:
                 owner[nodes] = pool[np.arange(nodes.size) % pool.size]
         self._owner = owner
-        dead_arr = np.asarray(dead, dtype=np.int64)
-        for offset, hosts in self._hosts.items():
-            stale = np.flatnonzero(np.isin(hosts, dead_arr))
-            if stale.size:
-                hosts[stale] = owner[frontier.current[stale + offset]]
+        hosts = self._hosts[offset]
+        stale = np.flatnonzero(np.isin(hosts, np.asarray(dead, dtype=np.int64)))
+        if stale.size:
+            hosts[stale] = owner[frontier.current[stale]]
         self._comm_cache = None
 
     # ------------------------------------------------------------------ #
@@ -1061,27 +882,6 @@ class ShardedRunAccounting:
         np.add.at(out, summary.queries, summary.shares)
         return out
 
-    def _fold_pending_counters(self) -> None:
-        """Materialise the accumulated per-device counter sums.
-
-        ``observe`` folds every superstep's counts into ``_counter_sums``
-        eagerly (so the superstep's CounterBatch is released right away);
-        this flushes those sums into the ``device_aggs`` objects and zeroes
-        the matrix, which keeps repeated kernel builds idempotent.
-        """
-        sums = self._counter_sums
-        if not sums.any():
-            return
-        for j, name in enumerate(CostCounters._COUNT_FIELDS):
-            row = sums[j]
-            if not row.any():
-                continue
-            for d in range(self.num_shards):
-                if row[d]:
-                    agg = self.device_aggs[d]
-                    setattr(agg, name, getattr(agg, name) + int(row[d]))
-        sums[:] = 0.0
-
     def device_kernels(self, scheduling: str) -> list[KernelResult]:
         """Build one kernel per shard device from the accumulated task log.
 
@@ -1097,7 +897,6 @@ class ShardedRunAccounting:
         the lane makespan serialises).  Safe to call repeatedly (a session
         may collect more than once): the ledgers are only read.
         """
-        self._fold_pending_counters()
         executor = KernelExecutor(self.engine.device)
         kernels = []
         comm = self.comm_ns
@@ -1110,7 +909,7 @@ class ShardedRunAccounting:
             kernels.append(
                 executor.execute(
                     tasks,
-                    counters=self.device_aggs[d].copy(),
+                    counters=_device_counters(self.engine, self._counter_sums[:, d]),
                     scheduling=scheduling,
                     comm_ns=float(comm[d]),
                     comm_overlap=True,
@@ -1119,125 +918,358 @@ class ShardedRunAccounting:
         return kernels
 
 
-def run_sharded(
+@dataclass(eq=False)
+class _Launch:
+    """One launched batch of queries executing through a single frontier."""
+
+    queries: list[WalkQuery]
+    offset: int  # launch position of queries[0]
+    frontier: WalkerFrontier
+    per_query_ns: np.ndarray
+    # With a FaultRuntime, ``iterator`` yields (ordinal, report, replayed).
+    iterator: Iterator
+    faults: FaultRuntime | None
+    # Finished walks' paths, filled as they complete (tracking drivers).
+    paths: list
+    # Supersteps executed so far == every walker's step index, the
+    # canonical migration-batch key of the sharded ledger.
+    steps: int = 0
+
+
+class FrontierDriver:
+    """The one batched walk driver behind ``WalkEngine.run`` and sessions.
+
+    Owns the launch accounting (one queue-fetch atomic per launched query,
+    priced per slot, so splitting a batch into launches changes nothing),
+    the superstep iterator (:func:`iter_supersteps`, or
+    :func:`~repro.runtime.faults.resilient_supersteps` under a fault plan
+    or checkpoint interval), one placement ledger folded every superstep
+    (none on one device, :class:`ReplicatedRunAccounting` or
+    :class:`ShardedRunAccounting`) and the result assembly.
+
+    :meth:`run` launches everything and collects; a
+    :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
+    :meth:`advance` per superstep (``track_finished`` provides the
+    completions it streams).  Both assemble through :meth:`assemble`, so a
+    session that submits everything and then collects *is*
+    ``WalkEngine.run``.  Walks the continuous-batching scheduler finished
+    for a session enter through :meth:`charge`, :meth:`charge_usage` and
+    :meth:`record`.
+    """
+
+    def __init__(self, engine: WalkEngine, track_finished: bool = False) -> None:
+        self.engine = engine
+        self.track_finished = track_finished
+        self.ledger: ReplicatedRunAccounting | ShardedRunAccounting | None = None
+        if engine.num_devices > 1 and engine.graph_placement == "sharded":
+            self.ledger = ShardedRunAccounting(
+                engine, engine._sharded_graph(), ghost=engine._ghost_cache()
+            )
+        elif engine.num_devices > 1:
+            self.ledger = ReplicatedRunAccounting(engine)
+        self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
+        self.usage: dict[str, int] = {}
+        self.total_steps = 0
+        self.wall_clock_s = 0.0
+        self.recovery_ns = 0.0
+        self.checkpoints_taken = 0
+        self.degraded: list[int] = []
+        self.launched = 0
+        self._paths: list[list[int]] = []
+        self._ns_chunks: list[np.ndarray] = []
+        self._launch: _Launch | None = None
+
+    @property
+    def busy(self) -> bool:
+        """Whether a launched batch is still executing."""
+        return self._launch is not None
+
+    @property
+    def in_flight(self) -> int:
+        """Walkers of the executing batch that have not finished."""
+        if self._launch is None:
+            return 0
+        return int(self._launch.frontier.active_indices().size)
+
+    # ------------------------------------------------------------------ #
+    def run(
+        self, queries: list[WalkQuery], profile: ProfileResult | None = None
+    ) -> WalkRunResult:
+        """Launch every query, advance until all walks end, assemble."""
+        validate_queries(queries, self.engine.graph.num_nodes)
+        self.launch(queries)
+        while self._launch is not None:
+            self.advance()
+        return self.assemble(profile)
+
+    def launch(self, queries: list[WalkQuery]) -> None:
+        """Start executing a batch of queries (the previous one must be done)."""
+        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
+        if self._launch is not None:
+            raise SimulationError("the previous launch is still executing")
+        engine = self.engine
+        fetch = CounterBatch(len(queries), bytes_per_weight=engine.weight_bytes)
+        fetch.atomic_ops += 1
+        per_query_ns = engine.device.lane_times_ns(fetch)
+        self.aggregate.merge(fetch.totals())
+        offset = self.launched
+        self.launched += len(queries)
+        if self.ledger is not None:
+            starts = np.array([q.start_node for q in queries], dtype=np.int64)
+            self.ledger.charge_fetch(starts, per_query_ns, offset)
+
+        frontier = WalkerFrontier(queries)
+        pool = StreamPool(engine.seed)
+        streams = pool.batch([q.query_id for q in queries])
+        faults = engine._fault_runtime()
+        if faults is None:
+            iterator = iter_supersteps(
+                engine, frontier, streams, per_query_ns, self.aggregate, self.usage,
+                track_finished=self.track_finished,
+            )
+        else:
+            # Same loop wrapped in the recovery protocol.  The plan's
+            # superstep ordinals restart per launch: each launch is an
+            # independent run of the fault schedule.
+            ledger = self.ledger
+            on_failure = None
+            if ledger is not None:
+                def on_failure(dead: list[int]) -> None:
+                    # Counts folded before the failure stay where the work
+                    # executed; only future supersteps move.
+                    ledger.take_over(dead, faults.survivors(), frontier, offset)
+
+            iterator = resilient_supersteps(
+                engine, faults, frontier, pool, streams, per_query_ns,
+                self.aggregate, self.usage,
+                track_finished=self.track_finished, on_failure=on_failure,
+            )
+        paths = [None] * len(queries) if self.track_finished else []
+        self._launch = _Launch(
+            queries, offset, frontier, per_query_ns, iterator, faults, paths
+        )
+        self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
+
+    def advance(self) -> SuperstepReport | None:
+        """Run one superstep of the executing batch.
+
+        Returns its report, or ``None`` when the superstep was a
+        bit-identical replay after a restore (already accounted by its
+        first execution) or the batch just finished.
+        """
+        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
+        try:
+            return self._advance()
+        finally:
+            self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
+
+    def _advance(self) -> SuperstepReport | None:
+        launch = self._launch
+        try:
+            item = next(launch.iterator)
+        except StopIteration:
+            self._finish(launch)
+            return None
+        if launch.faults is None:
+            report = item
+        else:
+            _, report, replayed = item
+            if replayed:
+                return None
+        self.total_steps += report.steps
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.observe(report, launch.frontier, launch.steps, launch.offset)
+            if launch.faults is not None and isinstance(ledger, ShardedRunAccounting):
+                src, dst = ledger.migrations_at(launch.steps)
+                launch.faults.charge_interconnect_drop(
+                    launch.steps, src, dst, WALKER_MIGRATION_BYTES
+                )
+        launch.steps += 1
+        if self.track_finished:
+            for i in report.finished:
+                launch.paths[i] = launch.frontier.path(i)
+        return report
+
+    def finished_walks(
+        self, report: SuperstepReport
+    ) -> tuple[list[WalkQuery], list[list[int]]]:
+        """The queries and paths of the walks ``report`` completed."""
+        launch = self._launch
+        return (
+            [launch.queries[i] for i in report.finished],
+            [launch.paths[i] for i in report.finished],
+        )
+
+    def _finish(self, launch: _Launch) -> None:
+        # A tracking launch saw every walk complete, so its paths are already
+        # materialised (and shared with the caller's per-walk records).
+        paths = launch.paths if self.track_finished else launch.frontier.paths()
+        self._paths.extend(paths)
+        self._ns_chunks.append(launch.per_query_ns)
+        faults = launch.faults
+        if faults is not None:
+            self.recovery_ns += faults.recovery_ns
+            self.checkpoints_taken += faults.checkpoints_taken
+            for device in faults.degraded:
+                if device not in self.degraded:
+                    self.degraded.append(device)
+        self._launch = None
+
+    # ------------------------------------------------------------------ #
+    def charge(
+        self,
+        counters: CostCounters | None = None,
+        steps: int = 0,
+        wall_clock_s: float = 0.0,
+    ) -> None:
+        """Add work executed outside :meth:`advance` to the totals."""
+        if counters is not None:
+            self.aggregate.merge(counters)
+        self.total_steps += steps
+        self.wall_clock_s += wall_clock_s
+
+    def charge_usage(self, sampler: str, steps: int) -> None:
+        """Attribute ``steps`` executed outside :meth:`advance` to a kernel."""
+        self.usage[sampler] = self.usage.get(sampler, 0) + steps
+
+    def record(
+        self,
+        queries: list[WalkQuery],
+        paths: list[list[int]],
+        per_query_ns: np.ndarray,
+        counts: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        """Append finished walks executed outside :meth:`advance`.
+
+        ``counts`` — per-walker integer counts, needed by a replicated
+        multi-device ledger — must cover the same walkers in the same order.
+        """
+        self.launched += len(queries)
+        self._paths.extend(paths)
+        self._ns_chunks.append(per_query_ns)
+        if isinstance(self.ledger, ReplicatedRunAccounting):
+            starts = np.array([q.start_node for q in queries], dtype=np.int64)
+            self.ledger.record(starts, counts)
+
+    # ------------------------------------------------------------------ #
+    def assemble(self, profile: ProfileResult | None = None) -> WalkRunResult:
+        """The :class:`~repro.runtime.engine.WalkRunResult` of everything
+        launched or recorded so far (the ledgers are only read, so this may
+        be called repeatedly)."""
+        from repro.runtime.engine import WalkRunResult
+
+        engine = self.engine
+        per_query_ns = np.concatenate(self._ns_chunks)
+        aggregate = self.aggregate.copy()
+        num_queries = int(per_query_ns.size)
+        ledger = self.ledger
+        placement: dict[str, object] = {}
+        if ledger is None:
+            kernel = KernelExecutor(engine.device).execute(
+                per_query_ns,
+                counters=aggregate,
+                scheduling=engine.scheduling,
+                recovery_ns=self.recovery_ns,
+            )
+        else:
+            if isinstance(ledger, ShardedRunAccounting):
+                device_kernels = ledger.device_kernels(engine.scheduling)
+                placement = dict(
+                    graph_placement="sharded",
+                    shard_policy=ledger.sharded.policy,
+                    per_query_comm_ns=ledger.per_query_comm_ns(num_queries),
+                    comm_time_ns=float(ledger.comm_ns.sum()),
+                    remote_steps=ledger.remote_steps,
+                    ghost_hits=ledger.ghost_hits,
+                    migration_batches=ledger.migration_batches,
+                )
+            else:
+                device_kernels = ledger.device_kernels(engine.scheduling, per_query_ns)
+            kernel = _merge_device_kernels(
+                engine, device_kernels, aggregate, num_queries,
+                recovery_ns=self.recovery_ns,
+            )
+            placement.update(
+                num_devices=engine.num_devices,
+                partition_policy=engine.partition_policy,
+                device_kernels=device_kernels,
+            )
+        compiled = engine.compiled
+        return WalkRunResult(
+            paths=[list(p) for p in self._paths],
+            per_query_ns=per_query_ns,
+            counters=aggregate,
+            kernel=kernel,
+            sampler_usage=dict(self.usage),
+            total_steps=self.total_steps,
+            profile=profile,
+            preprocess_time_ns=(
+                compiled.preprocessing_time_ns if compiled is not None else 0.0
+            ),
+            wall_clock_s=self.wall_clock_s,
+            degraded_devices=tuple(self.degraded),
+            recovery_time_ns=self.recovery_ns,
+            checkpoints_taken=self.checkpoints_taken,
+            compiler_warnings=(
+                tuple(compiled.analysis.warnings)
+                if compiled is not None and not compiled.analysis.supported
+                else ()
+            ),
+            **placement,
+        )
+
+
+def run_multi_device_serial(
     engine: WalkEngine,
     queries: list[WalkQuery],
     profile: ProfileResult | None = None,
 ) -> WalkRunResult:
-    """Execute a query batch across ``engine.num_devices`` graph shards.
+    """Serial per-device composition: the replicated ledger's executable spec.
 
-    The graph-partitioned counterpart of :func:`run_multi_device`: instead
-    of replicating the graph and splitting the queries, the *graph* is split
-    into per-device node-range shards
-    (:class:`~repro.graph.sharded.ShardedCSRGraph`) and every walker
-    executes each step on the device owning its current node, migrating —
-    at a modeled interconnect cost — whenever a sampled step lands on a
-    remote shard.
-
-    The walk execution itself is the same fused superstep loop as every
-    other mode, so paths, counter totals and per-query base times are
-    bit-identical to a replicated (or single-device) run; what sharding
-    changes is *where* each step's work lands (per-device kernels follow
-    the walkers around) and the new communication term — per-query
-    migration time, per-device interconnect time and the resulting
-    makespan.
+    Every device runs its *own* single-device driver over its partition of
+    the queries, one device after another, and the results are stitched
+    back into submission order.  :class:`ReplicatedRunAccounting` folds the
+    same work into per-device kernels inside one shared frontier; the
+    multi-device property suite checks the two against each other.  A
+    one-device "composition" is just the single-device run.
     """
     from repro.runtime.engine import WalkRunResult
+    from repro.runtime.scheduler import split_for_devices
 
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    if engine.execution != "batched":
-        raise SimulationError(
-            "sharded graph placement requires the batched execution mode"
-        )
-    sharded = engine._sharded_graph()
+    validate_queries(queries, engine.graph.num_nodes)
+    single = engine.with_devices(1)
+    if engine.num_devices == 1:
+        return FrontierDriver(single).run(queries, profile)
+    starts = np.array([q.start_node for q in queries], dtype=np.int64)
+    partitions = _partition_for_devices(engine, starts)
+    runs = [FrontierDriver(single).run(sub) for sub in split_for_devices(queries, partitions)]
+
     n = len(queries)
-
+    paths: list[list[int]] = [[] for _ in range(n)]
+    per_query_ns = np.zeros(n, dtype=np.float64)
     aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
     usage: dict[str, int] = {}
-    acct = ShardedRunAccounting(engine, sharded, ghost=engine._ghost_cache())
-
-    # -- launch: every query is submitted to its start node's owner ------- #
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-    starts = np.array([q.start_node for q in queries], dtype=np.int64)
-    acct.charge_fetch(starts, per_query_ns)
-
-    frontier = WalkerFrontier(queries)
-    pool = StreamPool(engine.seed)
-    streams = pool.batch([q.query_id for q in queries])
-
-    total_steps = 0
-    faults = engine._fault_runtime()
-    if faults is None:
-        reports = iter_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage, track_finished=False
-        )
-        for step_ordinal, report in enumerate(reports):
-            total_steps += report.steps
-            acct.observe(report, frontier, step_ordinal)
-    else:
-        from repro.runtime.faults import resilient_supersteps
-
-        def on_failure(dead: list[int]) -> None:
-            acct.take_over(dead, faults.survivors(), frontier)
-
-        for step_ordinal, report, replayed in resilient_supersteps(
-            engine,
-            faults,
-            frontier,
-            pool,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            on_failure=on_failure,
-        ):
-            if replayed:
-                # Bit-identical re-execution: the first pass already landed
-                # this superstep's counts, hosting and migrations.
-                continue
-            total_steps += report.steps
-            acct.observe(report, frontier, step_ordinal)
-            src, dst = acct.migrations_at(step_ordinal)
-            faults.charge_interconnect_drop(
-                step_ordinal, src, dst, WALKER_MIGRATION_BYTES
-            )
-
-    device_kernels = acct.device_kernels(engine.scheduling)
-    kernel = _merge_device_kernels(
-        engine,
-        device_kernels,
-        aggregate,
-        n,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
+    for part, sub in zip(partitions, runs, strict=True):
+        per_query_ns[part] = sub.per_query_ns
+        for index, path in zip(part, sub.paths, strict=True):
+            paths[int(index)] = path
+        aggregate.merge(sub.counters)
+        for name, count in sub.sampler_usage.items():
+            usage[name] = usage.get(name, 0) + count
+    device_kernels = [sub.kernel for sub in runs]
     return WalkRunResult(
-        paths=frontier.paths(),
+        paths=paths,
         per_query_ns=per_query_ns,
         counters=aggregate,
-        kernel=kernel,
+        kernel=_merge_device_kernels(engine, device_kernels, aggregate, n),
         sampler_usage=usage,
-        total_steps=total_steps,
+        total_steps=sum(sub.total_steps for sub in runs),
         profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
+        preprocess_time_ns=runs[0].preprocess_time_ns,
         num_devices=engine.num_devices,
         partition_policy=engine.partition_policy,
         device_kernels=device_kernels,
-        graph_placement="sharded",
-        shard_policy=sharded.policy,
-        per_query_comm_ns=acct.per_query_comm_ns(n),
-        comm_time_ns=float(acct.comm_ns.sum()),
-        remote_steps=acct.remote_steps,
-        ghost_hits=acct.ghost_hits,
-        migration_batches=acct.migration_batches,
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
     )
 
 

@@ -1,8 +1,7 @@
 """Execution-plan negotiation for the session service.
 
 The legacy surface scattered backend selection across constructor flags:
-``FlexiWalkerConfig.execution``, ``WalkEngine(num_devices=...)``,
-``WalkEngine.with_devices(...)``.  The service API replaces that with an
+``WalkEngine(num_devices=...)``, ``WalkEngine.with_devices(...)``.  The service API replaces that with an
 explicit negotiation step: the service declares what it *can* do
 (:class:`ServiceCapabilities` — which backends exist, how many devices the
 :class:`DeviceFleet` owns, which partition policies are implemented), the
@@ -25,12 +24,13 @@ from repro.gpusim.device import A6000, DeviceSpec
 from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.sharded import SHARD_POLICIES
 
-#: Backends a service can negotiate.  ``scalar`` is the reference
-#: interpreter (streams walk-by-walk), ``batched`` the step-synchronous
-#: frontier loop (streams superstep-by-superstep), ``multi_device`` the fused
-#: multi-device frontier (also superstep-by-superstep; placement only moves
-#: the makespan, never the walks).
-BACKENDS = ("scalar", "batched", "multi_device")
+#: Backends a service can negotiate: ``batched`` is the single-device
+#: step-synchronous frontier loop, ``multi_device`` the same loop over
+#: several devices (placement only moves the makespan, never the walks).
+#: Both stream superstep-by-superstep.  The scalar interpreter is not a
+#: serving backend; it survives only as ``WalkEngine(execution="scalar")``,
+#: the reference oracle the batched driver is tested against.
+BACKENDS = ("batched", "multi_device")
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ class ServiceCapabilities:
     #: frozen.  Empty means no per-tenant quotas.
     tenant_quotas: tuple[tuple[str, int], ...] = ()
     #: Whether the service offers superstep checkpointing and fault
-    #: recovery (:mod:`repro.runtime.faults`).  Checkpointing needs the
-    #: batched frontier loop, so scalar-only services decline it.
+    #: recovery (:mod:`repro.runtime.faults`).
     checkpointing: bool = True
     #: When True, a spec whose static verification carries ERROR
     #: diagnostics (:func:`repro.analysis.verify_spec`) is rejected at
@@ -125,9 +124,6 @@ class ExecutionPlan:
     ----------
     backend:
         One of :data:`BACKENDS`.
-    execution:
-        The engine execution mode implementing the backend (``"batched"``
-        or ``"scalar"``).
     num_devices / partition_policy:
         Device placement; 1/"hash" for single-device backends.
     graph_placement / shard_policy:
@@ -152,20 +148,15 @@ class ExecutionPlan:
         walkers with other sessions.  Declined (False) when static
         verification found ERROR diagnostics — an unverified spec must not
         contaminate a shared fused frontier.
-    streaming_granularity:
-        How :meth:`~repro.service.WalkSession.stream` chunks results:
-        ``"superstep"`` (frontier backends) or ``"walk"`` (scalar).
     checkpoint_interval:
         Granted superstep checkpoint interval (0 = no explicit
         checkpoints).  The session's request, declined with a recorded
-        reason when the service does not offer checkpointing or the
-        backend cannot support it.
+        reason when the service does not offer checkpointing.
     reasons:
         Human-readable negotiation trail, for logs and ``describe()``.
     """
 
     backend: str
-    execution: str
     num_devices: int = 1
     partition_policy: str = "hash"
     graph_placement: str = "replicated"
@@ -174,7 +165,6 @@ class ExecutionPlan:
     scheduling: str = "dynamic"
     use_transition_cache: bool = True
     scheduler_fusion: bool = True
-    streaming_granularity: str = "superstep"
     checkpoint_interval: int = 0
     reasons: tuple[str, ...] = field(default=())
 
@@ -182,7 +172,6 @@ class ExecutionPlan:
         """Plain-dict view (used by examples, logs and ``describe()``s)."""
         return {
             "backend": self.backend,
-            "execution": self.execution,
             "num_devices": self.num_devices,
             "partition_policy": self.partition_policy,
             "graph_placement": self.graph_placement,
@@ -191,7 +180,6 @@ class ExecutionPlan:
             "scheduling": self.scheduling,
             "use_transition_cache": self.use_transition_cache,
             "scheduler_fusion": self.scheduler_fusion,
-            "streaming_granularity": self.streaming_granularity,
             "checkpoint_interval": self.checkpoint_interval,
             "reasons": list(self.reasons),
         }
@@ -212,14 +200,14 @@ def negotiate_plan(
         What the service can do (fleet size, implemented backends, device
         memory, graph placements).
     config:
-        The session's requested knobs (execution mode, device count,
-        partition policy, graph placement, scheduling).
+        The session's requested knobs (device count, partition policy,
+        graph placement, scheduling).
     compiled:
         The compiled workload, consulted for cache eligibility.
     backend:
         Explicit backend request; by default the backend is derived from
-        ``config`` (``num_devices > 1`` → ``multi_device``, else the
-        configured execution mode).
+        ``config`` (``num_devices > 1`` → ``multi_device``, else
+        ``batched``).
     graph_footprint_bytes:
         Memory footprint of the graph to serve
         (:meth:`~repro.graph.csr.CSRGraph.memory_footprint_bytes`).  Drives
@@ -245,8 +233,8 @@ def negotiate_plan(
                 f"config requested {config.num_devices} devices -> multi_device backend"
             )
         else:
-            backend = config.execution
-            reasons.append(f"config requested execution={config.execution!r}")
+            backend = "batched"
+            reasons.append("config requested one device -> batched backend")
     else:
         reasons.append(f"backend {backend!r} requested explicitly")
 
@@ -297,7 +285,6 @@ def negotiate_plan(
         can_shard = (
             "sharded" in capabilities.graph_placements
             and config.shard_policy in capabilities.shard_policies
-            and config.execution != "scalar"
         )
         requested = config.graph_placement
         if requested == "sharded":
@@ -308,10 +295,6 @@ def negotiate_plan(
                 raise ServiceError(
                     "sharded graph placement is not offered by this service; "
                     f"declared: {capabilities.graph_placements}"
-                )
-            if config.execution == "scalar":
-                raise ServiceError(
-                    "sharded graph placement requires the batched execution mode"
                 )
             if config.shard_policy not in capabilities.shard_policies:
                 raise ServiceError(
@@ -332,15 +315,10 @@ def negotiate_plan(
         # would help but the service cannot offer it, fall back to
         # replicated and say so instead of failing the session.
         elif not fits and not can_shard:
-            blocker = (
-                "scalar execution cannot shard"
-                if config.execution == "scalar"
-                else "sharded placement is not offered"
-            )
             reasons.append(
                 f"graph footprint {graph_footprint_bytes} B exceeds device "
-                f"memory {memory} B but {blocker} -> replicated placement "
-                "kept (simulated-OOM risk)"
+                f"memory {memory} B but sharded placement is not offered -> "
+                "replicated placement kept (simulated-OOM risk)"
             )
         elif not fits:
             placement = "sharded"
@@ -399,18 +377,6 @@ def negotiate_plan(
             f"not {backend!r}"
         )
 
-    # The engine execution mode implementing the backend.  An explicitly
-    # requested single-device backend *is* the execution mode (the request
-    # wins over config.execution); multi_device keeps the configured mode:
-    # batched -> one fused frontier, scalar -> the serial per-device
-    # composition (both placement-invariant).
-    execution = config.execution if backend == "multi_device" else backend
-    if execution != config.execution:
-        reasons.append(
-            f"requested backend overrides config execution "
-            f"({config.execution!r} -> {execution!r})"
-        )
-
     # Static verification gates the bit-identity optimisations.  ERROR
     # diagnostics mean a hook was *refuted* (nondeterministic, cache-unsafe
     # or registry-unsound): the spec still runs, but never from a shared
@@ -446,19 +412,12 @@ def negotiate_plan(
         )
 
     # Fault tolerance: the checkpoint interval is a negotiation, not a hard
-    # requirement — a service that cannot checkpoint (or a scalar plan,
-    # which has no superstep boundary to checkpoint at) declines the
-    # request with a recorded reason, and recovery falls back to replaying
-    # from the implicit initial checkpoint.
+    # requirement — a service that cannot checkpoint declines the request
+    # with a recorded reason, and recovery falls back to replaying from the
+    # implicit initial checkpoint.
     checkpoint_interval = config.checkpoint_interval
     if checkpoint_interval > 0:
-        if execution == "scalar":
-            checkpoint_interval = 0
-            reasons.append(
-                "checkpointing declined: the scalar backend has no "
-                "superstep boundary to checkpoint at"
-            )
-        elif not capabilities.checkpointing:
+        if not capabilities.checkpointing:
             checkpoint_interval = 0
             reasons.append(
                 "checkpointing declined: not offered by this service "
@@ -486,10 +445,8 @@ def negotiate_plan(
         f"admission policy: {capabilities.fairness} fairness, {budget}{quotas}"
     )
 
-    granularity = "walk" if execution == "scalar" else "superstep"
     return ExecutionPlan(
         backend=backend,
-        execution=execution,
         num_devices=num_devices,
         partition_policy=config.partition_policy,
         graph_placement=placement,
@@ -498,7 +455,6 @@ def negotiate_plan(
         scheduling=config.scheduling,
         use_transition_cache=use_cache,
         scheduler_fusion=scheduler_fusion,
-        streaming_granularity=granularity,
         checkpoint_interval=checkpoint_interval,
         reasons=tuple(reasons),
     )
@@ -521,7 +477,7 @@ def declare_capabilities(
     builds schedulers with these defaults); they default to an open policy —
     unbounded in-flight walkers, weighted round-robin, no quotas.
     """
-    backends = ["scalar", "batched"]
+    backends = ["batched"]
     placements = ["replicated"]
     if fleet.count > 1:
         backends.append("multi_device")

@@ -30,12 +30,11 @@ quotas: a submission that cannot fit raises
 :class:`~repro.errors.QueueFull`, or — with
 ``SubmitOptions(block_on_full=True)`` — runs supersteps until it fits.
 
-Two session shapes cannot attach: scalar-execution plans (nothing to fuse)
-and sharded placements (their per-device ledgers are keyed by private
-wave-local step ordinals).  The ``selection="random"`` policy attaches but
-keeps its documented exemption from bit-exactness: its selector flips coins
-from a shared sequential generator, so fused execution interleaves the
-draws.
+One session shape cannot attach: sharded placements (their per-device
+ledgers are keyed by private wave-local step ordinals).  The
+``selection="random"`` policy attaches but keeps its documented exemption
+from bit-exactness: its selector flips coins from a shared sequential
+generator, so fused execution interleaves the draws.
 
 Like the frontier it wraps, the scheduler trades memory for simplicity: a
 fusion group's arrays grow monotonically with every admitted walker and are
@@ -58,7 +57,12 @@ import numpy as np
 from repro.errors import QueueFull, ServiceError
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.runtime.faults import restore_checkpoint, take_checkpoint
-from repro.runtime.frontier import FrontierRun, fold_counters_by_owner, iter_supersteps
+from repro.runtime.frontier import (
+    FrontierRun,
+    ReplicatedRunAccounting,
+    fold_counters_by_owner,
+    iter_supersteps,
+)
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -304,8 +308,7 @@ class ServiceScheduler:
         """Join a session to the shared loop (before it submits anything).
 
         The session must belong to this scheduler's service, must not have
-        queued or in-flight work yet, and its plan must be fusable: batched
-        execution (scalar plans have no superstep to share) on a
+        queued or in-flight work yet, and its plan must be fusable: a
         replicated placement (sharded plans key their per-device ledgers by
         private wave-local step ordinals).
         """
@@ -317,15 +320,10 @@ class ServiceScheduler:
                 if session._scheduler is self
                 else "session is attached to a different scheduler"
             )
-        if session.pending or session._wave is not None or session._executed:
+        if session.pending or session._driver.busy or session._driver.launched:
             raise ServiceError(
                 "attach before submitting: the session already has queued, "
                 "in-flight or executed work of its own"
-            )
-        if session.plan.execution != "batched":
-            raise ServiceError(
-                "the continuous-batching scheduler fuses frontier supersteps; "
-                f"a plan with execution={session.plan.execution!r} cannot attach"
             )
         if session.plan.graph_placement == "sharded":
             raise ServiceError(
@@ -393,7 +391,8 @@ class ServiceScheduler:
         )
         group = self._groups.get(key)
         if group is None:
-            group = _Group(key, session.engine, track_counts=session._track_counts)
+            counts = isinstance(session._driver.ledger, ReplicatedRunAccounting)
+            group = _Group(key, session.engine, track_counts=counts)
             self._groups[key] = group
         return group
 
@@ -538,7 +537,7 @@ class ServiceScheduler:
             # of this tick's walker-steps (informational, like a solo
             # session's wall-clock bookkeeping).
             for entry, share in participants:
-                entry.session._exec_seconds += elapsed * (share / steps)
+                entry.session._driver.charge(wall_clock_s=elapsed * (share / steps))
         return steps
 
     def run_until_idle(self, max_ticks: int | None = None) -> int:
@@ -971,7 +970,7 @@ class ServiceScheduler:
         for gidx, count in per_entry.items():
             fetch = CounterBatch(count, bytes_per_weight=group.engine.weight_bytes)
             fetch.atomic_ops += 1
-            group.sessions[gidx].session._aggregate.merge(fetch.totals())
+            group.sessions[gidx].session._driver.charge(fetch.totals())
         self._queued -= k
         self._inflight += k
         # Admission grew the frontier, so the group's restore point no
@@ -1104,9 +1103,7 @@ class ServiceScheduler:
             )
             for j, gidx in enumerate(present):
                 entry = group.sessions[int(gidx)]
-                session = entry.session
-                session._aggregate.merge(folded[j])
-                session._total_steps += int(step_counts[j])
+                entry.session._driver.charge(folded[j], steps=int(step_counts[j]))
                 entry.tenant.steps += int(step_counts[j])
                 entry.tenant.lane_ns += float(lane_ns[j])
                 steps_by[int(gidx)] = int(step_counts[j])
@@ -1123,8 +1120,8 @@ class ServiceScheduler:
                     used = np.bincount(compact[mask], minlength=present.size)
                     for j, gidx in enumerate(present):
                         if used[j]:
-                            usage = group.sessions[int(gidx)].session._usage
-                            usage[name] = usage.get(name, 0) + int(used[j])
+                            driver = group.sessions[int(gidx)].session._driver
+                            driver.charge_usage(name, int(used[j]))
 
         if report.finished.size == 0:
             return
@@ -1161,15 +1158,16 @@ class ServiceScheduler:
     # Finalisation
     # ------------------------------------------------------------------ #
     def _flush(self, entry: _SessionEntry) -> None:
-        """Move an idle session's finished accounting into its collect state.
+        """Hand an idle session's finished walks to its driver.
 
-        Appends one submission-ordered accounting chunk covering every
-        walker admitted since the previous flush — the scheduled analogue
-        of a solo wave's finalisation, producing the same
-        ``_paths``/``_ns_chunks``/``_count_chunks`` layout ``collect()``
-        re-prices.  Only legal when the session has nothing queued or in
-        flight (its admitted-so-far set is then exactly its submitted-so-far
-        set, so submission order is recoverable).
+        Records one submission-ordered batch covering every walker admitted
+        since the previous flush — paths, per-query times and (for
+        replicated multi-device plans) per-walker counts — through
+        :meth:`~repro.runtime.frontier.FrontierDriver.record`, so
+        ``collect()`` assembles it exactly like a solo wave.  Only legal
+        when the session has nothing queued or in flight (its
+        admitted-so-far set is then exactly its submitted-so-far set, so
+        submission order is recoverable).
         """
         self._check_quarantined(entry)
         start, end = entry.flushed, len(entry.fused_pos)
@@ -1181,14 +1179,17 @@ class ServiceScheduler:
         group = entry.group
         order = sorted(range(start, end), key=lambda i: entry.sub_ords[i])
         fused = np.array([entry.fused_pos[i] for i in order], dtype=np.int64)
-        session._paths.extend(
-            session._path_by_qid[entry.queries[i].query_id] for i in order
+        queries = [entry.queries[i] for i in order]
+        session._driver.record(
+            queries,
+            [session._path_by_qid[q.query_id] for q in queries],
+            group.run.per_query_ns[fused],
+            counts=(
+                {name: column[fused] for name, column in group.counts.items()}
+                if group.track_counts
+                else None
+            ),
         )
-        session._ns_chunks.append(group.run.per_query_ns[fused])
-        if session._track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                session._count_chunks[name].append(group.counts[name][fused])
-        session._executed += end - start
         entry.flushed = end
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

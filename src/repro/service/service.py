@@ -418,7 +418,7 @@ class WalkService:
             The workload's gather-move-update logic.
         config:
             Session knobs (selection policy, seed, overheads, requested
-            execution/device count).  Defaults to the paper's setup on this
+            device count).  Defaults to the paper's setup on this
             service's fleet device.  The config's ``device`` must be the
             fleet's device — the service owns the hardware; configure the
             fleet instead of the session to change it.
@@ -493,7 +493,6 @@ class WalkService:
                 scheduling=plan.scheduling,
                 selection_overhead=config.selection_overhead and config.selection == "cost_model",
                 warp_switch_overhead=config.warp_switch_overhead,
-                execution=plan.execution,
                 num_devices=plan.num_devices,
                 partition_policy=plan.partition_policy,
                 graph_placement=plan.graph_placement,

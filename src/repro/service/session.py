@@ -6,21 +6,23 @@ compiled workload, hint tables and transition cache live on the parent
 :class:`~repro.service.WalkService` and are shared with every sibling
 session — only the per-tenant run state: a
 :class:`~repro.runtime.scheduler.DynamicQueryQueue` that accepts incremental
-:meth:`~WalkSession.submit` calls, the wave execution driver, and the
-accounting needed to reconstruct an exact
+:meth:`~WalkSession.submit` calls, tickets, queue-delay bookkeeping, and the
+batched :class:`~repro.runtime.frontier.FrontierDriver` that executes the
+claimed waves and assembles the exact
 :class:`~repro.runtime.engine.WalkRunResult` at :meth:`~WalkSession.collect`
 time.
 
-**Exactness.**  Every walker owns a counter-based random stream keyed by its
+**Exactness.**  A session that submits everything and then collects runs
+exactly the computation of ``WalkEngine.run`` — same driver, same ledger,
+same assembly.  Every walker owns a counter-based random stream keyed by its
 query id, every walker's operation counts land in its own slot, and
 termination rules are per-walker — so *how* queries are batched into waves
 (one big submit, or many interleaved submit/stream rounds) cannot change any
-path, counter total or per-query simulated time.  ``collect()`` therefore
-re-prices the kernel over the full submission-ordered per-query time array
-(and, for multi-device plans, re-partitions the full batch), producing
-results bit-identical to the one-shot engine run over the same queries.  The
-service parity suite enforces this for all four paper workloads in scalar,
-batched and multi-device modes.
+path, counter total or per-query simulated time either; the driver assembles
+over the full submission-ordered batch (re-partitioning it for replicated
+multi-device plans), so fault-free results are bit-identical to the one-shot
+engine run.  The service parity suite enforces this for all four paper
+workloads on one and several devices.
 
 The one exemption — the same one the scalar/batched parity suite documents —
 is ``selection="random"``: its selector flips coins from a *shared*
@@ -31,28 +33,16 @@ order, and therefore on wave composition.  Every other selection policy
 
 from __future__ import annotations
 
-import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import DeadlineExceeded, ServiceError
-from repro.gpusim.counters import CostCounters, CounterBatch
-from repro.gpusim.executor import KernelExecutor
-from repro.rng.streams import StreamPool
+from repro.gpusim.counters import CostCounters
 from repro.runtime.engine import WalkRunResult
-from repro.runtime.frontier import (
-    ShardedRunAccounting,
-    _merge_device_kernels,
-    _partition_for_devices,
-    iter_supersteps,
-)
-from repro.runtime.faults import resilient_supersteps
+from repro.runtime.frontier import FrontierDriver
 from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
-from repro.walks.state import WalkerFrontier, WalkQuery
+from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - service imports session
     from repro.service.scheduler import ServiceScheduler
@@ -130,9 +120,8 @@ _DEFAULT_SUBMIT_OPTIONS = SubmitOptions()
 class WalkChunk:
     """A batch of walks that completed together, emitted by ``stream()``.
 
-    Frontier backends emit one chunk per superstep that completed at least
-    one walk (``steps``/``counters`` then describe the whole superstep);
-    the scalar backend emits one chunk per finished walk.
+    One chunk per superstep that completed at least one walk
+    (``steps``/``counters`` then describe the whole superstep).
 
     Attributes
     ----------
@@ -140,16 +129,13 @@ class WalkChunk:
         Chunk ordinal within the session (0-based, monotonically increasing
         across waves).
     superstep:
-        Session-wide ordinal of the superstep (or scalar walk) that
-        produced the chunk.
+        Session-wide ordinal of the superstep that produced the chunk.
     query_ids / paths:
         The completed walks, paired index-by-index.
     steps:
-        Walker-steps charged by the producing superstep (scalar: by the
-        producing walk).
+        Walker-steps charged by the producing superstep.
     counters:
-        Operation counts charged by the producing superstep (scalar: by the
-        producing walk, including its queue fetch).
+        Operation counts charged by the producing superstep.
     pending:
         Walks still queued or in flight after this chunk.
     enqueue_steps / first_scheduled_steps:
@@ -264,35 +250,6 @@ class QueryTicket:
         return [list(self._session._path_by_qid[q]) for q in self.query_ids]
 
 
-class _Wave:
-    """One claimed batch of queries executing through a single frontier."""
-
-    __slots__ = (
-        "queries", "offset", "per_ns", "counts", "frontier", "iterator",
-        "faults", "pool", "pos", "steps_done",
-    )
-
-    def __init__(self, queries: list[WalkQuery], offset: int) -> None:
-        self.queries = queries
-        self.offset = offset  # global submission position of queries[0]
-        self.per_ns: np.ndarray | None = None
-        self.counts: dict[str, np.ndarray] = {}
-        # Batched backend: a live superstep generator over `frontier`.
-        self.frontier: WalkerFrontier | None = None
-        self.iterator = None
-        # Fault-tolerant plans: the wave's FaultRuntime (None when the plan
-        # negotiated neither fault injection nor checkpointing).  When set,
-        # `iterator` yields (ordinal, report, replayed) triples.
-        self.faults = None
-        # Scalar backend: the wave's stream pool and a query cursor.
-        self.pool: StreamPool | None = None
-        self.pos = 0
-        # Sharded plans: the wave-local superstep ordinal (== every wave
-        # walker's step index, the canonical task/batch key of the sharded
-        # accounting).
-        self.steps_done = 0
-
-
 class WalkSession:
     """One tenant's walk execution over a shared :class:`WalkService`.
 
@@ -352,41 +309,13 @@ class WalkSession:
         # scheduler cancels; a standalone session never populates this.
         self._cancelled_ids: dict[int, str] = {}
 
-        # Finalised accounting, one entry per executed wave (concatenated at
-        # collect time, in submission order).  The per-query counter matrix
-        # exists only to reconstruct exact per-device aggregates over the
-        # full-batch partition at collect time, so single-device plans skip
-        # it entirely (collect() then needs only the aggregate totals).
-        # Sharded plans skip it too: their per-device accounting follows the
-        # walkers around and is folded per superstep by the shard ledger.
-        self._sharded = plan.num_devices > 1 and plan.graph_placement == "sharded"
-        self._shard_acct = (
-            ShardedRunAccounting(
-                engine, engine._sharded_graph(), ghost=engine._ghost_cache()
-            )
-            if self._sharded
-            else None
-        )
-        self._track_counts = plan.num_devices > 1 and not self._sharded
-        self._paths: list[list[int]] = []
-        self._ns_chunks: list[np.ndarray] = []
-        self._count_chunks: dict[str, list[np.ndarray]] = {
-            name: [] for name in CostCounters._COUNT_FIELDS
-        }
-        self._aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-        self._usage: dict[str, int] = {}
-        self._total_steps = 0
-        self._executed = 0
+        # Execution and finished accounting live on the batched driver: it
+        # runs the session's waves (or, while a scheduler is attached,
+        # receives the walks the fused loop finished for this session) and
+        # assembles the exact result at collect time.
+        self._driver = FrontierDriver(engine, track_finished=True)
         self._supersteps = 0
         self._chunks_emitted = 0
-        self._exec_seconds = 0.0
-        self._wave: _Wave | None = None
-        # Fault-tolerance ledger, folded from each finalised wave's
-        # FaultRuntime (a scheduler-attached session's ledger instead lives
-        # on its fusion group; see ServiceScheduler.recovery_time_ns).
-        self._recovery_ns = 0.0
-        self._checkpoints_taken = 0
-        self._degraded: set[int] = set()
 
         # Queue-delay bookkeeping surfaced through WalkChunk: the superstep
         # ordinal each query was submitted at and first claimed at.  On a
@@ -404,18 +333,14 @@ class WalkSession:
     def submit(
         self,
         queries: Sequence[WalkQuery],
-        *legacy_args,
+        *,
         options: SubmitOptions | None = None,
-        **legacy_kwargs,
     ) -> QueryTicket:
         """Enqueue walk queries and return a ticket tracking them.
 
         Scheduling knobs travel in one keyword-only frozen
-        :class:`SubmitOptions` — ``submit(queries, options=SubmitOptions(...))``.
-        Plain ``submit(queries)`` is unchanged.  The legacy spellings —
-        options passed positionally, or loose ``priority=``/``tenant=``/
-        ``deadline_steps=``/``block_on_full=`` keywords — keep working but
-        emit :class:`DeprecationWarning`.
+        :class:`SubmitOptions` — ``submit(queries, options=SubmitOptions(...))``;
+        plain ``submit(queries)`` uses the defaults.
 
         On a standalone session queries execute in submission order; on a
         scheduler-attached session they enter the tenant's admission queue
@@ -424,7 +349,12 @@ class WalkSession:
         owns one random stream); duplicates raise
         :class:`~repro.errors.ServiceError`.
         """
-        options = self._resolve_submit_options(legacy_args, options, legacy_kwargs)
+        if options is None:
+            options = _DEFAULT_SUBMIT_OPTIONS
+        elif not isinstance(options, SubmitOptions):
+            raise TypeError(
+                f"options must be a SubmitOptions, not {type(options).__name__}"
+            )
         queries = list(queries)
         if not queries:
             raise ServiceError("no walk queries to submit")
@@ -456,53 +386,6 @@ class WalkSession:
             self._queue.extend(queries)
         return ticket
 
-    @staticmethod
-    def _resolve_submit_options(legacy_args, options, legacy_kwargs) -> SubmitOptions:
-        """Fold the legacy submit spellings into one :class:`SubmitOptions`."""
-        if legacy_args:
-            if len(legacy_args) > 1:
-                raise TypeError(
-                    f"submit() takes one positional argument (queries); "
-                    f"got {1 + len(legacy_args)}"
-                )
-            if options is not None or legacy_kwargs:
-                raise TypeError(
-                    "submit() got options both positionally and by keyword"
-                )
-            warnings.warn(
-                "passing submit options positionally is deprecated; "
-                "use submit(queries, options=SubmitOptions(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = legacy_args[0]
-        if legacy_kwargs:
-            unknown = set(legacy_kwargs) - {
-                "priority", "tenant", "deadline_steps", "block_on_full",
-            }
-            if unknown:
-                raise TypeError(
-                    f"submit() got unexpected keyword arguments {sorted(unknown)}"
-                )
-            if options is not None:
-                raise TypeError(
-                    "submit() got both options= and loose scheduling keywords"
-                )
-            warnings.warn(
-                "loose submit scheduling keywords are deprecated; "
-                "use submit(queries, options=SubmitOptions(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = SubmitOptions(**legacy_kwargs)
-        if options is None:
-            return _DEFAULT_SUBMIT_OPTIONS
-        if not isinstance(options, SubmitOptions):
-            raise TypeError(
-                f"options must be a SubmitOptions, not {type(options).__name__}"
-            )
-        return options
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -529,13 +412,7 @@ class WalkSession:
         """Walks still queued or in flight."""
         if self._scheduler is not None:
             return self._scheduler._session_pending(self)
-        in_flight = 0
-        if self._wave is not None:
-            if self._wave.frontier is not None:
-                in_flight = int(self._wave.frontier.active_indices().size)
-            else:
-                in_flight = len(self._wave.queries) - self._wave.pos
-        return self._queue.remaining + in_flight
+        return self._queue.remaining + self._driver.in_flight
 
     @property
     def completed(self) -> int:
@@ -567,7 +444,7 @@ class WalkSession:
     # Execution: streaming
     # ------------------------------------------------------------------ #
     def stream(self) -> Iterator[WalkChunk]:
-        """Yield walks as they complete, chunked by the plan's granularity.
+        """Yield walks as they complete, one chunk per superstep.
 
         The generator is resumable and interleavable: breaking out
         mid-stream leaves the in-flight wave suspended (a later ``stream()``
@@ -583,280 +460,59 @@ class WalkSession:
         if self._scheduler is not None:
             yield from self._scheduler._stream_session(self)
             return
+        driver = self._driver
         while True:
-            if self._wave is None and not self._begin_wave():
-                return
-            chunk = self._advance_once()
-            if chunk is not None:
-                yield chunk
+            if not driver.busy:
+                remaining = self._queue.remaining
+                if remaining == 0:
+                    return
+                # Claim every queued query into one wave.
+                queries = self._queue.fetch_batch(remaining)
+                for q in queries:
+                    self._claimed_ids.add(q.query_id)
+                    self._start_step_by_qid[q.query_id] = self._supersteps
+                driver.launch(queries)
+            report = driver.advance()
+            if report is None:
+                continue
+            self._supersteps += 1
+            if report.finished.size == 0:
+                continue
+            finished, paths = driver.finished_walks(report)
+            query_ids = tuple(q.query_id for q in finished)
+            for qid, path in zip(query_ids, paths, strict=True):
+                self._path_by_qid[qid] = path
+            yield self._emit(
+                query_ids,
+                tuple(tuple(p) for p in paths),
+                steps=report.steps,
+                counters=report.counters.totals(),
+            )
 
     def collect(self) -> WalkRunResult:
         """Drain all pending work and return the exact aggregate result.
 
         Bit-identical — paths, counter totals, per-query and kernel
-        simulated times — to a one-shot ``WalkEngine.run`` over every query
-        submitted so far, whatever submit/stream interleaving preceded it
+        simulated times, per-device kernels and the recovery ledger — to a
+        one-shot ``WalkEngine.run`` over every query submitted so far:
+        submitting everything and collecting *is* that run on the same
+        driver, and other submit/stream interleavings only split it into
+        waves, which cannot change any walk or any fault-free figure
         (exemption: the ``random`` selection policy's shared-generator coin
         flips are execution-order dependent, exactly as in the
-        scalar/batched parity suite).  Can be called repeatedly; later
-        calls cover later submissions too.
+        scalar/batched parity suite).  Under a fault plan each wave replays
+        the plan from its own first superstep.  Can be called repeatedly;
+        later calls cover later submissions too.
         """
         for _ in self.stream():
             pass
-        if self._executed == 0:
+        if self._driver.launched == 0:
             raise ServiceError("no walk queries were submitted to this session")
-
-        engine = self.engine
-        per_query_ns = np.concatenate(self._ns_chunks)
-        aggregate = self._aggregate.copy()
-        executor = KernelExecutor(engine.device)
-
-        if self._sharded:
-            # The shard ledger already attributed every fetch and every
-            # walker-step to the device owning the node it executed on
-            # (tasks keyed canonically, so wave composition cannot change
-            # the schedules); kernels just re-materialise from it.
-            device_kernels = self._shard_acct.device_kernels(engine.scheduling)
-            kernel = _merge_device_kernels(
-                engine, device_kernels, aggregate, len(self._submitted)
-            )
-            num_devices = self.plan.num_devices
-            partition_policy = self.plan.partition_policy
-        elif self.plan.num_devices > 1:
-            partitions = _partition_for_devices(engine, self._submitted)
-            counts = {
-                name: np.concatenate(chunks)
-                for name, chunks in self._count_chunks.items()
-            }
-            device_kernels = []
-            for part in partitions:
-                agg = CostCounters(bytes_per_weight=engine.weight_bytes)
-                for name, column in counts.items():
-                    setattr(agg, name, int(column[part].sum()))
-                device_kernels.append(
-                    executor.execute(
-                        per_query_ns[part], counters=agg, scheduling=engine.scheduling
-                    )
-                )
-            kernel = _merge_device_kernels(
-                engine, device_kernels, aggregate, len(self._submitted)
-            )
-            num_devices = self.plan.num_devices
-            partition_policy = self.plan.partition_policy
-        else:
-            kernel = executor.execute(
-                per_query_ns,
-                counters=aggregate,
-                scheduling=engine.scheduling,
-                recovery_ns=self._recovery_ns,
-            )
-            device_kernels = []
-            num_devices = 1
-            partition_policy = None
-        if self._recovery_ns and num_devices > 1:
-            # Multi-device kernels are merged from per-device schedules that
-            # know nothing of the recovery ledger; recovery serialises after
-            # everything (a restore cannot overlap the work it redoes), so
-            # it lands on the merged kernel directly.
-            kernel = replace(
-                kernel,
-                time_ns=kernel.time_ns + self._recovery_ns,
-                recovery_ns=kernel.recovery_ns + self._recovery_ns,
-            )
-
-        result = WalkRunResult(
-            paths=[list(p) for p in self._paths],
-            per_query_ns=per_query_ns,
-            counters=aggregate,
-            kernel=kernel,
-            sampler_usage=dict(self._usage),
-            total_steps=self._total_steps,
-            profile=self.profile,
-            preprocess_time_ns=(
-                self.compiled.preprocessing_time_ns if self.compiled is not None else 0.0
-            ),
-            num_devices=num_devices,
-            partition_policy=partition_policy,
-            device_kernels=device_kernels,
-            graph_placement="sharded" if self._sharded else "replicated",
-            shard_policy=self.plan.shard_policy if self._sharded else None,
-            per_query_comm_ns=(
-                self._shard_acct.per_query_comm_ns(len(self._submitted))
-                if self._sharded
-                else None
-            ),
-            comm_time_ns=(
-                float(self._shard_acct.comm_ns.sum()) if self._sharded else 0.0
-            ),
-            remote_steps=self._shard_acct.remote_steps if self._sharded else 0,
-            ghost_hits=self._shard_acct.ghost_hits if self._sharded else 0,
-            migration_batches=(
-                self._shard_acct.migration_batches if self._sharded else 0
-            ),
-            degraded_devices=tuple(sorted(self._degraded)),
-            recovery_time_ns=self._recovery_ns,
-            checkpoints_taken=self._checkpoints_taken,
-            compiler_warnings=(
-                tuple(self.compiled.analysis.warnings)
-                if self.compiled is not None and not self.compiled.analysis.supported
-                else ()
-            ),
-        )
-        result.wall_clock_s = self._exec_seconds
-        return result
+        return self._driver.assemble(self.profile)
 
     # ------------------------------------------------------------------ #
-    # Wave machinery
+    # Chunk emission
     # ------------------------------------------------------------------ #
-    def _begin_wave(self) -> bool:
-        """Claim every queued query into a new wave; False when idle."""
-        remaining = self._queue.remaining
-        if remaining == 0:
-            return False
-        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        engine = self.engine
-        queries = self._queue.fetch_batch(remaining)
-        self._claimed_ids.update(q.query_id for q in queries)
-        for q in queries:
-            self._start_step_by_qid[q.query_id] = self._supersteps
-        k = len(queries)
-        wave = _Wave(queries, offset=self._executed)
-
-        # Launch accounting: one queue atomic per claimed query, exactly as
-        # the one-shot engine paths charge it.
-        fetch = CounterBatch(k, bytes_per_weight=engine.weight_bytes)
-        fetch.atomic_ops += 1
-        self._aggregate.merge(fetch.totals())
-        wave.per_ns = engine.device.lane_times_ns(fetch)
-        if self._track_counts:
-            wave.counts = {
-                name: np.zeros(k, dtype=np.int64) for name in CostCounters._COUNT_FIELDS
-            }
-            wave.counts["atomic_ops"] += 1
-
-        if self._sharded:
-            starts = np.array([q.start_node for q in queries], dtype=np.int64)
-            self._shard_acct.charge_fetch(starts, wave.per_ns, offset=wave.offset)
-
-        if self.plan.execution == "batched":
-            wave.frontier = WalkerFrontier(queries)
-            pool = StreamPool(engine.seed)
-            streams = pool.batch([q.query_id for q in queries])
-            wave.faults = engine._fault_runtime(num_devices=self.plan.num_devices)
-            if wave.faults is None:
-                wave.iterator = iter_supersteps(
-                    engine, wave.frontier, streams, wave.per_ns,
-                    self._aggregate, self._usage,
-                )
-            else:
-                # Fault-tolerant wave: same superstep loop wrapped in the
-                # recovery protocol (checkpoints every plan interval,
-                # transient retries, restore-and-replay after a device
-                # failure).  The plan's superstep ordinals restart per wave
-                # — each wave is an independent run of the fault schedule.
-                wave.iterator = resilient_supersteps(
-                    engine, wave.faults, wave.frontier, pool, streams,
-                    wave.per_ns, self._aggregate, self._usage,
-                    track_finished=True,
-                )
-        else:
-            # Scalar backend: the wave is interpreted one query at a time;
-            # per_ns already holds each query's fetch cost, which
-            # _scalar_walk accumulates step costs onto.
-            wave.pool = StreamPool(engine.seed)
-        self._wave = wave
-        self._exec_seconds += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-        return True
-
-    def _advance_once(self) -> WalkChunk | None:
-        """Advance the in-flight wave by one superstep (or one scalar walk).
-
-        Returns the resulting chunk, or ``None`` when the superstep
-        completed no walk or the wave just finalised.
-        """
-        if self.plan.execution == "batched":
-            return self._advance_batched()
-        return self._advance_scalar()
-
-    def _advance_batched(self) -> WalkChunk | None:
-        wave = self._wave
-        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        try:
-            item = next(wave.iterator)
-        except StopIteration:
-            self._finalize_wave()
-            self._exec_seconds += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-            return None
-        if wave.faults is not None:
-            _, report, replayed = item
-            if replayed:
-                # Bit-identical re-execution after a restore: the first
-                # pass already accounted this superstep (shard ledger,
-                # per-walker counts, emitted chunks), so only the replay
-                # makespan — charged to the recovery ledger inside
-                # resilient_supersteps — is new.
-                self._exec_seconds += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-                return None
-        else:
-            report = item
-
-        if self._sharded:
-            self._shard_acct.observe(
-                report,
-                wave.frontier,
-                step_ordinal=wave.steps_done,
-                offset=wave.offset,
-            )
-            wave.steps_done += 1
-        if self._track_counts and report.active.size:
-            for name in CostCounters._COUNT_FIELDS:
-                column = getattr(report.counters, name)
-                if column.any():
-                    wave.counts[name][report.active] += column
-        self._total_steps += report.steps
-        self._supersteps += 1
-        self._exec_seconds += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-
-        if report.finished.size == 0:
-            return None
-        frontier = wave.frontier
-        paths = tuple(tuple(frontier.path(i)) for i in report.finished)
-        query_ids = tuple(wave.queries[int(i)].query_id for i in report.finished)
-        for qid, path in zip(query_ids, paths, strict=False):
-            self._path_by_qid[qid] = list(path)
-        return self._emit(
-            query_ids, paths, steps=report.steps, counters=report.counters.totals()
-        )
-
-    def _advance_scalar(self) -> WalkChunk | None:
-        wave = self._wave
-        if wave.pos >= len(wave.queries):
-            self._finalize_wave()
-            return None
-        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        engine = self.engine
-        query = wave.queries[wave.pos]
-        stream = wave.pool.stream(query.query_id)
-        path, query_ns, query_counters, steps = engine._scalar_walk(
-            query, stream, self._usage, start_ns=float(wave.per_ns[wave.pos])
-        )
-        self._aggregate.merge(query_counters)
-        wave.per_ns[wave.pos] = query_ns
-        if self._track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                wave.counts[name][wave.pos] += getattr(query_counters, name)
-        self._total_steps += steps
-        self._supersteps += 1
-        self._path_by_qid[query.query_id] = list(path)
-        wave.pos += 1
-        self._exec_seconds += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-        # The chunk's counters cover the whole walk, fetch included.
-        chunk_counters = query_counters.copy()
-        chunk_counters.atomic_ops += 1
-        return self._emit(
-            (query.query_id,), (tuple(path),), steps=steps, counters=chunk_counters
-        )
-
     def _emit(
         self,
         query_ids,
@@ -880,20 +536,3 @@ class WalkSession:
         )
         self._chunks_emitted += 1
         return chunk
-
-    def _finalize_wave(self) -> None:
-        wave = self._wave
-        # Every walk of the wave has been registered in _path_by_qid by the
-        # chunk machinery (all completions are reported), so both backends
-        # reuse those lists instead of materialising a second copy.
-        self._paths.extend(self._path_by_qid[q.query_id] for q in wave.queries)
-        self._ns_chunks.append(wave.per_ns)
-        if self._track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                self._count_chunks[name].append(wave.counts[name])
-        self._executed += len(wave.queries)
-        if wave.faults is not None:
-            self._recovery_ns += wave.faults.recovery_ns
-            self._checkpoints_taken += wave.faults.checkpoints_taken
-            self._degraded.update(wave.faults.degraded)
-        self._wave = None

@@ -7,7 +7,9 @@ checkpoint cadence, a recovered run must reproduce the fault-free run's
 paths, per-query base times and counter totals bit-identically.  Only the
 simulated clock may differ (the recovery ledger).  Hypothesis generates the
 fault schedules; the invariant is asserted across the batched single-device,
-fused multi-device, sharded and scheduler-fused execution modes.
+fused multi-device, sharded and scheduler-fused execution modes, and for
+standalone sessions on multi-device and sharded plans (which must also match
+``WalkEngine.run`` on the simulated clock and the per-device kernels).
 
 The example budget is bounded for tier-1 (``CHAOS_MAX_EXAMPLES``, default
 15); the tier-2 nightly re-runs the suite with a larger budget to explore
@@ -20,6 +22,7 @@ import dataclasses
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +168,38 @@ class TestChaosRecoveryInvariant:
         if "scheduler" not in _references:
             _references["scheduler"] = run(base_config)
         assert_bit_identical(faulty, _references["scheduler"])
+
+    @pytest.mark.parametrize("mode", ["multidevice", "sharded"])
+    @settings(max_examples=CHAOS_MAX_EXAMPLES, deadline=None)
+    @given(plan=fault_plans, interval=intervals)
+    def test_standalone_session(self, mode, plan, interval):
+        """Submit everything, then collect: recovers bit-identically and
+        agrees with ``WalkEngine.run`` under the same faulty plan."""
+
+        def run(config):
+            service = WalkService(GRAPH, fleet=DeviceFleet(DEVICE, 2))
+            session = service.session(DeepWalkSpec(), config)
+            session.submit(QUERIES)
+            return session.collect(), session.engine
+
+        placement = "sharded" if mode == "sharded" else "replicated"
+        base_config = FlexiWalkerConfig(
+            device=DEVICE, seed=3, num_devices=2, graph_placement=placement
+        )
+        faulty, engine = run(
+            dataclasses.replace(
+                base_config, fault_plan=plan, checkpoint_interval=interval
+            )
+        )
+        key = f"session-{mode}"
+        if key not in _references:
+            _references[key] = run(base_config)[0]
+        assert_bit_identical(faulty, _references[key])
+
+        one_shot = engine.run(QUERIES)
+        assert faulty.kernel.time_ns == one_shot.kernel.time_ns
+        assert faulty.recovery_time_ns == one_shot.recovery_time_ns
+        assert faulty.degraded_devices == one_shot.degraded_devices
+        assert [(k.time_ns, k.counters.as_dict()) for k in faulty.device_kernels] == [
+            (k.time_ns, k.counters.as_dict()) for k in one_shot.device_kernels
+        ]

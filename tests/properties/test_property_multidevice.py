@@ -1,8 +1,9 @@
 """Property-based equivalence of the fused and serial multi-device loops.
 
-The fused multi-device superstep loop advances every device's walkers in one
-shared frontier; the serial composition runs one frontier per device, one
-device after another.  Because every walker's randomness, counters and
+``WalkEngine.run`` advances every device's walkers in one shared frontier
+(the batched driver with its replicated placement ledger); the serial
+composition runs one single-device driver per device, one device after
+another.  Because every walker's randomness, counters and
 termination are strictly per-walker, the two must be *bit-identical* in
 everything — paths, counter totals (global and per device), per-query
 simulated times, device kernel times and hence the makespan — for any device
@@ -25,7 +26,7 @@ from repro.graph.weights import uniform_weights
 from repro.gpusim.device import A6000
 from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.runtime.engine import WalkEngine
-from repro.runtime.frontier import run_multi_device, run_multi_device_serial
+from repro.runtime.frontier import run_multi_device_serial
 from repro.runtime.selector import CostModelSelector
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
@@ -71,7 +72,7 @@ class TestFusedMatchesSerialComposition:
         )
         queries = make_queries(graph.num_nodes, walk_length=walk_length,
                                num_queries=min(16, graph.num_nodes), seed=run_seed)
-        fused = run_multi_device(engine, queries)
+        fused = engine.run(queries)
         serial = run_multi_device_serial(engine, queries)
 
         assert fused.paths == serial.paths

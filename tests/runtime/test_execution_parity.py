@@ -196,16 +196,17 @@ class TestFacadeParity:
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @pytest.mark.parametrize("selection", ["cost_model", "ervs_only", "erjs_only", "degree"])
     def test_flexiwalker_modes_agree(self, selection):
+        """The facade (a batched session) against the scalar oracle engine."""
         graph = labeled_graph(60, seed=21)
-        results = []
-        for mode in ("scalar", "batched"):
-            config = FlexiWalkerConfig(
-                device=DEVICE, selection=selection, execution=mode,
-                degree_threshold=5, seed=1,
-            )
-            walker = FlexiWalker(graph, Node2VecSpec(), config)
-            results.append(walker.run(walk_length=5, num_queries=30))
-        assert_parity(*results)
+        config = FlexiWalkerConfig(
+            device=DEVICE, selection=selection, degree_threshold=5, seed=1,
+        )
+        walker = FlexiWalker(graph, Node2VecSpec(), config)
+        batched = walker.run(walk_length=5, num_queries=30)
+        oracle = walker.engine.with_devices(1)
+        oracle.execution = "scalar"
+        queries = make_queries(graph.num_nodes, walk_length=5, num_queries=30, seed=1)
+        assert_parity(oracle.run(queries), batched)
 
     def test_describe_reports_execution_mode(self):
         graph = labeled_graph(30, seed=22)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import FlexiWalkerConfig
-from repro.errors import FaultError, ReproError, SimulationError
+from repro.errors import FaultError, SimulationError
 from repro.gpusim.counters import CostCounters
 from repro.gpusim.device import A6000
 from repro.graph.generators import barabasi_albert_graph
@@ -245,31 +245,10 @@ class TestScalarModeRejected:
                            transient_faults=(TransientFault(superstep=0),)
                        ))
 
-    def test_config_rejects_scalar_faults(self):
-        with pytest.raises(ReproError, match="batched"):
-            FlexiWalkerConfig(execution="scalar", checkpoint_interval=2)
-        with pytest.raises(ReproError, match="batched"):
-            FlexiWalkerConfig(
-                execution="scalar",
-                fault_plan=FaultPlan(
-                    transient_faults=(TransientFault(superstep=0),)
-                ),
-            )
-
-
 class TestNegotiation:
     @pytest.fixture(scope="class")
     def capabilities(self):
         return WalkService(GRAPH).capabilities()
-
-    def test_scalar_backend_declines_checkpointing(self, capabilities):
-        plan = negotiate_plan(
-            capabilities,
-            FlexiWalkerConfig(checkpoint_interval=4),
-            backend="scalar",
-        )
-        assert plan.checkpoint_interval == 0
-        assert any("checkpointing declined" in r for r in plan.reasons)
 
     def test_service_without_checkpointing_declines(self, capabilities):
         plan = negotiate_plan(

@@ -5,8 +5,9 @@ walker owns a counter-based random stream keyed by its query id, so where a
 query runs must never change which walk it produces, what its steps cost, or
 what the counters record.  These tests enforce bit-identical per-query paths,
 per-query simulated times and counter totals for ``num_devices`` in {1, 2, 4}
-under every partition policy, in both execution modes, plus the makespan /
-load-imbalance semantics that *are* allowed to vary with placement.
+under every partition policy — against the single-device batched run and the
+single-device scalar oracle — plus the makespan / load-imbalance semantics
+that *are* allowed to vary with placement.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import pytest
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
+from repro.errors import SimulationError
 from repro.gpusim.device import A6000
 from repro.gpusim.multigpu import PARTITION_POLICIES, MultiGPUExecutor
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.runtime.engine import WalkEngine
+from repro.runtime.frontier import run_multi_device_serial
 from repro.runtime.selector import CostModelSelector
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
@@ -69,24 +72,33 @@ class TestPlacementParity:
     @pytest.mark.parametrize("num_devices", DEVICE_COUNTS)
     @pytest.mark.parametrize("execution", ["batched", "scalar"])
     def test_paths_counters_and_times_identical(self, policy, num_devices, execution):
+        """Multi-device runs are batched; ``execution`` picks the
+        single-device baseline (the batched run or the scalar oracle)."""
         graph = weighted_graph()
         spec = Node2VecSpec()
         queries = make_queries(graph.num_nodes, walk_length=6, num_queries=32, seed=0)
         baseline = make_engine(graph, spec, 1, "hash", execution=execution).run(queries)
-        result = make_engine(graph, spec, num_devices, policy, execution=execution).run(queries)
+        result = make_engine(graph, spec, num_devices, policy).run(queries)
         assert_placement_parity(baseline, result)
         assert result.num_devices == num_devices
         assert len(result.device_kernels) == (num_devices if num_devices > 1 else 0)
 
     @pytest.mark.parametrize("policy", PARTITION_POLICIES)
     def test_scalar_and_batched_multi_device_agree(self, policy):
+        """The scalar oracle is single-device only: a multi-device batched
+        run matches it on everything placement-invariant, and its makespan
+        matches the serial per-device composition."""
         graph = weighted_graph(seed=9)
         spec = DeepWalkSpec()
         queries = make_queries(graph.num_nodes, walk_length=5, num_queries=24, seed=1)
-        scalar = make_engine(graph, spec, 4, policy, execution="scalar", seed=1).run(queries)
-        batched = make_engine(graph, spec, 4, policy, execution="batched", seed=1).run(queries)
+        scalar = make_engine(graph, spec, 1, "hash", execution="scalar", seed=1).run(queries)
+        engine = make_engine(graph, spec, 4, policy, seed=1)
+        batched = engine.run(queries)
         assert_placement_parity(scalar, batched)
-        assert scalar.kernel.time_ns == batched.kernel.time_ns
+        serial = run_multi_device_serial(engine, queries)
+        assert serial.kernel.time_ns == batched.kernel.time_ns
+        with pytest.raises(SimulationError, match="single-device reference oracle"):
+            make_engine(graph, spec, 4, policy, execution="scalar", seed=1)
 
     def test_more_devices_than_queries(self):
         """Empty partitions idle without perturbing any walk."""

@@ -98,10 +98,10 @@ class TestSummaryWrapper:
 
 
 class TestSubmitOptionsShim:
-    """The redesigned submit surface: one keyword-only SubmitOptions.
+    """The submit surface: one keyword-only SubmitOptions.
 
-    Legacy spellings — options passed positionally, or loose scheduling
-    keywords — keep working through a deprecation shim.
+    The deprecated spellings (options passed positionally, loose scheduling
+    keywords) were removed; passing options positionally is a TypeError.
     """
 
     def _session(self, service_graph):
@@ -121,38 +121,23 @@ class TestSubmitOptionsShim:
             session.submit(queries, options=SubmitOptions(priority=1))
         assert session.pending == 4
 
-    def test_positional_options_warn_and_work(self, service_graph):
+    def test_positional_options_raise(self, service_graph):
         from repro.service import SubmitOptions
 
         session = self._session(service_graph)
         queries = make_queries(service_graph.num_nodes, walk_length=3, num_queries=4)
-        with pytest.warns(DeprecationWarning, match="positionally"):
+        with pytest.raises(TypeError):
             session.submit(queries, SubmitOptions(priority=2))
-        assert session.collect().paths and len(session.collect().paths) == 4
+        assert session.pending == 0
 
-    def test_loose_keywords_warn_and_work(self, service_graph):
+    def test_loose_keywords_raise(self, service_graph):
         session = self._session(service_graph)
         queries = make_queries(service_graph.num_nodes, walk_length=3, num_queries=4)
-        with pytest.warns(DeprecationWarning, match="loose submit scheduling"):
-            session.submit(queries, priority=1, tenant="legacy")
-        stats = session._scheduler.tenant_stats()
-        assert stats["legacy"].submitted == 4
-
-    def test_conflicting_spellings_raise(self, service_graph):
-        from repro.service import SubmitOptions
-
-        session = self._session(service_graph)
-        queries = make_queries(service_graph.num_nodes, walk_length=3, num_queries=4)
-        with pytest.raises(TypeError, match="both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                session.submit(queries, SubmitOptions(), options=SubmitOptions())
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            session.submit(queries, nonsense=True)
+        with pytest.raises(TypeError):
+            session.submit(queries, priority=1)
         with pytest.raises(TypeError, match="SubmitOptions"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                session.submit(queries, {"priority": 1})
+            session.submit(queries, options={"priority": 1})
+        assert session.pending == 0
 
     def test_options_validate(self, service_graph):
         from repro.service import SubmitOptions

@@ -30,7 +30,7 @@ def caps(count: int = 4):
 class TestCapabilities:
     def test_single_device_fleet_has_no_multi_device_backend(self):
         declared = caps(1)
-        assert declared.backends == ("scalar", "batched")
+        assert declared.backends == ("batched",)
         assert not declared.supports("multi_device")
 
     def test_multi_device_fleet_declares_all_backends(self):
@@ -48,17 +48,8 @@ class TestNegotiation:
     def test_default_config_negotiates_batched(self):
         plan = negotiate_plan(caps(), FlexiWalkerConfig(device=DEVICE))
         assert plan.backend == "batched"
-        assert plan.execution == "batched"
         assert plan.num_devices == 1
-        assert plan.streaming_granularity == "superstep"
         assert plan.reasons  # the trail is recorded
-
-    def test_scalar_execution_negotiates_scalar_backend(self):
-        config = FlexiWalkerConfig(device=DEVICE, execution="scalar")
-        plan = negotiate_plan(caps(), config)
-        assert plan.backend == "scalar"
-        assert plan.execution == "scalar"
-        assert plan.streaming_granularity == "walk"
 
     def test_device_count_negotiates_multi_device(self):
         config = FlexiWalkerConfig(device=DEVICE, num_devices=3, partition_policy="balanced")
@@ -80,17 +71,14 @@ class TestNegotiation:
         with pytest.raises(ServiceError):
             negotiate_plan(caps(), FlexiWalkerConfig(device=DEVICE), backend="quantum")
 
+    def test_scalar_is_not_a_serving_backend(self):
+        assert BACKENDS == ("batched", "multi_device")
+        with pytest.raises(ServiceError, match="unknown backend"):
+            negotiate_plan(caps(), FlexiWalkerConfig(device=DEVICE), backend="scalar")
+
     def test_undeclared_backend_fails(self):
         with pytest.raises(ServiceError):
             negotiate_plan(caps(1), FlexiWalkerConfig(device=DEVICE), backend="multi_device")
-
-    def test_explicit_backend_overrides_config_execution(self):
-        config = FlexiWalkerConfig(device=DEVICE, execution="scalar")
-        plan = negotiate_plan(caps(), config, backend="batched")
-        assert plan.backend == "batched"
-        assert plan.execution == "batched"
-        assert plan.streaming_granularity == "superstep"
-        assert any("overrides config execution" in reason for reason in plan.reasons)
 
     def test_single_device_backend_rejects_device_count(self):
         config = FlexiWalkerConfig(device=DEVICE, num_devices=2)
@@ -150,20 +138,6 @@ class TestGraphPlacementNegotiation:
 
     def test_sharded_needs_multi_device_backend(self):
         config = FlexiWalkerConfig(device=DEVICE, graph_placement="sharded")
-        with pytest.raises(ServiceError):
-            negotiate_plan(caps(), config)
-
-    def test_scalar_execution_falls_back_to_replicated(self):
-        config = FlexiWalkerConfig(device=DEVICE, num_devices=4, execution="scalar")
-        plan = negotiate_plan(caps(), config, graph_footprint_bytes=self.MEMORY * 2)
-        assert plan.graph_placement == "replicated"
-        assert any("scalar execution cannot shard" in r for r in plan.reasons)
-
-    def test_explicit_sharded_with_scalar_execution_fails(self):
-        config = FlexiWalkerConfig(
-            device=DEVICE, num_devices=4, execution="scalar",
-            graph_placement="sharded",
-        )
         with pytest.raises(ServiceError):
             negotiate_plan(caps(), config)
 

@@ -209,8 +209,6 @@ def test_attach_rejects_unfusable_plans(service_graph):
     graph = service_graph
     service = WalkService(graph, fleet=DeviceFleet(DEVICE, count=4))
     scheduler = service.scheduler()
-    with pytest.raises(ServiceError, match="scalar"):
-        scheduler.session(DeepWalkSpec(), make_config(execution="scalar"))
     with pytest.raises(ServiceError, match="[Ss]harded"):
         scheduler.session(
             DeepWalkSpec(),

@@ -94,17 +94,6 @@ class TestStreaming:
         assert len(supersteps) >= 2
         assert supersteps == sorted(supersteps)
 
-    def test_scalar_backend_streams_per_walk(self, service_graph):
-        config = dataclasses.replace(CONFIG, execution="scalar")
-        session = make_service(service_graph).session(Node2VecSpec(), config)
-        assert session.plan.streaming_granularity == "walk"
-        queries = make_queries(service_graph.num_nodes, walk_length=4, num_queries=7)
-        session.submit(queries)
-        chunks = list(session.stream())
-        assert len(chunks) == 7
-        # Scalar streaming preserves submission order walk by walk.
-        assert [c.query_ids[0] for c in chunks] == [q.query_id for q in queries]
-
     def test_interleaved_submit_stream_orders_by_submission(self, service_graph):
         session = make_service(service_graph).session(Node2VecSpec(), CONFIG)
         queries = make_queries(service_graph.num_nodes, walk_length=4, num_queries=12)
