@@ -56,6 +56,7 @@ _GRAPH_CACHE_ALLOWED = ("graph/csr.py", "graph/invalidation.py")
 _TC_PRIVATE_ATTRS = frozenset(
     {
         "_weights",
+        "_row_max",
         "_have_weights",
         "_cdf",
         "_totals",

@@ -34,12 +34,35 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _philox_round(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """One multiply-mix round keyed by ``key`` (counter-based bijection)."""
+def premix_key(key: int | np.ndarray) -> np.ndarray:
+    """The per-key half of :func:`philox_uniform`, computed once per stream.
+
+    ``philox_uniform_premixed(premix_key(k), c) == philox_uniform(k, c)``
+    bit for bit; stream pools store the premixed key when a stream is minted
+    so every later draw skips the key finalizer.
+    """
+    return _mix64(np.asarray(key, dtype=np.uint64))
+
+
+def philox_uniform_premixed(mixed_key: np.ndarray, counter: int | np.ndarray) -> np.ndarray:
+    """:func:`philox_uniform` for keys already passed through :func:`premix_key`.
+
+    The multiply-mix round updates one buffer of the broadcast shape in
+    place; only the shifts allocate a temporary.
+    """
     with np.errstate(over="ignore"):
-        x = counter * _PHILOX_M0
-        x ^= key
-    return _mix64(x)
+        x = np.asarray(counter, dtype=np.uint64) + _GOLDEN_GAMMA
+        x *= _PHILOX_M0
+        x = np.bitwise_xor(x, mixed_key)
+        x ^= x >> np.uint64(30)
+        x *= _MIX_1
+        x ^= x >> np.uint64(27)
+        x *= _MIX_2
+        x ^= x >> np.uint64(31)
+        x >>= np.uint64(11)
+    out = x.astype(np.float64)
+    out *= _U64_TO_UNIT
+    return out
 
 
 def philox_uniform(key: int | np.ndarray, counter: int | np.ndarray) -> np.ndarray:
@@ -49,11 +72,7 @@ def philox_uniform(key: int | np.ndarray, counter: int | np.ndarray) -> np.ndarr
     vector of counters produces one independent stream, and a vector of keys
     with a scalar counter produces one draw per stream.
     """
-    key_arr = np.asarray(key, dtype=np.uint64)
-    counter_arr = np.asarray(counter, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        keyed = _philox_round(counter_arr + _GOLDEN_GAMMA, _mix64(key_arr))
-    return (keyed >> np.uint64(11)).astype(np.float64) * _U64_TO_UNIT
+    return philox_uniform_premixed(premix_key(key), counter)
 
 
 def derive_child_keys(parent_key: int | np.uint64, indices: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ stream it owns in parallel numpy arrays; the per-walker stream objects the
 scalar paths hand around (:class:`PooledStream`) are views into those arrays,
 and the batched engine's cross-stream draws (:meth:`BatchStreams.uniform_flat`)
 reserve counters for thousands of streams with a handful of vectorised array
-operations instead of one Python call per stream.
+operations instead of one Python call per stream.  Pools also keep each
+stream's premixed Philox key (:func:`~repro.rng.philox.premix_key`), computed
+once when the stream is minted, so no draw re-runs the key finalizer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.rng.philox import PhiloxEngine, derive_child_keys, philox_uniform
+from repro.rng.philox import (
+    PhiloxEngine,
+    derive_child_keys,
+    philox_uniform_premixed,
+    premix_key,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -122,14 +129,14 @@ class PooledStream(CountingStream):
 
     # -- draw methods (replaying the PhiloxEngine formulas exactly) ----- #
     def uniform(self, size: int | tuple[int, ...] | None = None) -> np.ndarray | float:
-        key = self._pool._keys[self._slot]
+        key = self._pool._mixed_keys[self._slot]
         if size is None:
-            return float(philox_uniform(key, np.uint64(self._take(1))))
+            return float(philox_uniform_premixed(key, np.uint64(self._take(1))))
         n = int(np.prod(size))
         start = self._take(n)
         with np.errstate(over="ignore"):
             counters = np.uint64(start) + np.arange(n, dtype=np.uint64)
-        return philox_uniform(key, counters).reshape(size)
+        return philox_uniform_premixed(key, counters).reshape(size)
 
     def integers(self, low: int, high: int, size: int | None = None) -> np.ndarray | int:
         if high <= low:
@@ -165,46 +172,72 @@ class BatchStreams:
     the scalar engine's per-walker randomness exactly while running the whole
     frontier through a single numpy expression.
 
+    Reservation and evaluation are separable: :meth:`reserve_flat` advances
+    every stream exactly as :meth:`uniform_flat` would and returns the start
+    counters, so a kernel that ends up consuming only some of the reserved
+    variates can evaluate Philox (with :attr:`mixed_keys`) at just those
+    counters and still leave every stream in the state a full draw would.
+
     Two backings exist: batches minted by :meth:`StreamPool.batch` operate
     directly on the pool's state arrays (counter reservation is a fancy-index
     add — no per-stream Python work at all), while batches built from a list
     of standalone :class:`CountingStream` objects reserve through each object
-    so external streams observe their draws.
+    so external streams observe their draws.  Whether a pool-backed batch
+    lists any slot twice is decided once, when the batch is minted; a batch
+    with a repeated slot reserves stream by stream, so the repeated stream
+    hands out consecutive counter blocks in batch order.
     """
 
-    __slots__ = ("streams", "_keys", "_pool", "_slots", "_threads")
+    __slots__ = ("streams", "_mixed_keys", "_pool", "_slots", "_threads", "_unique")
 
     def __init__(self, streams: Sequence[CountingStream]) -> None:
         self.streams = list(streams)
-        self._keys = np.array([s.philox_key for s in self.streams], dtype=np.uint64)
+        keys = np.array([s.philox_key for s in self.streams], dtype=np.uint64)
+        self._mixed_keys = premix_key(keys)
         self._pool = None
         self._slots = None
         self._threads = None
+        self._unique = False
 
     @classmethod
-    def _from_pool(cls, pool: StreamPool, threads: np.ndarray, slots: np.ndarray) -> BatchStreams:
+    def _from_pool(
+        cls, pool: StreamPool | AdoptedStreamPool, threads: np.ndarray, slots: np.ndarray,
+        unique: bool,
+    ) -> BatchStreams:
         self = cls.__new__(cls)
         self.streams = None
+        self._mixed_keys = None
         self._pool = pool
         self._slots = slots
         self._threads = threads
-        self._keys = pool._keys[slots]
+        self._unique = unique
         return self
 
     def __len__(self) -> int:
         return len(self._slots) if self._pool is not None else len(self.streams)
 
     def subset(self, indices: np.ndarray) -> BatchStreams:
-        """A view over a subset of the streams (shared stream state)."""
+        """A view over a subset of the streams (shared stream state).
+
+        A strictly increasing selection from a batch without repeated slots
+        cannot repeat one either, so it inherits the flag; any other
+        selection re-checks.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if self._pool is not None:
-            return BatchStreams._from_pool(self._pool, self._threads[idx], self._slots[idx])
+            slots = self._slots[idx]
+            if self._unique and (idx.size < 2 or bool((idx[1:] > idx[:-1]).all())):
+                unique = True
+            else:
+                unique = _all_distinct(slots)
+            return BatchStreams._from_pool(self._pool, self._threads[idx], slots, unique)
         sub = BatchStreams.__new__(BatchStreams)
         sub.streams = [self.streams[int(i)] for i in idx]
-        sub._keys = self._keys[idx]
+        sub._mixed_keys = self._mixed_keys[idx]
         sub._pool = None
         sub._slots = None
         sub._threads = None
+        sub._unique = False
         return sub
 
     def stream(self, index: int) -> CountingStream:
@@ -212,6 +245,42 @@ class BatchStreams:
         if self._pool is not None:
             return self._pool.stream(int(self._threads[int(index)]))
         return self.streams[int(index)]
+
+    @property
+    def mixed_keys(self) -> np.ndarray:
+        """Premixed Philox key of every stream, for
+        :func:`~repro.rng.philox.philox_uniform_premixed`."""
+        if self._pool is not None:
+            return self._pool._mixed_keys[self._slots]
+        return self._mixed_keys
+
+    def reserve_flat(self, counts: np.ndarray) -> np.ndarray:
+        """Claim ``counts[i]`` draws from stream ``i`` without evaluating them.
+
+        Returns each stream's start counter: stream ``i``'s claimed variates
+        are ``philox_uniform_premixed(mixed_keys[i], start[i] + k)`` for
+        ``k < counts[i]`` — exactly the values :meth:`uniform_flat` would
+        have returned — and every stream's counter and draw tally advance
+        just as they would have.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size != len(self):
+            raise ValueError("counts must have one entry per stream")
+        if self._pool is not None and self._unique:
+            # Pool-backed with unique slots (the engine's case — walker
+            # streams are keyed by unique query ids): reserve every stream's
+            # counters with one fancy-index update.
+            pool = self._pool
+            starts = pool._counters[self._slots]
+            with np.errstate(over="ignore"):
+                pool._counters[self._slots] = starts + counts.astype(np.uint64)
+            pool._draws[self._slots] += counts
+            return starts
+        starts = np.zeros(counts.size, dtype=np.uint64)
+        for i, c in enumerate(counts):
+            if c > 0:
+                starts[i] = self.stream(i).reserve(int(c))
+        return starts
 
     def uniform_flat(self, counts: np.ndarray) -> np.ndarray:
         """Draw ``counts[i]`` uniforms from stream ``i``, concatenated.
@@ -226,32 +295,21 @@ class BatchStreams:
         total = int(counts.sum())
         if total == 0:
             return np.zeros(0, dtype=np.float64)
-        if self._pool is not None and np.unique(self._slots).size == self._slots.size:
-            # Pool-backed with unique slots (the engine's case — walker
-            # streams are keyed by unique query ids): reserve every stream's
-            # counters with one fancy-index update, then evaluate Philox once
-            # for all draws.  Duplicate slots (the same stream listed twice)
-            # need sequential reservation and take the per-stream loop below.
-            pool = self._pool
-            starts = pool._counters[self._slots].copy()
-            with np.errstate(over="ignore"):
-                pool._counters[self._slots] = starts + counts.astype(np.uint64)
-            pool._draws[self._slots] += counts
-        else:
-            starts = np.zeros(counts.size, dtype=np.uint64)
-            for i, c in enumerate(counts):
-                if c > 0:
-                    starts[i] = self.stream(i).reserve(int(c))
+        starts = self.reserve_flat(counts)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         seg = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
         local = (np.arange(total, dtype=np.int64) - offsets[:-1][seg]).astype(np.uint64)
         with np.errstate(over="ignore"):
             ctrs = starts[seg] + local
-        return philox_uniform(self._keys[seg], ctrs)
+        return philox_uniform_premixed(self.mixed_keys[seg], ctrs)
 
     def uniform_each(self) -> np.ndarray:
         """One uniform per stream (the vectorised form of ``uniform()``)."""
         return self.uniform_flat(np.ones(len(self), dtype=np.int64))
+
+
+def _all_distinct(slots: np.ndarray) -> bool:
+    return int(np.unique(slots).size) == int(slots.size)
 
 
 class AdoptedStreamPool:
@@ -266,13 +324,15 @@ class AdoptedStreamPool:
     Two sessions may legitimately submit the same query id, so unlike
     :class:`StreamPool` this pool never shares slots: every adopted walker
     owns a fresh ``(key, counter, draws)`` slot, exactly like two separate
-    solo sessions would.  Slot numbers are frontier positions, which keeps
-    the :meth:`BatchStreams.uniform_flat` vectorised fast path (it requires
-    unique slots) on for the whole fused frontier.
+    solo sessions would.  Slot numbers are frontier positions, so
+    :meth:`batch_all` is unique by construction and keeps the
+    :meth:`BatchStreams.reserve_flat` vectorised fast path on for the whole
+    fused frontier.
     """
 
     def __init__(self) -> None:
         self._keys = np.zeros(0, dtype=np.uint64)
+        self._mixed_keys = np.zeros(0, dtype=np.uint64)
         self._counters = np.zeros(0, dtype=np.uint64)
         self._draws = np.zeros(0, dtype=np.int64)
         self._views: dict[int, PooledStream] = {}
@@ -288,6 +348,7 @@ class AdoptedStreamPool:
         if ids.size:
             new_keys = derive_child_keys(PhiloxEngine(seed).key, ids)
             self._keys = np.concatenate([self._keys, new_keys])
+            self._mixed_keys = np.concatenate([self._mixed_keys, premix_key(new_keys)])
             self._counters = np.concatenate(
                 [self._counters, np.zeros(ids.size, dtype=np.uint64)]
             )
@@ -308,7 +369,7 @@ class AdoptedStreamPool:
     def batch_all(self) -> BatchStreams:
         """Bundle every adopted stream, indexed by frontier position."""
         slots = np.arange(len(self), dtype=np.int64)
-        return BatchStreams._from_pool(self, slots, slots)
+        return BatchStreams._from_pool(self, slots, slots, unique=True)
 
     def snapshot_counters(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of every slot's ``(counter, draws)`` state.
@@ -351,6 +412,7 @@ class StreamPool:
         self._slot_of: dict[int, int] = {}
         self._views: dict[int, PooledStream] = {}
         self._keys = np.zeros(0, dtype=np.uint64)
+        self._mixed_keys = np.zeros(0, dtype=np.uint64)
         self._counters = np.zeros(0, dtype=np.uint64)
         self._draws = np.zeros(0, dtype=np.int64)
 
@@ -371,6 +433,7 @@ class StreamPool:
         if missing:
             new_keys = derive_child_keys(self._root.key, np.asarray(missing, dtype=np.int64))
             self._keys = np.concatenate([self._keys, new_keys])
+            self._mixed_keys = np.concatenate([self._mixed_keys, premix_key(new_keys)])
             self._counters = np.concatenate(
                 [self._counters, np.zeros(len(missing), dtype=np.uint64)]
             )
@@ -391,7 +454,7 @@ class StreamPool:
         """Bundle the streams of many threads for vectorised draws."""
         threads = np.asarray([int(i) for i in thread_indices], dtype=np.int64)
         slots = self._ensure_slots([int(i) for i in threads])
-        return BatchStreams._from_pool(self, threads, slots)
+        return BatchStreams._from_pool(self, threads, slots, unique=_all_distinct(slots))
 
     def snapshot_counters(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of every slot's ``(counter, draws)`` state (see

@@ -155,25 +155,6 @@ def segment_cummax(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_first_true(mask: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per segment: (any element true, local index of the first true element).
-
-    Segments without a true element report index 0 with ``any`` False.
-    """
-    offsets = segment_offsets(lengths)
-    seg = segment_ids(lengths)
-    positions = np.arange(mask.size, dtype=np.int64)
-    sentinel = mask.size
-    nonempty = lengths > 0
-    firsts_abs = np.full(lengths.size, sentinel, dtype=np.int64)
-    if nonempty.any():
-        candidates = np.where(mask, positions, sentinel)
-        firsts_abs[nonempty] = np.minimum.reduceat(candidates, offsets[:-1][nonempty])
-    any_true = firsts_abs < sentinel
-    local = np.where(any_true, firsts_abs - offsets[:-1], 0)
-    return any_true, local
-
-
 def segment_bisect(
     sorted_flat: np.ndarray,
     lo: np.ndarray,
@@ -369,27 +350,37 @@ class BatchStepContext:
 
         def build() -> np.ndarray:
             if self.transition_cache is not None:
-                return self.transition_cache.weights_for(self)
+                weights, _ = self.transition_cache.weight_arrays(self.current)
+                return weights[self.flat_edges]
             return self.spec.transition_weights_batch(self.graph, self)
 
         return self._cached("weights", build)
 
-    def gather_weights(self, passes: int = 1, coalesced: bool = True,
-                       idx: np.ndarray | None = None) -> np.ndarray:
+    def gather_weights(self, passes: int = 1, coalesced: bool = True) -> np.ndarray:
         """Batched :func:`~repro.sampling.base.gather_transition_weights`.
 
-        Returns the full flattened weight array and charges the scan cost —
-        for every walker, or only for the subset ``idx`` (used when only some
-        walkers of a partition take the scanning path).
+        Returns the full flattened weight array and charges every walker's
+        scan cost (:meth:`charge_scan`).
         """
         weights = self.transition_weights()
+        self.charge_scan(passes, coalesced)
+        return weights
+
+    def charge_scan(self, passes: int = 1, coalesced: bool = True,
+                    idx: np.ndarray | None = None) -> None:
+        """Charge the modeled scan of the weight lists, gathering nothing.
+
+        For every walker, or only for the subset ``idx`` (used when only some
+        walkers of a partition take the scanning path).  Kernels whose host
+        code already has the values it needs (e.g. a cached row maximum)
+        charge the scan their modeled kernel still performs through this.
+        """
         degrees = self.degrees if idx is None else self.degrees[idx]
         field_name = "coalesced_accesses" if coalesced else "random_accesses"
         self.charge(field_name, degrees * passes, idx)
         self.charge("weight_computations", degrees, idx)
         scan_words = self.spec.scan_cost_words_batch(self.graph, self)
         self.charge("coalesced_accesses", scan_words if idx is None else scan_words[idx], idx)
-        return weights
 
     # -- scalar-fallback bridge ---------------------------------------- #
     def state(self, i: int) -> WalkerState:

@@ -19,8 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sampling.base import Sampler, StepContext, gather_transition_weights
-from repro.sampling.batch import BatchStepContext, segment_max
-from repro.sampling.rejection import run_rejection_trials, run_rejection_trials_batch
+from repro.sampling.batch import BatchStepContext
+from repro.sampling.rejection import (
+    probe_weights,
+    run_rejection_trials,
+    run_rejection_trials_batch,
+)
 
 
 class EnhancedRejectionSampler(Sampler):
@@ -99,11 +103,13 @@ class EnhancedRejectionSampler(Sampler):
         Walkers with a usable compiler bound pay one uncoalesced hint read;
         the rest fall back to the scan + max-reduction path — per walker,
         exactly the branch the scalar kernel would have taken, with the same
-        trial draws and the same charges.
+        trial draws and the same charges.  Like the GPU kernel, the host
+        reads only the weights a trial probes when the transition cache
+        holds them (:func:`~repro.sampling.rejection.probe_weights`); the
+        scan walkers are charged their scan without a gather.
         """
         degrees = batch.degrees
-        weights = batch.transition_weights()
-        true_max = segment_max(weights, degrees)
+        weights, bases, true_max = probe_weights(batch)
 
         hinted = np.zeros(batch.size, dtype=bool)
         if self.use_estimated_bound and batch.bound_hints is not None:
@@ -120,7 +126,7 @@ class EnhancedRejectionSampler(Sampler):
         scan_idx = np.nonzero(~hinted)[0]
         if scan_idx.size:
             # Fallback: exact maximum via a full scan + max reduction (Fig. 5a).
-            batch.gather_weights(idx=scan_idx)
+            batch.charge_scan(idx=scan_idx)
             batch.charge("reduction_elements", degrees[scan_idx], scan_idx)
             bounds[scan_idx] = true_max[scan_idx]
 
@@ -134,10 +140,10 @@ class EnhancedRejectionSampler(Sampler):
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bounds[alive], max_trials[alive]
+            batch, alive, weights, bases[alive], bounds[alive], max_trials[alive]
         )
         for i in alive[choice[alive] < 0]:
-            lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
+            lo, hi = int(bases[i]), int(bases[i] + degrees[i])
             wslice = weights[lo:hi]
             total = float(wslice.sum())
             if total <= 0.0:
@@ -152,5 +158,5 @@ class EnhancedRejectionSampler(Sampler):
             batch.charge("rng_draws", 1, only)
             choice[i] = min(int(np.searchsorted(cdf, u * total, side="right")), degree - 1)
         picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.neighbors_flat[batch.offsets[:-1][picked] + choice[picked]]
+        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
         return out

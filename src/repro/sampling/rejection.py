@@ -12,19 +12,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.rng.philox import philox_uniform_premixed
 from repro.sampling.base import Sampler, StepContext, gather_transition_weights
-from repro.sampling.batch import (
-    BatchStepContext,
-    local_positions,
-    segment_first_true,
-    segment_ids,
-    segment_max,
-    segment_offsets,
-)
+from repro.sampling.batch import BatchStepContext, segment_max
 
-#: Size of the vectorised trial batches drawn at once (purely an
-#: implementation detail; the trial count recorded in the counters is exact).
+#: Size of the trial blocks each round reserves per walker.  It fixes which
+#: stream counters every trial consumes, so scalar and batched runs share it
+#: and changing it changes every rejection-sampled path.
 _TRIAL_BATCH = 16
+
+#: Trials evaluated per chunk within a batched round (they sum to
+#: ``_TRIAL_BATCH``): most walkers accept on their first or second trial, so
+#: the first chunks are narrow and later ones widen for the heavy-skew rows.
+_TRIAL_CHUNKS = (1, 1, 2, 4, 8)
+
+#: Undecided walkers × remaining trials at or below which the rest of a
+#: round is evaluated in one chunk — narrow frontiers pay one numpy pass per
+#: round instead of one per chunk.
+_ONE_SHOT_CELLS = 2048
 
 
 def run_rejection_trials(
@@ -68,28 +73,51 @@ def run_rejection_trials(
     return None, trials_done
 
 
+def probe_weights(batch: BatchStepContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(weights, bases, row_max)`` for kernels that probe single weights.
+
+    Walker ``i``'s ``x``-th candidate weighs ``weights[bases[i] + x]``.  With
+    a :class:`~repro.sampling.transition_cache.TransitionCache` attached the
+    cache's edge array is probed in place (``bases`` are the walkers' CSR
+    row starts) and the row maxima come precomputed; otherwise the frontier's
+    flat weights are gathered once and reduced per segment.  No accounting:
+    callers charge what their modeled kernel reads.
+    """
+    cache = batch.transition_cache
+    if cache is not None:
+        weights, row_max = cache.weight_arrays(batch.current)
+        return weights, batch.edge_start, row_max
+    weights = batch.transition_weights()
+    return weights, batch.offsets[:-1], segment_max(weights, batch.degrees)
+
+
 def run_rejection_trials_batch(
     batch: BatchStepContext,
     idx: np.ndarray,
-    weights_flat: np.ndarray,
+    weights: np.ndarray,
+    bases: np.ndarray,
     bounds: np.ndarray,
     max_trials: np.ndarray,
 ) -> np.ndarray:
     """Accept/reject trials for many walkers at once.
 
-    The batched twin of :func:`run_rejection_trials`: per round every still
-    undecided walker draws one block of candidate/acceptance uniforms from
-    its own stream (the same counters the scalar loop would consume, so the
-    realised trials are identical), and the round's acceptance test runs as
-    one vectorised comparison across all of them.
+    The batched twin of :func:`run_rejection_trials`.  Per round every still
+    undecided walker reserves one block of ``2·b`` counters from its own
+    stream — the first ``b`` feed the candidate integers, the rest the
+    acceptance uniforms, the exact consumption order of the scalar loop —
+    but Philox is evaluated only at the trials actually tried
+    (:func:`_first_accepts`), so the realised trials, the charges and the
+    streams' end state are identical to drawing every block in full.
 
     Parameters
     ----------
     idx:
         Batch-local indices of the participating walkers.
-    weights_flat / bounds / max_trials:
-        The flattened frontier weights, plus per-walker proposal bounds and
-        trial budgets parallel to ``idx``.
+    weights / bases:
+        Walker ``idx[j]``'s ``x``-th candidate weighs ``weights[bases[j] +
+        x]`` (see :func:`probe_weights`).
+    bounds / max_trials:
+        Per-walker proposal bounds and trial budgets, parallel to ``idx``.
 
     Returns the accepted candidate index *within each walker's neighbour
     list* (``-1`` when the budget was exhausted), charging exactly the trial
@@ -100,7 +128,6 @@ def run_rejection_trials_batch(
         return choice
     degrees = batch.degrees[idx]
     probe_words = 1 + batch.spec.probe_cost_words_batch(batch.graph, batch)[idx]
-    offsets = batch.offsets[:-1][idx]
     done = np.zeros(idx.size, dtype=np.int64)
     active = np.nonzero((degrees > 0) & (bounds > 0))[0]
     while active.size:
@@ -110,33 +137,80 @@ def run_rejection_trials_batch(
         block = block[runnable]
         if active.size == 0:
             break
-        # One contiguous counter block of 2·b draws per walker: the first b
-        # feed the candidate integers, the rest the acceptance uniforms —
-        # the exact consumption order of the scalar loop.
-        u = batch.rng.subset(idx[active]).uniform_flat(2 * block)
-        local = local_positions(2 * block)
-        seg2 = segment_ids(2 * block)
-        is_candidate = local < block[seg2]
-        seg = segment_ids(block)
-        xs = np.floor(u[is_candidate] * degrees[active][seg]).astype(np.int64)
-        ys = u[~is_candidate] * bounds[active][seg]
-        hit = ys <= weights_flat[offsets[active][seg] + xs]
-        any_hit, first = segment_first_true(hit, block)
-
-        used = np.where(any_hit, first + 1, block)
+        streams = batch.rng.subset(idx[active])
+        starts = streams.reserve_flat(2 * block)
+        hit, used, winners = _first_accepts(
+            streams.mixed_keys, starts, block, degrees[active], bounds[active],
+            weights, bases[active],
+        )
         slots = idx[active]
         batch.charge("rng_draws", 2 * used, slots)
         batch.charge("random_accesses", probe_words[active] * used, slots)
         batch.charge("weight_computations", used, slots)
         batch.charge("rejection_trials", used, slots)
         done[active] += used
-
-        if any_hit.any():
-            block_offsets = segment_offsets(block)
-            winners = xs[block_offsets[:-1] + first]
-            choice[active[any_hit]] = winners[any_hit]
-        active = active[~any_hit]
+        choice[active[hit]] = winners[hit]
+        active = active[~hit]
     return choice
+
+
+def _first_accepts(
+    keys: np.ndarray,
+    starts: np.ndarray,
+    block: np.ndarray,
+    degrees: np.ndarray,
+    bounds: np.ndarray,
+    weights: np.ndarray,
+    bases: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round of trials, evaluating only the draws a walker consumes.
+
+    Walker ``j`` owns counters ``starts[j] + [0, 2·block[j])``; its trial
+    ``t`` draws the candidate at ``starts[j] + t`` and the acceptance
+    uniform at ``starts[j] + block[j] + t``.  Trials run in growing chunks
+    (:data:`_TRIAL_CHUNKS`) over the walkers still undecided, so a walker
+    that accepts on its first trial costs two Philox evaluations instead of
+    ``2·block``.  Once the undecided walkers × remaining trials fall to
+    :data:`_ONE_SHOT_CELLS`, the rest of the round runs in one chunk.
+
+    Returns per walker ``(accepted, trials used, accepted candidate)``.
+    """
+    n = block.size
+    hit = np.zeros(n, dtype=bool)
+    used = block.copy()
+    winners = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n, dtype=np.int64)
+    t = 0
+    for chunk in _TRIAL_CHUNKS:
+        blk = block[pending]
+        rest = int(blk.max()) - t
+        width = rest if pending.size * rest <= _ONE_SHOT_CELLS else min(chunk, rest)
+        trial = np.arange(t, t + width, dtype=np.int64)
+        # ctr[0]: candidate counters, ctr[1]: acceptance counters.
+        ctr = np.empty((2, pending.size, width), dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            np.add(starts[pending][:, None], trial.astype(np.uint64), out=ctr[0])
+            np.add(ctr[0], blk.astype(np.uint64)[:, None], out=ctr[1])
+        u = philox_uniform_premixed(keys[pending][:, None], ctr)
+        xs = np.floor(u[0] * degrees[pending][:, None]).astype(np.int64)
+        accept = u[1] * bounds[pending][:, None] <= weights[bases[pending][:, None] + xs]
+        if int(blk.min()) < t + width:
+            # Trials past a walker's own (budget-shortened) block were never
+            # reserved: they cannot accept.
+            accept &= trial < blk[:, None]
+        row_hit = accept.any(axis=1)
+        rows = np.nonzero(row_hit)[0]
+        if rows.size:
+            first = accept[rows].argmax(axis=1)
+            won = pending[rows]
+            hit[won] = True
+            used[won] = t + first + 1
+            winners[won] = xs[rows, first]
+        t += width
+        pending = pending[~row_hit & (blk > t)]
+        if pending.size == 0:
+            break
+    return hit, used, winners
 
 
 class RejectionSampler(Sampler):
@@ -183,8 +257,8 @@ class RejectionSampler(Sampler):
     def _sample_batch_nonempty(self, batch: BatchStepContext, out: np.ndarray) -> np.ndarray:
         """Frontier-wide baseline RJS: vectorised max reduction + trials."""
         degrees = batch.degrees
-        weights = batch.gather_weights(coalesced=False)
-        bounds = segment_max(weights, degrees)
+        weights, bases, bounds = probe_weights(batch)
+        batch.charge_scan(coalesced=False)
         batch.charge("reduction_elements", degrees)
         alive = np.nonzero(bounds > 0)[0]
         if alive.size == 0:
@@ -193,12 +267,12 @@ class RejectionSampler(Sampler):
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bounds[alive], max_trials[alive]
+            batch, alive, weights, bases[alive], bounds[alive], max_trials[alive]
         )
         # Trial-budget exhaustion: finish with a direct inversion per walker,
         # replaying the scalar fallback on the same weight slice and stream.
         for i in alive[choice[alive] < 0]:
-            lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
+            lo, hi = int(bases[i]), int(bases[i] + degrees[i])
             wslice = weights[lo:hi]
             total = float(wslice.sum())
             if total <= 0.0:
@@ -210,5 +284,5 @@ class RejectionSampler(Sampler):
             batch.charge("rng_draws", 1, np.array([i]))
             choice[i] = min(int(np.searchsorted(cdf, u * total)), degree - 1)
         picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.neighbors_flat[batch.offsets[:-1][picked] + choice[picked]]
+        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
         return out

@@ -15,7 +15,9 @@ must not pay an O(num_edges) startup it would never have paid):
 
 * the transition **weights** themselves (consulted by
   :meth:`~repro.sampling.batch.BatchStepContext.transition_weights`, i.e. by
-  every kernel's weight gather);
+  every kernel's weight gather), with each node's **row maximum** filled in
+  the same pass (the rejection kernels probe single weights in place through
+  :meth:`TransitionCache.weight_arrays` and need only the maximum besides);
 * the per-node **CDF + total** pair (consulted by the ITS kernel, replacing
   its per-walker ``np.cumsum`` cores);
 * the per-node **alias tables** (consulted by the ALS kernel, replacing its
@@ -30,17 +32,12 @@ Only host wall-clock changes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import build_alias_table
 from repro.walks.spec import WalkSpec
 from repro.walks.state import WalkerState, WalkQuery
-
-if TYPE_CHECKING:  # pragma: no cover - batch imports this module lazily
-    from repro.sampling.batch import BatchStepContext
 
 
 class TransitionCache:
@@ -52,7 +49,7 @@ class TransitionCache:
         Number of nodes whose respective structure has been materialised so
         far (introspection for tests and the benchmark harness).
     lookups:
-        Number of cache-served weight gathers.
+        Number of cache-served weight requests (gathers and in-place probes).
     """
 
     def __init__(self, graph: CSRGraph, spec: WalkSpec) -> None:
@@ -60,6 +57,7 @@ class TransitionCache:
         self.spec = spec
         num_nodes, num_edges = graph.num_nodes, graph.num_edges
         self._weights = np.zeros(num_edges, dtype=np.float64)
+        self._row_max = np.full(num_nodes, -np.inf, dtype=np.float64)
         self._have_weights = np.zeros(num_nodes, dtype=bool)
         self._cdf = np.zeros(num_edges, dtype=np.float64)
         self._totals = np.zeros(num_nodes, dtype=np.float64)
@@ -79,7 +77,12 @@ class TransitionCache:
     # Weights
     # ------------------------------------------------------------------ #
     def ensure_weights(self, nodes: np.ndarray) -> None:
-        """Materialise the weight slices of the given nodes (idempotent)."""
+        """Materialise the weight slices of the given nodes (idempotent).
+
+        Each filled node's row maximum is stored alongside (``-inf`` for a
+        node without out-edges, like
+        :func:`~repro.sampling.batch.segment_max`).
+        """
         pending = np.unique(nodes[~self._have_weights[nodes]])
         if pending.size == 0:
             return
@@ -93,15 +96,22 @@ class TransitionCache:
                     "static_transition_weights must be parallel to graph.indices"
                 )
             self._weights = bulk
+            indptr = self.graph.indptr
+            nonempty = np.nonzero(indptr[1:] > indptr[:-1])[0]
+            self._row_max[:] = -np.inf
+            if nonempty.size:
+                # Empty rows between two non-empty starts add no elements to
+                # the preceding segment, so one reduceat is exact.
+                self._row_max[nonempty] = np.maximum.reduceat(bulk, indptr[nonempty])
             self._have_weights[:] = True
             self.weight_fills += int(self.graph.num_nodes)
             return
         indptr = self.graph.indptr
         for node in pending.tolist():
             self._probe.current_node = node
-            self._weights[indptr[node]:indptr[node + 1]] = self.spec.transition_weights(
-                self.graph, self._probe
-            )
+            row = self.spec.transition_weights(self.graph, self._probe)
+            self._weights[indptr[node]:indptr[node + 1]] = row
+            self._row_max[node] = row.max() if row.size else -np.inf
         self._have_weights[pending] = True
         self.weight_fills += int(pending.size)
 
@@ -162,21 +172,25 @@ class TransitionCache:
         self._alias_prob = new_alias_prob
         self._alias_idx = new_alias_idx
         self._have_weights[touched] = False
+        self._row_max[touched] = -np.inf
         self._have_cdf[touched] = False
         self._have_alias[touched] = False
         self._totals[touched] = 0.0
         self.graph = new_graph
 
-    def weights_for(self, batch: BatchStepContext) -> np.ndarray:
-        """Flattened transition weights of a batch context, cache-served.
+    def weight_arrays(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(global edge-parallel weights, row maxima of nodes)``, ensured.
 
-        Identical values to ``spec.transition_weights_batch`` (node-only
-        workloads compute per-node weights that both paths agree on — the
-        spec test suite enforces it), gathered from the cached edge array.
+        The weights hold the same values ``spec.transition_weights_batch``
+        computes (node-only workloads compute per-node weights that both
+        paths agree on — the spec test suite enforces it).  Kernels either
+        gather their neighbour lists from them or probe single weights in
+        place (``weights[indptr[v] + x]``).  The returned weight array is
+        the cache's own storage: read it, never write it.
         """
-        self.ensure_weights(batch.current)
+        self.ensure_weights(nodes)
         self.lookups += 1
-        return self._weights[batch.flat_edges]
+        return self._weights, self._row_max[nodes]
 
     # ------------------------------------------------------------------ #
     # CDFs (ITS)

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng.philox import PhiloxEngine, philox_uniform
+from repro.rng.philox import (
+    _GOLDEN_GAMMA,
+    _PHILOX_M0,
+    PhiloxEngine,
+    _mix64,
+    philox_uniform,
+    philox_uniform_premixed,
+    premix_key,
+)
 
 
 class TestPhiloxUniform:
@@ -30,6 +38,46 @@ class TestPhiloxUniform:
         values = philox_uniform(99, np.arange(200_000, dtype=np.uint64))
         assert abs(values.mean() - 0.5) < 0.01
         assert abs(values.var() - 1.0 / 12.0) < 0.01
+
+
+def _reference_uniform(key, counter):
+    """The generator's defining formula, re-keyed on every call."""
+    key_arr, counter_arr = np.broadcast_arrays(
+        np.asarray(key, dtype=np.uint64), np.asarray(counter, dtype=np.uint64)
+    )
+    with np.errstate(over="ignore"):
+        keyed = _mix64(((counter_arr + _GOLDEN_GAMMA) * _PHILOX_M0) ^ _mix64(key_arr))
+    return (keyed >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+
+
+class TestPremixedKeys:
+    """Pools store ``premix_key(key)`` once; draws must not change a bit."""
+
+    KEYS = np.array([0, 1, 7, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    COUNTERS = np.array([0, 1, 31, 2**40, 2**64 - 2], dtype=np.uint64)
+
+    def test_premixed_form_equals_philox_uniform_bit_for_bit(self):
+        keys = self.KEYS[:, None]
+        expected = _reference_uniform(keys, self.COUNTERS)
+        assert np.array_equal(philox_uniform(keys, self.COUNTERS), expected)
+        assert np.array_equal(philox_uniform_premixed(premix_key(keys), self.COUNTERS),
+                              expected)
+
+    def test_scalar_and_broadcast_shapes(self):
+        for key in (3, np.uint64(2**63)):
+            for ctr in (0, np.uint64(2**64 - 1)):
+                assert philox_uniform_premixed(premix_key(key), ctr) == \
+                    _reference_uniform(key, ctr)
+        keys = premix_key(self.KEYS)[:, None]
+        ctr = np.broadcast_to(self.COUNTERS, (2, self.KEYS.size, self.COUNTERS.size))
+        out = philox_uniform_premixed(keys, ctr)
+        assert out.shape == ctr.shape
+        assert np.array_equal(out[1], _reference_uniform(self.KEYS[:, None], self.COUNTERS))
+
+    def test_input_counters_are_not_modified(self):
+        ctr = self.COUNTERS.copy()
+        philox_uniform_premixed(premix_key(self.KEYS), ctr)
+        assert np.array_equal(ctr, self.COUNTERS)
 
 
 class TestPhiloxEngine:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rng.streams import CountingStream, StreamPool
+from repro.rng.philox import philox_uniform_premixed, premix_key
+from repro.rng.streams import AdoptedStreamPool, BatchStreams, CountingStream, StreamPool
 
 
 class TestCountingStream:
@@ -90,3 +91,80 @@ class TestDuplicateStreamsInOneBatch:
         tail = pool.stream(3).uniform()
         reference = StreamPool(seed=9).stream(3).uniform(4)
         assert tail == float(np.asarray(reference)[3])
+
+
+class TestPremixedPoolKeys:
+    def test_pools_store_the_premixed_key_of_every_stream(self):
+        pool = StreamPool(seed=3)
+        pool.batch([4, 9, 1])
+        assert np.array_equal(pool._mixed_keys, premix_key(pool._keys))
+        adopted = AdoptedStreamPool()
+        adopted.adopt(3, [4, 9, 4])
+        assert np.array_equal(adopted._mixed_keys, premix_key(adopted._keys))
+        assert np.array_equal(adopted._keys, pool._keys[[0, 1, 0]])
+
+    def test_pooled_stream_draws_like_a_plain_stream_with_its_key(self):
+        pooled = StreamPool(seed=8).stream(6)
+        plain = CountingStream.from_seed(8).split(6)
+        assert pooled.uniform() == plain.uniform()
+        assert np.array_equal(pooled.uniform(5), plain.uniform(5))
+
+
+class TestReservation:
+    def test_reserve_then_evaluate_equals_uniform_flat(self):
+        counts = np.array([3, 0, 5, 1])
+        drawn = StreamPool(seed=2).batch([7, 3, 12, 0]).uniform_flat(counts)
+        pool = StreamPool(seed=2)
+        batch = pool.batch([7, 3, 12, 0])
+        starts = batch.reserve_flat(counts)
+        keys = batch.mixed_keys
+        replay = np.concatenate([
+            philox_uniform_premixed(keys[i], starts[i] + np.arange(c, dtype=np.uint64))
+            for i, c in enumerate(counts)
+        ])
+        assert np.array_equal(replay, drawn)
+        reference = StreamPool(seed=2)
+        reference.batch([7, 3, 12, 0]).uniform_flat(counts)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(pool.snapshot_counters(), reference.snapshot_counters(), strict=True))
+
+    def test_reserve_flat_on_standalone_streams(self):
+        streams = [CountingStream.from_seed(1, s) for s in range(3)]
+        streams[1].uniform(4)
+        starts = BatchStreams(streams).reserve_flat(np.array([2, 2, 0]))
+        assert starts.tolist() == [0, 4, 0]
+        assert [s.draws for s in streams] == [2, 6, 0]
+
+
+class TestSlotUniquenessFlag:
+    """Uniqueness is decided when a batch is minted, not on every draw."""
+
+    def test_minted_batches(self):
+        pool = StreamPool(seed=0)
+        assert pool.batch([1, 2, 3])._unique
+        assert not pool.batch([1, 2, 1])._unique
+        adopted = AdoptedStreamPool()
+        adopted.adopt(0, [5, 5])
+        assert adopted.batch_all()._unique
+
+    def test_increasing_subset_inherits_without_rechecking(self, monkeypatch):
+        import repro.rng.streams as streams_module
+
+        batch = StreamPool(seed=0).batch([1, 2, 3, 4])
+        monkeypatch.setattr(streams_module, "_all_distinct", None)
+        assert batch.subset(np.array([0, 2, 3]))._unique
+
+    def test_other_subsets_recheck(self):
+        batch = StreamPool(seed=0).batch([1, 2, 3, 1])
+        assert not batch._unique
+        assert batch.subset(np.array([0, 1, 2]))._unique
+        assert not batch.subset(np.array([0, 3]))._unique
+        unique = StreamPool(seed=0).batch([1, 2, 3])
+        assert not unique.subset(np.array([2, 2]))._unique
+        assert unique.subset(np.array([2, 0]))._unique
+
+    def test_repeated_subset_draws_sequentially(self):
+        pool = StreamPool(seed=4)
+        values = pool.batch([5, 6]).subset(np.array([0, 0])).uniform_flat(np.array([1, 1]))
+        reference = StreamPool(seed=4).stream(5).uniform(2)
+        assert np.array_equal(values, np.asarray(reference))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.generator import compile_workload
+from repro.graph.builders import from_edge_list
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.labels import random_edge_labels
 from repro.graph.weights import uniform_weights
@@ -30,6 +31,7 @@ from repro.sampling.ervs import EnhancedReservoirSampler
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
+from repro.sampling.transition_cache import TransitionCache
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import Node2VecSpec
@@ -203,3 +205,41 @@ class TestCacheSharing:
         assert np.array_equal(
             cache._weights, graph.weights.astype(np.float64)
         )
+
+
+class TestRowMaxima:
+    """The per-node row maximum eRJS widens hints to, on both fill paths."""
+
+    @staticmethod
+    def graph_with_empty_rows():
+        # Nodes 2 and 5 have no out-edges: one between two non-empty rows,
+        # one at the end.
+        edges = [(0, 1), (0, 3), (1, 0), (3, 0), (3, 1), (3, 4), (4, 0)]
+        weights = [2.0, 7.5, 1.0, 0.5, 3.0, 3.0, 9.0]
+        return from_edge_list(edges, num_nodes=6, weights=weights)
+
+    def expected(self, graph, nodes):
+        return np.array([
+            graph.weights[graph.indptr[v]:graph.indptr[v + 1]].max()
+            if graph.degree(v) else -np.inf
+            for v in nodes
+        ])
+
+    def test_bulk_fill(self):
+        graph = self.graph_with_empty_rows()
+        cache = TransitionCache(graph, DeepWalkSpec())
+        nodes = np.arange(graph.num_nodes)
+        weights, _ = cache.weight_arrays(np.array([0]))
+        assert np.array_equal(weights, graph.weights.astype(np.float64))
+        assert np.array_equal(cache.weight_arrays(nodes)[1], self.expected(graph, nodes))
+
+    def test_per_node_fill(self):
+        class PerNodeDeepWalk(DeepWalkSpec):
+            def static_transition_weights(self, graph):
+                return None
+
+        graph = self.graph_with_empty_rows()
+        cache = TransitionCache(graph, PerNodeDeepWalk())
+        nodes = np.array([3, 0, 2, 3])
+        assert np.array_equal(cache.weight_arrays(nodes)[1], self.expected(graph, nodes))
+        assert cache.weight_fills == 3

@@ -21,7 +21,6 @@ from repro.sampling.batch import (
     segment_argmax_first,
     segment_bisect,
     segment_cummax,
-    segment_first_true,
     segment_max,
     segment_offsets,
 )
@@ -61,13 +60,6 @@ class TestSegmentPrimitives:
             for i in range(15)
         ])
         assert np.array_equal(segment_cummax(values, lengths), expected)
-
-    def test_segment_first_true(self):
-        lengths = np.array([3, 2, 4])
-        mask = np.array([False, True, True, False, False, False, False, False, True])
-        any_true, first = segment_first_true(mask, lengths)
-        assert any_true.tolist() == [True, False, True]
-        assert first[0] == 1 and first[2] == 3
 
     def test_segment_bisect_matches_searchsorted(self):
         rng = np.random.default_rng(2)

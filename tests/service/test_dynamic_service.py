@@ -27,6 +27,9 @@ from repro.graph.delta import DeltaCSRGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.gpusim.device import A6000
+from repro.runtime.engine import EngineCaches, WalkEngine
+from repro.runtime.selector import FixedSelector
+from repro.sampling.erjs import EnhancedRejectionSampler
 from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
@@ -198,6 +201,68 @@ class TestScopedInvalidationThroughTheService:
         cold_session.submit(make_queries(fresh_graph.num_nodes, walk_length=5,
                                          num_queries=10, seed=7))
         assert_identical(warm_result, cold_session.collect())
+
+    def test_row_max_follows_a_delta_that_raises_it(self):
+        """eRJS widens a hint to the cached row maximum, so a delta that
+        raises a row's maximum must refresh it for the new version."""
+        spec = DeepWalkSpec()
+        config = FlexiWalkerConfig(device=DEVICE, seed=2)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        v0_compiled = service.compile(spec)
+        session = service.session(spec, config)
+        session.submit(make_queries(service.graph.num_nodes, walk_length=5,
+                                    num_queries=20, seed=2))
+        session.collect()
+        session.close()
+        cache = service.engine_caches(spec).transition_cache
+        graph = service.graph
+        node = int(np.argmax(graph.degrees()))
+        old_max = float(cache.weight_arrays(np.array([node]))[1][0])
+        target = next(v for v in range(graph.num_nodes)
+                      if v != node and not graph.has_edge(node, v))
+
+        service.apply_delta([[node, target]], weights=[10.0 * old_max])
+        new_graph = service.graph
+        assert service.engine_caches(spec).transition_cache is cache
+        nodes = np.arange(new_graph.num_nodes)
+        fresh = np.array([
+            new_graph.weights[new_graph.indptr[v]:new_graph.indptr[v + 1]].max()
+            if new_graph.degree(v) else -np.inf
+            for v in nodes
+        ])
+        assert np.array_equal(cache.weight_arrays(nodes)[1], fresh)
+        assert fresh[node] == 10.0 * old_max
+
+        queries = [WalkQuery(query_id=i, start_node=node, max_length=6) for i in range(40)]
+        fresh_session = service.session(spec, config)
+        fresh_session.submit(queries)
+        result = fresh_session.collect()
+        oracle = fresh_session.engine.with_devices(1)
+        oracle.execution = "scalar"
+        expected = oracle.run(queries)
+        assert result.paths == expected.paths
+        assert result.counters.as_dict() == expected.counters.as_dict()
+        assert np.array_equal(result.per_query_ns, expected.per_query_ns)
+
+        # The version-0 helpers no longer bound the raised row: eRJS must
+        # widen their hint to the refreshed cached maximum, exactly as the
+        # scalar kernel widens it to the maximum it computes itself.
+        stale_bound = v0_compiled.hint_nodes(new_graph, np.array([node]))[0][0]
+        assert stale_bound < fresh[node]
+        caches = EngineCaches()
+        caches.transition_cache = cache
+        runs = {}
+        for mode in ("batched", "scalar"):
+            engine = WalkEngine(
+                graph=new_graph, spec=spec, device=DEVICE, compiled=v0_compiled,
+                selector=FixedSelector(EnhancedRejectionSampler()), seed=2,
+                caches=caches, execution=mode,
+            )
+            runs[mode] = engine.run(queries)
+        assert runs["batched"].paths == runs["scalar"].paths
+        assert runs["batched"].counters.as_dict() == runs["scalar"].counters.as_dict()
+        first_hops = [path[1] for path in runs["batched"].paths]
+        assert first_hops.count(target) > len(queries) // 2
 
     def test_pinned_caches_stay_on_their_version(self):
         spec = DeepWalkSpec()
