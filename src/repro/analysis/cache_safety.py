@@ -14,9 +14,9 @@ rows.  These rules close that gap:
     ``transition_weights`` override reads walker state (anything beyond
     ``state.current_node``) while scalar ``get_weight`` is state-free.
 ``cache-safety/batch-state-divergence``
-    ``transition_weights_batch`` override reads per-walker state
-    (``batch.prev`` / ``batch.steps`` / ``batch.state(i)`` / ``batch.rng``
-    ...) while scalar ``get_weight`` is state-free.
+    ``transition_weights_batch`` or ``edge_weights_batch`` override reads
+    per-walker state (``batch.prev`` / ``batch.steps`` / ``batch.state(i)``
+    / ``batch.rng`` ...) while scalar ``get_weight`` is state-free.
 ``cache-safety/update-batch-divergence``
     ``update_batch`` overridden while scalar ``update`` is not — the
     node-only check inspects only ``update``, so the batched engine would
@@ -38,6 +38,9 @@ from repro.analysis.diagnostics import UNKNOWN_SPAN, Diagnostic, Severity, _Diag
 from repro.analysis.hooks import HookSource, SpecSources, hook_overridden
 from repro.walks.spec import WalkSpec
 
+#: Batched weight hooks the engine samples from.
+BATCH_WEIGHT_HOOKS = ("transition_weights_batch", "edge_weights_batch")
+
 #: ``BatchStepContext`` members that expose per-walker, step-varying state.
 BATCH_STATE_ATTRS = frozenset(
     {"prev", "steps", "frontier", "walkers", "rng", "state", "stream", "scalar_context"}
@@ -56,6 +59,7 @@ BATCH_NODE_ONLY_ATTRS = frozenset(
         "warp_width",
         "transition_cache",
         "arena",
+        "node_aggregates",
         "size",
         "current",
         "edge_start",
@@ -175,9 +179,14 @@ def check_cache_safety(spec: WalkSpec, sources: SpecSources) -> CacheSafetyVerdi
     elif hook_overridden(spec, "transition_weights"):
         state_free = False  # overridden but unreadable — assume the worst
 
-    # Batch override: the engine's actual sampling path.
-    batch = sources.hook("transition_weights_batch")
-    if batch is not None:
+    # Batch overrides: the engine's actual sampling paths (full rows and
+    # on-demand single edges).
+    for name in BATCH_WEIGHT_HOOKS:
+        batch = sources.hook(name)
+        if batch is None:
+            if hook_overridden(spec, name):
+                state_free = False
+            continue
         uses = _state_uses(
             batch,
             _arg_name(batch, 2, "batch"),
@@ -191,15 +200,13 @@ def check_cache_safety(spec: WalkSpec, sources: SpecSources) -> CacheSafetyVerdi
                     out.add(
                         "cache-safety/batch-state-divergence",
                         Severity.ERROR,
-                        f"transition_weights_batch {reason} while get_weight is "
+                        f"{name} {reason} while get_weight is "
                         "state-free; the batched engine would be served stale "
                         "TransitionCache rows",
                         span=batch.span(node),
-                        hook="transition_weights_batch",
+                        hook=name,
                         fix_hint="make both paths agree: drop the state read or read it in get_weight too",
                     )
-    elif hook_overridden(spec, "transition_weights_batch"):
-        state_free = False
 
     # Update hooks: any per-step mutation voids the frozen-weights premise,
     # and an update_batch-only override dodges the runtime's update check.

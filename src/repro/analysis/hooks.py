@@ -34,6 +34,8 @@ BEHAVIOR_HOOKS: tuple[str, ...] = (
     "get_weight",
     "transition_weights",
     "transition_weights_batch",
+    "edge_weights_batch",
+    "weight_ceiling_batch",
     "static_transition_weights",
     "update",
     "update_batch",
@@ -49,6 +51,7 @@ WEIGHT_HOOKS: tuple[str, ...] = (
     "get_weight",
     "transition_weights",
     "transition_weights_batch",
+    "edge_weights_batch",
     "static_transition_weights",
 )
 

@@ -78,13 +78,14 @@ def preprocess_graph(
         max_agg = np.zeros(graph.num_nodes, dtype=np.float64)
         sum_agg = np.zeros(graph.num_nodes, dtype=np.float64)
         if graph.num_edges:
-            # reduceat on the CSR row starts gives one aggregate per node; rows
-            # of empty nodes would alias the next row, so they are masked out.
-            reduce_starts = np.minimum(starts, max(graph.num_edges - 1, 0))
-            max_all = np.maximum.reduceat(values, reduce_starts)
-            sum_all = np.add.reduceat(values, reduce_starts)
-            max_agg[nonempty] = max_all[nonempty]
-            sum_agg[nonempty] = sum_all[nonempty]
+            # reduceat on the non-empty rows' starts gives one aggregate per
+            # such node: empty rows between two starts add no elements, and
+            # the last segment runs to the end of the edge array.  (Clamping
+            # trailing empty rows' starts instead would cut the last edge off
+            # the last non-empty row.)
+            row_starts = starts[nonempty]
+            max_agg[nonempty] = np.maximum.reduceat(values, row_starts)
+            sum_agg[nonempty] = np.add.reduceat(values, row_starts)
         mean_agg = np.divide(sum_agg, degrees, out=np.zeros_like(sum_agg), where=nonempty)
         result.aggregates[f"{array}_max"] = max_agg
         result.aggregates[f"{array}_sum"] = sum_agg

@@ -266,6 +266,8 @@ def iter_supersteps(
         hint_tables = engine._node_hint_tables()
     cache = engine._transition_cache()
     arena = BufferArena()
+    preprocessed = engine.compiled.preprocessed if hints_available else None
+    node_aggregates = None if preprocessed is None else preprocessed.aggregates
 
     while True:
         if run is not None:
@@ -337,6 +339,7 @@ def iter_supersteps(
             warp_width=engine.warp_width,
             transition_cache=cache,
             arena=arena,
+            node_aggregates=node_aggregates,
         )
         samplers, assignment = engine.selector.select_batch(ctx)
 

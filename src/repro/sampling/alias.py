@@ -12,6 +12,8 @@ exactly preserves the target distribution.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.sampling.base import (
@@ -38,7 +40,10 @@ def build_alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if total <= 0:
         # Degenerate: caller must detect the all-zero case before sampling.
         return np.zeros(n), np.arange(n, dtype=np.int64)
-    scaled = weights * (n / total)
+    scale = n / float(total)
+    # A subnormal total overflows n / total to inf; dividing first keeps the
+    # normalised weights finite (normal totals keep the cheaper product).
+    scaled = weights * scale if math.isfinite(scale) else weights / total * n
     prob = np.zeros(n, dtype=np.float64)
     alias = np.zeros(n, dtype=np.int64)
     small = [i for i in range(n) if scaled[i] < 1.0]

@@ -232,6 +232,13 @@ class BatchStepContext:
         Optional per-run scratch-buffer arena; when present, the flattened
         segment arrays are built into recycled buffers instead of fresh
         allocations every superstep.
+    node_aggregates:
+        Flexi-Compiler's per-node preprocessing aggregates of the graph
+        (``"weights_max"``, ``"weights_sum"``, ... — see
+        :class:`~repro.compiler.preprocess.PreprocessResult`), when the
+        workload was compiled.  Spec hooks read per-node bounds from here
+        (e.g. Node2Vec's ``weight_ceiling_batch``) instead of re-reducing
+        rows every superstep.
     """
 
     graph: CSRGraph
@@ -246,6 +253,7 @@ class BatchStepContext:
     warp_width: int = WARP_SIZE
     transition_cache: TransitionCache | None = None
     arena: BufferArena | None = None
+    node_aggregates: dict[str, np.ndarray] | None = None
     _flat: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -444,4 +452,5 @@ class BatchStepContext:
             sum_hints=None if self.sum_hints is None else self.sum_hints[idx],
             warp_width=self.warp_width,
             transition_cache=self.transition_cache,
+            node_aggregates=self.node_aggregates,
         )

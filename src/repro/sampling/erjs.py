@@ -104,17 +104,20 @@ class EnhancedRejectionSampler(Sampler):
         the rest fall back to the scan + max-reduction path — per walker,
         exactly the branch the scalar kernel would have taken, with the same
         trial draws and the same charges.  Like the GPU kernel, the host
-        reads only the weights a trial probes when the transition cache
-        holds them (:func:`~repro.sampling.rejection.probe_weights`); the
-        scan walkers are charged their scan without a gather.
+        reads only the weights a trial probes: in place when the transition
+        cache holds them, and through the spec's ``edge_weights_batch`` for
+        walkers whose hint provably bounds their row (:meth:`_on_demand`);
+        only the remaining walkers gather their rows
+        (:func:`~repro.sampling.rejection.probe_weights`).  The scan walkers
+        are charged their scan without a gather.
         """
         degrees = batch.degrees
-        weights, bases, true_max = probe_weights(batch)
-
         hinted = np.zeros(batch.size, dtype=bool)
         if self.use_estimated_bound and batch.bound_hints is not None:
             hints = batch.bound_hints
             hinted = ~np.isnan(hints) & (hints > 0)
+        probe, true_max = probe_weights(batch, self._on_demand(batch, hinted))
+
         bounds = np.empty(batch.size, dtype=np.float64)
         hint_idx = np.nonzero(hinted)[0]
         if hint_idx.size:
@@ -135,20 +138,21 @@ class EnhancedRejectionSampler(Sampler):
             return out
         # Widen hint-violating bounds so correctness never depends on the
         # helper really being an upper bound (same rule as the scalar path).
+        # On-demand walkers' row maxima are unknown (-inf) but provably at
+        # most their hint, so their bound stays the hint.
         bounds = np.maximum(bounds, true_max)
 
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bases[alive], bounds[alive], max_trials[alive]
+            batch, alive, probe, bounds[alive], max_trials[alive]
         )
         for i in alive[choice[alive] < 0]:
-            lo, hi = int(bases[i]), int(bases[i] + degrees[i])
-            wslice = weights[lo:hi]
+            wslice = probe.row(i)
             total = float(wslice.sum())
             if total <= 0.0:
                 continue
-            degree = hi - lo
+            degree = wslice.size
             only = np.array([i])
             batch.charge("coalesced_accesses", degree, only)
             batch.charge("weight_computations", degree, only)
@@ -160,3 +164,21 @@ class EnhancedRejectionSampler(Sampler):
         picked = np.nonzero(choice >= 0)[0]
         out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
         return out
+
+    @staticmethod
+    def _on_demand(batch: BatchStepContext, hinted: np.ndarray) -> np.ndarray | None:
+        """Hinted walkers whose hint provably bounds every weight of their row.
+
+        A walker whose exact weight ceiling
+        (:meth:`~repro.walks.spec.WalkSpec.weight_ceiling_batch`) is at most
+        its hint has a true row maximum at most its hint, so the widened
+        bound ``max(hint, true max)`` is the hint itself: its trials need
+        only the candidates they probe.  ``None`` when the transition cache
+        already serves probes in place or the spec has no ceiling.
+        """
+        if batch.transition_cache is not None or not hinted.any():
+            return None
+        ceiling = batch.spec.weight_ceiling_batch(batch.graph, batch)
+        if ceiling is None:
+            return None
+        return hinted & (ceiling <= batch.bound_hints)

@@ -189,5 +189,5 @@ class EnhancedReservoirSampler(Sampler):
         batch.charge("reduction_elements", widths, live)
 
         choice = segment_argmax_first(log_keys, live_lengths)
-        out[live] = batch.neighbors_flat[batch.offsets[:-1][live] + choice]
+        out[live] = batch.graph.indices[batch.edge_start[live] + choice]
         return out

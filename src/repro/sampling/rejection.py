@@ -73,29 +73,98 @@ def run_rejection_trials(
     return None, trials_done
 
 
-def probe_weights(batch: BatchStepContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(weights, bases, row_max)`` for kernels that probe single weights.
+class WeightProbe:
+    """How the trial loop reads the weight of walker ``i``'s ``x``-th candidate.
 
-    Walker ``i``'s ``x``-th candidate weighs ``weights[bases[i] + x]``.  With
-    a :class:`~repro.sampling.transition_cache.TransitionCache` attached the
-    cache's edge array is probed in place (``bases`` are the walkers' CSR
-    row starts) and the row maxima come precomputed; otherwise the frontier's
-    flat weights are gathered once and reduced per segment.  No accounting:
-    callers charge what their modeled kernel reads.
+    Walker ``i`` reads ``weights[bases[i] + x]`` — the transition cache's
+    edge array probed in place, or the flat weights gathered for its row —
+    unless ``on_demand[i]``, in which case the spec's
+    :meth:`~repro.walks.spec.WalkSpec.edge_weights_batch` evaluates just the
+    probed candidates (on-demand eRJS).  The hook's values equal the full
+    row's bit for bit, so either read yields the same trials.  Walkers are
+    batch-local indices; nothing here is charged.
+    """
+
+    def __init__(
+        self,
+        batch: BatchStepContext,
+        weights: np.ndarray | None,
+        bases: np.ndarray,
+        on_demand: np.ndarray | None = None,
+    ) -> None:
+        self.batch = batch
+        self.weights = weights
+        self.bases = bases
+        self.on_demand = on_demand
+
+    def _evaluate(self, walkers: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        batch = self.batch
+        edges = batch.edge_start[walkers][:, None] + xs
+        weights = batch.spec.edge_weights_batch(
+            batch.graph, batch, np.repeat(walkers, xs.shape[1]), edges.ravel()
+        )
+        return weights.reshape(xs.shape)
+
+    def __call__(self, walkers: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Weights of candidates ``xs[r, :]`` of walker ``walkers[r]``."""
+        if self.on_demand is None:
+            return self.weights[self.bases[walkers][:, None] + xs]
+        lazy = self.on_demand[walkers]
+        if lazy.all():
+            return self._evaluate(walkers, xs)
+        out = np.empty(xs.shape, dtype=np.float64)
+        eager = ~lazy
+        out[eager] = self.weights[self.bases[walkers[eager]][:, None] + xs[eager]]
+        if lazy.any():
+            out[lazy] = self._evaluate(walkers[lazy], xs[lazy])
+        return out
+
+    def row(self, i: int) -> np.ndarray:
+        """Walker ``i``'s whole weight row (the inversion fallback)."""
+        degree = int(self.batch.degrees[i])
+        if self.on_demand is not None and self.on_demand[i]:
+            return self._evaluate(np.array([i]), np.arange(degree)[None, :])[0]
+        lo = int(self.bases[i])
+        return self.weights[lo:lo + degree]
+
+
+def probe_weights(
+    batch: BatchStepContext, on_demand: np.ndarray | None = None
+) -> tuple[WeightProbe, np.ndarray]:
+    """``(probe, row_max)`` for kernels that probe single weights.
+
+    With a :class:`~repro.sampling.transition_cache.TransitionCache`
+    attached every walker probes the cache's edge array in place and the
+    row maxima come precomputed.  Otherwise the flat weights of every
+    walker not flagged ``on_demand`` are gathered once and reduced per
+    segment; flagged walkers gather nothing, their row maximum is ``-inf``
+    (unknown) and the probe evaluates their candidates on demand.  No
+    accounting: callers charge what their modeled kernel reads.
     """
     cache = batch.transition_cache
     if cache is not None:
         weights, row_max = cache.weight_arrays(batch.current)
-        return weights, batch.edge_start, row_max
-    weights = batch.transition_weights()
-    return weights, batch.offsets[:-1], segment_max(weights, batch.degrees)
+        return WeightProbe(batch, weights, batch.edge_start), row_max
+    if on_demand is None or not on_demand.any():
+        weights = batch.transition_weights()
+        probe = WeightProbe(batch, weights, batch.offsets[:-1])
+        return probe, segment_max(weights, batch.degrees)
+    row_max = np.full(batch.size, -np.inf)
+    bases = np.zeros(batch.size, dtype=np.int64)
+    weights = None
+    eager = np.nonzero(~on_demand)[0]
+    if eager.size:
+        sub = batch.subset(eager)
+        weights = sub.transition_weights()
+        bases[eager] = sub.offsets[:-1]
+        row_max[eager] = segment_max(weights, sub.degrees)
+    return WeightProbe(batch, weights, bases, on_demand), row_max
 
 
 def run_rejection_trials_batch(
     batch: BatchStepContext,
     idx: np.ndarray,
-    weights: np.ndarray,
-    bases: np.ndarray,
+    probe: WeightProbe,
     bounds: np.ndarray,
     max_trials: np.ndarray,
 ) -> np.ndarray:
@@ -113,9 +182,8 @@ def run_rejection_trials_batch(
     ----------
     idx:
         Batch-local indices of the participating walkers.
-    weights / bases:
-        Walker ``idx[j]``'s ``x``-th candidate weighs ``weights[bases[j] +
-        x]`` (see :func:`probe_weights`).
+    probe:
+        Reads each probed candidate's weight (see :func:`probe_weights`).
     bounds / max_trials:
         Per-walker proposal bounds and trial budgets, parallel to ``idx``.
 
@@ -137,13 +205,13 @@ def run_rejection_trials_batch(
         block = block[runnable]
         if active.size == 0:
             break
-        streams = batch.rng.subset(idx[active])
+        slots = idx[active]
+        streams = batch.rng.subset(slots)
         starts = streams.reserve_flat(2 * block)
         hit, used, winners = _first_accepts(
             streams.mixed_keys, starts, block, degrees[active], bounds[active],
-            weights, bases[active],
+            probe, slots,
         )
-        slots = idx[active]
         batch.charge("rng_draws", 2 * used, slots)
         batch.charge("random_accesses", probe_words[active] * used, slots)
         batch.charge("weight_computations", used, slots)
@@ -160,16 +228,17 @@ def _first_accepts(
     block: np.ndarray,
     degrees: np.ndarray,
     bounds: np.ndarray,
-    weights: np.ndarray,
-    bases: np.ndarray,
+    probe: WeightProbe,
+    walkers: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of trials, evaluating only the draws a walker consumes.
 
-    Walker ``j`` owns counters ``starts[j] + [0, 2·block[j])``; its trial
-    ``t`` draws the candidate at ``starts[j] + t`` and the acceptance
-    uniform at ``starts[j] + block[j] + t``.  Trials run in growing chunks
-    (:data:`_TRIAL_CHUNKS`) over the walkers still undecided, so a walker
-    that accepts on its first trial costs two Philox evaluations instead of
+    Walker ``j`` (batch-local index ``walkers[j]``) owns counters
+    ``starts[j] + [0, 2·block[j])``; its trial ``t`` draws the candidate at
+    ``starts[j] + t`` and the acceptance uniform at ``starts[j] + block[j]
+    + t``.  Trials run in growing chunks (:data:`_TRIAL_CHUNKS`) over the
+    walkers still undecided, so a walker that accepts on its first trial
+    costs two Philox evaluations — and one weight probe — instead of
     ``2·block``.  Once the undecided walkers × remaining trials fall to
     :data:`_ONE_SHOT_CELLS`, the rest of the round runs in one chunk.
 
@@ -193,7 +262,7 @@ def _first_accepts(
             np.add(ctr[0], blk.astype(np.uint64)[:, None], out=ctr[1])
         u = philox_uniform_premixed(keys[pending][:, None], ctr)
         xs = np.floor(u[0] * degrees[pending][:, None]).astype(np.int64)
-        accept = u[1] * bounds[pending][:, None] <= weights[bases[pending][:, None] + xs]
+        accept = u[1] * bounds[pending][:, None] <= probe(walkers[pending], xs)
         if int(blk.min()) < t + width:
             # Trials past a walker's own (budget-shortened) block were never
             # reserved: they cannot accept.
@@ -257,7 +326,7 @@ class RejectionSampler(Sampler):
     def _sample_batch_nonempty(self, batch: BatchStepContext, out: np.ndarray) -> np.ndarray:
         """Frontier-wide baseline RJS: vectorised max reduction + trials."""
         degrees = batch.degrees
-        weights, bases, bounds = probe_weights(batch)
+        probe, bounds = probe_weights(batch)
         batch.charge_scan(coalesced=False)
         batch.charge("reduction_elements", degrees)
         alive = np.nonzero(bounds > 0)[0]
@@ -267,17 +336,16 @@ class RejectionSampler(Sampler):
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bases[alive], bounds[alive], max_trials[alive]
+            batch, alive, probe, bounds[alive], max_trials[alive]
         )
         # Trial-budget exhaustion: finish with a direct inversion per walker,
         # replaying the scalar fallback on the same weight slice and stream.
         for i in alive[choice[alive] < 0]:
-            lo, hi = int(bases[i]), int(bases[i] + degrees[i])
-            wslice = weights[lo:hi]
+            wslice = probe.row(i)
             total = float(wslice.sum())
             if total <= 0.0:
                 continue
-            degree = hi - lo
+            degree = wslice.size
             cdf = np.cumsum(wslice)
             batch.charge("prefix_sum_elements", degree, np.array([i]))
             u = batch.stream(i).uniform()

@@ -65,6 +65,8 @@ class Node2VecSpec(WalkSpec):
     name = "node2vec"
     is_dynamic = True
     default_walk_length = 80
+    #: Whether the property weight ``h`` multiplies the Eq. 2 factor.
+    weighted = True
 
     def __init__(self, a: float = 2.0, b: float = 0.5) -> None:
         if a <= 0 or b <= 0:
@@ -90,30 +92,72 @@ class Node2VecSpec(WalkSpec):
     # ------------------------------------------------------------------ #
     def transition_weights(self, graph: CSRGraph, state: WalkerState) -> np.ndarray:
         """Vectorised Eq. 2: classify every neighbour against ``prev_node``."""
-        h = graph.edge_weights(state.current_node).astype(np.float64)
-        if state.prev_node < 0:
-            return h.copy()
         neighbors = graph.neighbors(state.current_node)
-        prev_neighbors = graph.neighbors(state.prev_node)
-        w = np.full(neighbors.size, 1.0 / self.b, dtype=np.float64)
-        if prev_neighbors.size:
-            # Neighbour lists are sorted, so membership is a binary search.
-            pos = np.searchsorted(prev_neighbors, neighbors)
-            pos = np.clip(pos, 0, prev_neighbors.size - 1)
-            linked = prev_neighbors[pos] == neighbors
-            w[linked] = 1.0
-        w[neighbors == state.prev_node] = 1.0 / self.a
-        return w * h
+        if state.prev_node < 0:
+            w = np.ones(neighbors.size, dtype=np.float64)
+        else:
+            prev_neighbors = graph.neighbors(state.prev_node)
+            w = np.full(neighbors.size, 1.0 / self.b, dtype=np.float64)
+            if prev_neighbors.size:
+                # Neighbour lists are sorted, so membership is a binary search.
+                pos = np.searchsorted(prev_neighbors, neighbors)
+                pos = np.clip(pos, 0, prev_neighbors.size - 1)
+                linked = prev_neighbors[pos] == neighbors
+                w[linked] = 1.0
+            w[neighbors == state.prev_node] = 1.0 / self.a
+        if self.weighted:
+            w *= graph.edge_weights(state.current_node)
+        return w
 
     def transition_weights_batch(self, graph: CSRGraph, batch: BatchStepContext) -> np.ndarray:
-        """Frontier-wide Eq. 2: one segmented membership search for all walkers."""
-        h = graph.weights[batch.flat_edges].astype(np.float64)
-        has_prev, linked = _second_order_bias(graph, batch)
-        w = np.full(h.size, 1.0 / self.b, dtype=np.float64)
-        w[linked] = 1.0
-        w[has_prev & (batch.neighbors_flat == batch.prev[batch.seg_ids])] = 1.0 / self.a
+        """Frontier-wide Eq. 2: :meth:`edge_weights_batch` over every candidate."""
+        return self.edge_weights_batch(graph, batch, batch.seg_ids, batch.flat_edges)
+
+    def edge_weights_batch(
+        self,
+        graph: CSRGraph,
+        batch: BatchStepContext,
+        walkers: np.ndarray,
+        edges: np.ndarray,
+    ) -> np.ndarray:
+        """Eq. 2 for arbitrary ``(walker, edge)`` pairs — the one batched formula.
+
+        The ``dist(v', u) == 1`` test of every pair whose walker has a
+        previous node is one global binary search over the graph's sorted
+        edge keys (:meth:`~repro.graph.csr.CSRGraph.has_edges`).
+        """
+        prev = batch.prev[walkers]
+        post = graph.indices[edges]
+        has_prev = prev >= 0
+        w = np.full(edges.size, 1.0 / self.b, dtype=np.float64)
+        check = np.nonzero(has_prev)[0]
+        if check.size:
+            w[check[graph.has_edges(prev[check], post[check])]] = 1.0
+        w[has_prev & (post == prev)] = 1.0 / self.a
         w[~has_prev] = 1.0
-        return w * h
+        if self.weighted:
+            w *= graph.weights[edges]
+        return w
+
+    def weight_ceiling_batch(self, graph: CSRGraph, batch: BatchStepContext) -> np.ndarray | None:
+        """Exact ceiling: the largest Eq. 2 factor times the row's largest ``h``.
+
+        Uses the float operations of :meth:`edge_weights_batch` (a factor
+        times ``h``); rounding is monotone, so ``factor · h <= factor ·
+        max h`` holds exactly.  The row maximum of ``h`` is the compiler's
+        per-node ``weights_max`` aggregate; without it there is no ceiling.
+        """
+        if not self.weighted:
+            h_max = np.ones(batch.size, dtype=np.float64)
+        else:
+            aggregates = batch.node_aggregates
+            if aggregates is None or "weights_max" not in aggregates:
+                return None
+            h_max = aggregates["weights_max"][batch.current]
+        ceiling = (1.0 / self.b) * h_max
+        np.maximum(ceiling, 1.0 * h_max, out=ceiling)
+        np.maximum(ceiling, (1.0 / self.a) * h_max, out=ceiling)
+        return ceiling
 
     # ------------------------------------------------------------------ #
     # Simulator cost hooks: the dist(v', u) check is a membership probe.
@@ -155,6 +199,7 @@ class UnweightedNode2VecSpec(Node2VecSpec):
     """
 
     name = "node2vec_unweighted"
+    weighted = False
 
     # ------------------------------------------------------------------ #
     # User code analysed by Flexi-Compiler: note no graph.weights[edge] read.
@@ -168,25 +213,3 @@ class UnweightedNode2VecSpec(Node2VecSpec):
         if not graph.has_edge(state.prev_node, post):
             return 1.0 / self.b
         return 1.0
-
-    def transition_weights(self, graph: CSRGraph, state: WalkerState) -> np.ndarray:
-        neighbors = graph.neighbors(state.current_node)
-        if state.prev_node < 0:
-            return np.ones(neighbors.size, dtype=np.float64)
-        prev_neighbors = graph.neighbors(state.prev_node)
-        w = np.full(neighbors.size, 1.0 / self.b, dtype=np.float64)
-        if prev_neighbors.size:
-            pos = np.searchsorted(prev_neighbors, neighbors)
-            pos = np.clip(pos, 0, prev_neighbors.size - 1)
-            linked = prev_neighbors[pos] == neighbors
-            w[linked] = 1.0
-        w[neighbors == state.prev_node] = 1.0 / self.a
-        return w
-
-    def transition_weights_batch(self, graph: CSRGraph, batch: BatchStepContext) -> np.ndarray:
-        has_prev, linked = _second_order_bias(graph, batch)
-        w = np.full(batch.neighbors_flat.size, 1.0 / self.b, dtype=np.float64)
-        w[linked] = 1.0
-        w[has_prev & (batch.neighbors_flat == batch.prev[batch.seg_ids])] = 1.0 / self.a
-        w[~has_prev] = 1.0
-        return w

@@ -18,6 +18,21 @@ vectorised implementation that returns the weights of every out-edge of the
 current node at once; the default implementation simply loops over
 ``get_weight``.  Both paths must agree — the test suite checks this for every
 built-in workload.
+
+Two optional batched hooks let eRJS read only the candidates its trials
+probe instead of every weight of a walker's row:
+
+* ``weight_ceiling_batch`` — a per-walker upper bound on every weight
+  ``transition_weights_batch`` can return for that walker's row.  It is an
+  *exact float* bound (``weight <= ceiling`` with no tolerance), so a walker
+  whose compiler hint is at or above it provably samples against the hint.
+* ``edge_weights_batch`` — the weights of arbitrary ``(walker, edge)``
+  pairs, equal *bit for bit* to the matching entries of
+  ``transition_weights_batch``.
+
+Together they keep an on-demand walker's path, counters and simulated time
+identical to the full-row kernel's.  The default ceiling ``None`` keeps a
+spec on the full-row path.
 """
 
 from __future__ import annotations
@@ -105,6 +120,44 @@ class WalkSpec(ABC):
             self.transition_weights(graph, batch.state(i)) for i in range(batch.size)
         ]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float64)
+
+    def edge_weights_batch(
+        self,
+        graph: CSRGraph,
+        batch: BatchStepContext,
+        walkers: np.ndarray,
+        edges: np.ndarray,
+    ) -> np.ndarray:
+        """Weights of arbitrary ``(walker, candidate edge)`` pairs.
+
+        ``walkers`` holds batch-local walker indices and ``edges``, parallel
+        to it, global indices of edges out of those walkers' current nodes.
+        Each returned weight must equal, bit for bit, the entry
+        :meth:`transition_weights_batch` returns for the same walker and
+        edge: on-demand eRJS evaluates only the candidates its trials probe
+        through this hook and must sample exactly what the full-row path
+        samples.  The default meets the contract by construction — it
+        computes the rows of the walkers involved and picks the entries —
+        so an override pays off only when it evaluates single edges.
+        """
+        rows, local = np.unique(walkers, return_inverse=True)
+        sub = batch.subset(rows)
+        weights = self.transition_weights_batch(graph, sub)
+        return weights[sub.offsets[local] + (edges - sub.edge_start[local])]
+
+    def weight_ceiling_batch(self, graph: CSRGraph, batch: BatchStepContext) -> np.ndarray | None:
+        """Per-walker upper bound on every weight of the walker's row.
+
+        Returns one ``float64`` per walker such that every weight
+        :meth:`transition_weights_batch` returns in walker ``i``'s segment
+        is ``<= ceiling[i]`` as compared in floating point — an exact bound,
+        not one that holds up to rounding.  A hinted eRJS walker whose
+        ceiling is at most its hint samples against the hint without the
+        full row, probing candidates through :meth:`edge_weights_batch`.
+        The default ``None`` (no ceiling) keeps every walker on the full-row
+        path.
+        """
+        return None
 
     def static_transition_weights(self, graph: CSRGraph) -> np.ndarray | None:
         """Full-edge transition weights, for state-free workloads only.

@@ -46,6 +46,18 @@ class WallClockSpec(WalkSpec):
         return graph.weights[edge] * (time.time() % 1.0)  # MARK: wall-clock
 
 
+class ClockCeilingSpec(WalkSpec):
+    """determinism/wall-clock in the weight-ceiling hook, not get_weight."""
+
+    name = "fixture_clock_ceiling"
+
+    def get_weight(self, graph, state, edge):
+        return graph.weights[edge]
+
+    def weight_ceiling_batch(self, graph, batch):
+        return np.full(batch.size, time.monotonic())  # MARK: clock-ceiling
+
+
 class IdentitySpec(WalkSpec):
     """determinism/object-identity (ERROR): id() is a process address."""
 
@@ -101,6 +113,20 @@ class StatefulBatchSpec(WalkSpec):
     def transition_weights_batch(self, graph, batch):
         w = graph.weights[batch.flat_edges].astype(np.float64)
         w[batch.neighbors_flat == batch.prev[batch.seg_ids]] *= 10.0  # MARK: batch-state
+        return w
+
+
+class StatefulEdgeWeightsSpec(WalkSpec):
+    """cache-safety/batch-state-divergence through the on-demand edge hook."""
+
+    name = "fixture_stateful_edge_weights"
+
+    def get_weight(self, graph, state, edge):
+        return graph.weights[edge]
+
+    def edge_weights_batch(self, graph, batch, walkers, edges):
+        w = graph.weights[edges].astype(np.float64)
+        w[graph.indices[edges] == batch.prev[walkers]] *= 10.0  # MARK: edge-state
         return w
 
 

@@ -81,6 +81,13 @@ class TestDeterminismRules:
         assert diag.severity is Severity.ERROR
         assert diag.span.line == mark_line("wall-clock")
 
+    def test_wall_clock_in_weight_ceiling_flagged(self):
+        report = verify_spec(fx.ClockCeilingSpec())
+        diag = only_diag(report, "determinism/wall-clock")
+        assert diag.severity is Severity.ERROR
+        assert diag.hook == "weight_ceiling_batch"
+        assert diag.span.line == mark_line("clock-ceiling")
+
     def test_id_is_error_hash_is_warning(self):
         id_diag = only_diag(verify_spec(fx.IdentitySpec()), "determinism/object-identity")
         assert id_diag.severity is Severity.ERROR
@@ -120,6 +127,14 @@ class TestCacheSafetyRules:
         assert diag.severity is Severity.ERROR
         assert diag.hook == "transition_weights_batch"
         assert diag.span.line == mark_line("batch-state")
+        assert not report.weights_state_free
+
+    def test_edge_weights_override_divergence(self):
+        report = verify_spec(fx.StatefulEdgeWeightsSpec())
+        diag = only_diag(report, "cache-safety/batch-state-divergence")
+        assert diag.severity is Severity.ERROR
+        assert diag.hook == "edge_weights_batch"
+        assert diag.span.line == mark_line("edge-state")
         assert not report.weights_state_free
 
     def test_vector_override_divergence(self):

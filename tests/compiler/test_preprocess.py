@@ -40,6 +40,17 @@ class TestAggregates:
         assert pre.node_sum("weights", 2) == 0.0
         assert pre.node_mean("weights", 2) == 0.0
 
+    def test_last_row_before_trailing_empty_rows_is_whole(self):
+        # Node 1's row is the last non-empty one; nodes 2 and 3 have no
+        # out-edges, so its segment must run to the end of the edge array.
+        graph = from_edge_list(
+            [(0, 1), (1, 0), (1, 2)], num_nodes=4, weights=[1.0, 2.0, 7.0]
+        )
+        pre = preprocess_graph(graph)
+        assert pre.node_max("weights", 1) == 7.0
+        assert pre.node_sum("weights", 1) == 9.0
+        assert pre.node_max("weights", 3) == 0.0
+
     def test_label_aggregation(self, graph):
         pre = preprocess_graph(graph, arrays=("weights", "labels"))
         assert pre.has_array("labels")

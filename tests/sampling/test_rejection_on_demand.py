@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.generator import compile_workload
+from repro.compiler.preprocess import preprocess_graph
 from repro.graph.builders import from_edge_list
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.rng.streams import StreamPool
@@ -26,6 +27,7 @@ from repro.sampling.erjs import EnhancedRejectionSampler
 from repro.sampling.rejection import _TRIAL_BATCH, _TRIAL_CHUNKS, RejectionSampler
 from repro.sampling.transition_cache import TransitionCache
 from repro.walks.deepwalk import DeepWalkSpec
+from repro.walks.node2vec import Node2VecSpec
 from repro.walks.state import WalkerFrontier, WalkerState, WalkQuery
 
 HUB_DEGREE = 64
@@ -55,15 +57,17 @@ def start_node(qid) -> int:
     return SMALL_HUB if int(qid) % 2 else 0
 
 
-def run_scalar(graph, sampler, hints, query_ids, seed):
-    spec = DeepWalkSpec()
+def run_scalar(graph, sampler, hints, query_ids, seed, spec=None, prev=None):
+    spec = spec or DeepWalkSpec()
+    prev = np.full(len(query_ids), -1) if prev is None else prev
     pool = StreamPool(seed)
     choices, counters = [], []
-    for qid, hint in zip(query_ids, hints, strict=True):
+    for qid, hint, before in zip(query_ids, hints, prev, strict=True):
         start = start_node(qid)
         query = WalkQuery(query_id=int(qid), start_node=start, max_length=4)
+        state = WalkerState(query=query, current_node=start, prev_node=int(before))
         ctx = StepContext(
-            graph=graph, state=WalkerState(query=query, current_node=start), spec=spec,
+            graph=graph, state=state, spec=spec,
             rng=pool.stream(int(qid)), counters=CostCounters(),
             bound_hint=None if np.isnan(hint) else float(hint),
         )
@@ -73,17 +77,21 @@ def run_scalar(graph, sampler, hints, query_ids, seed):
     return np.array(choices), counters, pool
 
 
-def run_batched(graph, sampler, hints, query_ids, seed, cached):
-    spec = DeepWalkSpec()
+def run_batched(graph, sampler, hints, query_ids, seed, cached, spec=None, prev=None):
+    spec = spec or DeepWalkSpec()
     pool = StreamPool(seed)
     queries = [WalkQuery(query_id=int(q), start_node=start_node(q), max_length=4)
                for q in query_ids]
     n = len(queries)
+    frontier = WalkerFrontier(queries)
+    if prev is not None:
+        frontier.prev[:] = prev
     batch = BatchStepContext(
-        graph=graph, spec=spec, frontier=WalkerFrontier(queries), walkers=np.arange(n),
+        graph=graph, spec=spec, frontier=frontier, walkers=np.arange(n),
         rng=pool.batch([int(q) for q in query_ids]), counters=CounterBatch(n),
         slots=np.arange(n), bound_hints=np.asarray(hints, dtype=np.float64),
         transition_cache=TransitionCache(graph, spec) if cached else None,
+        node_aggregates=preprocess_graph(graph).aggregates,
     )
     return sampler.sample_batch(batch), batch.counters, pool
 
@@ -140,6 +148,89 @@ def test_batched_trials_match_scalar_oracle(case, cached):
     assert trials.max() > 2 * _TRIAL_BATCH
     assert (b_counters.prefix_sum_elements > 0).any()
     assert (trials < trials.max()).any()
+
+
+class RowSpyNode2Vec(Node2VecSpec):
+    """Node2Vec whose full-row hook refuses the walkers meant to go on demand."""
+
+    def __init__(self, on_demand):
+        super().__init__(a=2.0, b=0.5)
+        self.on_demand = on_demand
+        self.full_rows = []
+
+    def transition_weights_batch(self, graph, batch):
+        if np.isin(batch.walkers, self.on_demand).any():
+            raise AssertionError("an on-demand walker gathered its whole row")
+        self.full_rows.extend(batch.walkers.tolist())
+        return super().transition_weights_batch(graph, batch)
+
+
+def test_node2vec_on_demand_matches_scalar_oracle():
+    """One uncached Node2Vec superstep mixing every eRJS branch.
+
+    Group 0 takes its first step (no previous node) with a hint equal to
+    the ceiling; group 1 has a previous leaf and a loose hint (4x the
+    ceiling); both go on demand.  Group 2's user bound sits below the
+    ceiling, so it gathers its row and widens; group 3 has no hint and
+    scans.  The 40-trial budget sends many on-demand walkers to the
+    inversion fallback.
+    """
+    graph = skewed_hub_graph()
+    n = 240
+    query_ids = np.arange(n) * 3 + 1
+    group = np.arange(n) % 4
+    prev = np.where(group == 0, -1, 1 + np.arange(n) % SMALL_HUB_DEGREE)
+    ceiling = 2.0 * HEAVY  # the 1/b factor times the heavy edge, on both hubs
+    hints = np.select([group == 0, group == 1, group == 2], [ceiling, 4 * ceiling, 10.0], np.nan)
+    on_demand = np.nonzero(group <= 1)[0]
+    kwargs = {"min_trials": 40, "max_trial_factor": 0}
+    seed = 13
+
+    s_choice, s_counters, s_pool = run_scalar(
+        graph, EnhancedRejectionSampler(**kwargs), hints, query_ids, seed,
+        spec=Node2VecSpec(a=2.0, b=0.5), prev=prev,
+    )
+    spy = RowSpyNode2Vec(on_demand)
+    b_nodes, b_counters, b_pool = run_batched(
+        graph, EnhancedRejectionSampler(**kwargs), hints, query_ids, seed, cached=False,
+        spec=spy, prev=prev,
+    )
+
+    assert np.array_equal(b_nodes, s_choice)
+    for name in CostCounters._COUNT_FIELDS:
+        expected = [getattr(c, name) for c in s_counters]
+        assert getattr(b_counters, name).tolist() == expected, name
+    for b_arr, s_arr in zip(b_pool.snapshot_counters(), s_pool.snapshot_counters(), strict=True):
+        assert np.array_equal(b_arr, s_arr)
+
+    # Only the widening and scanning walkers gathered rows.
+    assert sorted(spy.full_rows) == np.nonzero(group >= 2)[0].tolist()
+    # On-demand walkers both accepted by trial and fell back to inversion.
+    fallback = b_counters.prefix_sum_elements[on_demand] > 0
+    assert fallback.any() and not fallback.all()
+    assert (b_counters.rejection_trials[on_demand] > 0).all()
+
+
+def test_node2vec_engine_runs_match_scalar_oracle():
+    """Compiled Node2Vec through the batched driver: hint tables, the
+    compiler's aggregates and on-demand eRJS together, against the oracle."""
+    graph = skewed_hub_graph()
+    spec = Node2VecSpec(a=2.0, b=0.5)
+    compiled = compile_workload(spec, graph)
+    queries = [WalkQuery(query_id=q, start_node=start_node(q), max_length=9)
+               for q in range(120)]
+    results = {}
+    for mode in ("scalar", "batched"):
+        engine = WalkEngine(
+            graph=graph, spec=spec, compiled=compiled, seed=5, execution=mode,
+            selector=FixedSelector(EnhancedRejectionSampler(min_trials=0, max_trial_factor=1)),
+        )
+        results[mode] = engine.run(queries)
+    scalar, batched = results["scalar"], results["batched"]
+    assert batched.paths == scalar.paths
+    assert batched.counters.as_dict() == scalar.counters.as_dict()
+    assert np.array_equal(batched.per_query_ns, scalar.per_query_ns)
+    assert batched.counters.prefix_sum_elements > 0
 
 
 def test_trial_chunks_cover_one_block():
