@@ -32,7 +32,7 @@ from repro.analysis.diagnostics import SpecReport
 from repro.analysis.verify import verify_spec
 from repro.compiler.analyzer import AnalysisResult, analyze_get_weight
 from repro.compiler.flags import BoundGranularity
-from repro.compiler.preprocess import PreprocessResult, preprocess_graph
+from repro.compiler.preprocess import PreprocessResult, preprocess_graph, preprocess_rows
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec
 from repro.walks.spec import WalkSpec
@@ -400,22 +400,94 @@ class CompiledWorkload:
                 sums[j] = total
         return bounds, sums
 
+    def rebind(
+        self,
+        graph: CSRGraph,
+        touched_nodes: np.ndarray,
+        device: DeviceSpec | None = None,
+    ) -> CompiledWorkload:
+        """This workload's bundle for the next graph version.
+
+        Follows a graph delta the way the hint tables do: the
+        graph-independent parts (analysis, verifier verdict, helpers) are
+        shared, and only the ``touched_nodes`` rows of the preprocessed
+        aggregates are recomputed (see
+        :func:`~repro.compiler.preprocess.preprocess_rows`).  The result
+        equals ``compile_workload(self.spec, graph, device)`` exactly, and
+        this bundle is left untouched for sessions still on the old version.
+        """
+        preprocessed = self.preprocessed
+        if preprocessed is not None:
+            preprocessed = preprocess_rows(preprocessed, graph, touched_nodes, device=device)
+        return CompiledWorkload(
+            spec=self.spec,
+            analysis=self.analysis,
+            helpers=self.helpers,
+            preprocessed=preprocessed,
+            report=self.report,
+        )
+
+
+@dataclass(frozen=True)
+class WorkloadFrontEnd:
+    """The graph-independent half of a compile, reusable across graphs.
+
+    The analysis, the whole-spec verifier verdict and the generated helpers
+    depend only on the spec's code and hyperparameters, never on the graph.
+    A long-lived service therefore computes them once per structural spec
+    key and binds them to each graph with :func:`compile_workload`.
+    """
+
+    analysis: AnalysisResult
+    report: SpecReport
+    helpers: GeneratedHelpers | None
+    #: Edge-indexed arrays the return values depend on: the ones
+    #: ``preprocess()`` aggregates per node.
+    preprocess_arrays: tuple[str, ...]
+
+
+def analyze_workload(spec: WalkSpec) -> WorkloadFrontEnd:
+    """Run the graph-independent compile stages: analysis, verify, codegen."""
+    analysis = analyze_get_weight(spec)
+    report = verify_spec(spec)
+    if not analysis.supported:
+        return WorkloadFrontEnd(analysis=analysis, report=report, helpers=None,
+                                preprocess_arrays=())
+    preprocess_arrays = tuple(
+        dict.fromkeys(
+            var.source_array
+            for var in analysis.edge_indexed
+            for deps in analysis.return_dependencies
+            if var.name in deps
+        )
+    )
+    return WorkloadFrontEnd(
+        analysis=analysis,
+        report=report,
+        helpers=GeneratedHelpers(spec=spec, analysis=analysis),
+        preprocess_arrays=preprocess_arrays,
+    )
+
 
 def compile_workload(
     spec: WalkSpec,
     graph: CSRGraph,
     device: DeviceSpec | None = None,
+    front: WorkloadFrontEnd | None = None,
 ) -> CompiledWorkload:
     """Run the full Flexi-Compiler pipeline for one workload on one graph.
 
     On success the returned bundle carries helper callables and preprocessed
     per-node aggregates; when the analysis finds unsupported constructs a
     :class:`CompilerWarning` is emitted and the bundle reports
-    ``supported = False`` so the runtime uses eRVS exclusively.
+    ``supported = False`` so the runtime uses eRVS exclusively.  ``front``
+    supplies the graph-independent stages from an earlier
+    :func:`analyze_workload` of an equivalent spec instead of re-running them.
     """
-    analysis = analyze_get_weight(spec)
-    report = verify_spec(spec)
-    if not analysis.supported:
+    if front is None:
+        front = analyze_workload(spec)
+    analysis = front.analysis
+    if front.helpers is None:
         warnings.warn(
             "Flexi-Compiler could not specialise "
             f"{type(spec).__name__}.get_weight ({'; '.join(analysis.warnings)}); "
@@ -424,28 +496,13 @@ def compile_workload(
             stacklevel=2,
         )
         return CompiledWorkload(
-            spec=spec, analysis=analysis, helpers=None, preprocessed=None, report=report
+            spec=spec, analysis=analysis, helpers=None, preprocessed=None, report=front.report
         )
-
-    needed_arrays = tuple(
-        dict.fromkeys(
-            var.source_array
-            for var, deps in (
-                (v, d)
-                for v in analysis.edge_indexed
-                for d in analysis.return_dependencies
-                if v.name in d
-            )
-        )
-    )
-    preprocessed = (
-        preprocess_graph(graph, arrays=needed_arrays, device=device) if needed_arrays else None
-    )
-    helpers = GeneratedHelpers(spec=spec, analysis=analysis)
+    arrays = front.preprocess_arrays
     return CompiledWorkload(
         spec=spec,
         analysis=analysis,
-        helpers=helpers,
-        preprocessed=preprocessed,
-        report=report,
+        helpers=front.helpers,
+        preprocessed=preprocess_graph(graph, arrays=arrays, device=device) if arrays else None,
+        report=front.report,
     )

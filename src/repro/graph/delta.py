@@ -17,11 +17,13 @@ CSR immutable and layers an append-only **edge delta** on top:
   surviving base CSR segment of each node merged with its sorted delta
   segment, one ``lexsort`` for a whole node batch.
 * :meth:`DeltaCSRGraph.compact` folds the deltas into a fresh
-  :class:`~repro.graph.csr.CSRGraph` that is **bit-identical** to building
-  that graph from scratch with
-  :func:`~repro.graph.builders.from_edge_list` — the invariant the dynamic
-  scenario family asserts: walks after compaction match walks on a freshly
-  built graph exactly (paths, counters, per-query times).
+  :class:`~repro.graph.csr.CSRGraph` by **splicing** the already-sorted
+  cumulative overlay into the base arrays: no sort, one gather per output
+  array, O(E) copying plus O(|overlay| log E) searching.  The result is
+  **bit-identical** to building that graph from scratch with
+  :func:`~repro.graph.builders.from_edge_list`.  This is the invariant the
+  dynamic scenario family asserts: walks after compaction match walks on a
+  freshly built graph exactly (paths, counters, per-query times).
 
 Each ``apply_delta`` also records the **touched-node set** (nodes whose
 out-adjacency changed), which is what the versioned invalidation layer
@@ -243,8 +245,13 @@ class DeltaCSRGraph:
         )
         if add_w.shape != (add.shape[0],):
             raise GraphError("delta weights must be parallel to the additions")
-        if np.any(add_w < 0):
-            raise GraphError("edge property weights must be non-negative")
+        bad_w = ~(np.isfinite(add_w) & (add_w >= 0))
+        if np.any(bad_w):
+            j = int(np.argmax(bad_w))
+            raise GraphError(
+                f"edge ({int(add[j, 0])}, {int(add[j, 1])}) has weight {add_w[j]!r}; "
+                "edge property weights must be finite and non-negative"
+            )
         if self.has_labels:
             if labels is None and add.shape[0]:
                 raise GraphError("labeled graphs need labels for every added edge")
@@ -461,9 +468,9 @@ class DeltaCSRGraph:
 
         The canonical enumeration: edges in compacted (src, dst) order, so
         ``from_edge_list(*self.edge_list())`` builds exactly the graph
-        :meth:`compact` produces.
+        :meth:`compact` produces.  Reads the cached :meth:`snapshot`.
         """
-        compacted = self.compact()
+        compacted = self.snapshot()
         sources = np.repeat(
             np.arange(compacted.num_nodes, dtype=np.int64), compacted.degrees()
         )
@@ -475,39 +482,61 @@ class DeltaCSRGraph:
     def compact(self) -> CSRGraph:
         """Fold the deltas into a fresh CSR, bit-identical to a fresh build.
 
-        The merge is one vectorised pass: surviving base edges and delta
-        edges are concatenated and stably sorted by (src, dst) — the same
-        order :func:`~repro.graph.builders.from_edge_list` produces for the
-        same edge multiset (parallel base copies keep their base-relative
-        order through the stable sort), so ``indptr``/``indices``/
-        ``weights``/``labels`` come out bit-identical to building the graph
-        from scratch at this version.
+        One splice of the cumulative overlay into the base, with no sort:
+        the surviving base edges keep their order (parallel copies
+        included), and each addition lands at the ``searchsorted`` position
+        of its key among the surviving base keys.  That is exactly the
+        (src, dst) order :func:`~repro.graph.builders.from_edge_list`
+        produces for the same edge multiset, because overlay keys are
+        unique and never equal a surviving base key (an addition must be
+        absent from its version, and a removal drops every parallel copy).
+        So ``indptr``/``indices``/``weights``/``labels`` come out
+        bit-identical to building the graph from scratch at this version,
+        and the spliced key array becomes the new CSR's edge-key cache.
         """
         base = self.base
-        if self._removed_pos.size == 0 and self._add_src.size == 0:
+        removed = self._removed_pos
+        add_keys = self._add_keys
+        if removed.size == 0 and add_keys.size == 0:
             return base
-        keep = np.ones(base.num_edges, dtype=bool)
-        keep[self._removed_pos] = False
-        base_src = np.repeat(np.arange(base.num_nodes, dtype=np.int64), base.degrees())
+        base_keys = base._edge_keys()
+        num_edges = self.num_edges
+        # Rank of each addition among the surviving base keys, then its
+        # output slot (earlier additions sit in front of it too).
+        first = np.searchsorted(base_keys, add_keys)
+        rank = first - np.searchsorted(removed, first)
+        add_slots = rank + np.arange(add_keys.size, dtype=np.int64)
+        # gather[k]: the base position output slot k copies.  Walking the
+        # slots in order, it advances by one per base slot plus one per
+        # removed position skipped just before that slot; addition slots do
+        # not advance it (they are overwritten below).  The survivor right
+        # after the i-th removed position r is survivor r - i, and its slot
+        # lies behind every addition ranked at or before it.
+        gather = np.ones(num_edges, dtype=np.int64)
+        gather[add_slots] = 0
+        after = removed - np.arange(removed.size, dtype=np.int64)
+        after = after[after < base.num_edges - removed.size]
+        np.add.at(gather, after + np.searchsorted(rank, after, side="right"), 1)
+        np.cumsum(gather, out=gather)
+        gather -= 1
 
-        src = np.concatenate([base_src[keep], self._add_src])
-        dst = np.concatenate([base.indices[keep], self._add_dst])
-        w = np.concatenate([base.weights[keep], self._add_w])
-        lbl = (
-            np.concatenate([base.labels[keep], self._add_lbl])
-            if base.labels is not None
-            else None
-        )
-        order = np.lexsort((dst, src))
+        def splice(base_values: np.ndarray, add_values: np.ndarray) -> np.ndarray:
+            out = np.empty(num_edges, dtype=base_values.dtype)
+            if base_values.size:
+                # Addition slots before the first base slot hold -1: clip it.
+                np.take(base_values, gather, out=out, mode="clip")
+            out[add_slots] = add_values
+            return out
+
         indptr = np.zeros(base.num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(self.degrees(), out=indptr[1:])
         return CSRGraph(
             indptr=indptr,
-            indices=dst[order],
-            weights=w[order],
-            labels=None if lbl is None else lbl[order],
+            indices=splice(base.indices, self._add_dst),
+            weights=splice(base.weights, self._add_w),
+            labels=None if base.labels is None else splice(base.labels, self._add_lbl),
             name=base.name,
+            _edge_key_cache=splice(base_keys, add_keys),
         )
 
     def snapshot(self) -> CSRGraph:

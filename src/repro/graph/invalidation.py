@@ -24,9 +24,11 @@ executed.  Per structure:
   (including the arrays themselves) keep their identity.  The compiled
   workload is swapped for the new version's (its preprocessed per-node
   aggregates are graph-derived).
-* **CSRGraph topology caches** — repaired incrementally on the new snapshot:
-  the in-degree cache by two bincounts over the delta endpoints, the sorted
-  edge-key cache by a vectorised delete/insert of the removed/added keys.
+* **CSRGraph topology caches** — the in-degree cache is repaired
+  incrementally on the new snapshot by two bincounts over the delta
+  endpoints; the sorted edge-key cache needs no repair, because
+  :meth:`~repro.graph.delta.DeltaCSRGraph.compact` splices it alongside the
+  edge arrays and hands it to the snapshot.
 * **ShardedCSRGraph** — re-owns only touched nodes: the owner map is kept
   (delta edges are attributed to the current owners), shards owning no
   touched node are reused *by object identity*, and only affected shards are
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.delta import DeltaCSRGraph, _intra_offsets
+from repro.graph.delta import DeltaCSRGraph
 
 __all__ = ["DeltaInvalidation", "graph_version", "invalidation_for", "repair_csr_caches"]
 
@@ -125,38 +127,14 @@ def repair_in_degree_cache(
     new._in_degree_cache = degrees
 
 
-def repair_edge_key_cache(
-    old: CSRGraph, new: CSRGraph, record: DeltaInvalidation
-) -> None:
-    """Incremental sorted-edge-key repair: vectorised delete + insert.
-
-    The old cache holds every edge's ``src * n + dst`` key globally sorted;
-    removing a pair deletes all its parallel copies (the overlay's removal
-    semantics) and additions splice in at their searchsorted positions, so
-    the repaired array equals a from-scratch rebuild without the O(E) repeat
-    over the new topology.  No-op when the old cache was never built.
-    """
-    if old._edge_key_cache is None:
-        return
-    keys = old._edge_key_cache
-    n = np.int64(new.num_nodes)
-    if record.removed.size:
-        removed_keys = np.sort(record.removed[:, 0] * n + record.removed[:, 1])
-        lo = np.searchsorted(keys, removed_keys, side="left")
-        hi = np.searchsorted(keys, removed_keys, side="right")
-        counts = hi - lo
-        positions = np.repeat(lo, counts) + _intra_offsets(counts)
-        keys = np.delete(keys, positions)
-    if record.added.size:
-        added_keys = np.sort(record.added[:, 0] * n + record.added[:, 1])
-        keys = np.insert(keys, np.searchsorted(keys, added_keys), added_keys)
-    new._edge_key_cache = keys
-
-
 def repair_csr_caches(old: CSRGraph, new: CSRGraph, record: DeltaInvalidation) -> None:
-    """Run every CSR-level cache contract for one old → new snapshot pair."""
+    """Run every CSR-level cache contract for one old → new snapshot pair.
+
+    Only the in-degree cache needs repairing: the sorted edge-key cache
+    arrives with the snapshot, spliced by
+    :meth:`~repro.graph.delta.DeltaCSRGraph.compact` alongside the edges.
+    """
     repair_in_degree_cache(old, new, record)
-    repair_edge_key_cache(old, new, record)
 
 
 # ---------------------------------------------------------------------- #

@@ -58,6 +58,32 @@ def _sample_nodes(graph: CSRGraph, node_fraction: float, max_nodes: int, seed: i
     return np.sort(rng.choice(candidates, size=min(target, candidates.size), replace=False))
 
 
+def profile_unchanged(
+    old_graph: CSRGraph,
+    new_graph: CSRGraph,
+    touched_nodes: np.ndarray,
+    node_fraction: float = 0.02,
+    max_nodes: int = 64,
+    seed: int = 0,
+) -> bool:
+    """True when a delta provably leaves :func:`profile_edge_costs` unchanged.
+
+    Sound only for workloads whose transition weights are a pure function
+    of the edge (:attr:`~repro.compiler.generator.CompiledWorkload.weights_node_only`):
+    the profiling kernels then read nothing but each sampled node's own row
+    and the row of its history node (its first neighbour).  Both graphs
+    sample the same nodes when no touched node's degree crossed zero — the
+    candidate set, and with it the seeded draw, is unchanged — so the result
+    is bit-identical when none of the rows read was touched.
+    """
+    touched = np.asarray(touched_nodes, dtype=np.int64)
+    if np.any((old_graph.degrees()[touched] > 0) != (new_graph.degrees()[touched] > 0)):
+        return False
+    nodes = _sample_nodes(new_graph, node_fraction, max_nodes, seed)
+    history = new_graph.indices[new_graph.indptr[nodes]]
+    return not np.any(np.isin(np.concatenate([nodes, history]), touched))
+
+
 def profile_edge_costs(
     graph: CSRGraph,
     spec: WalkSpec,

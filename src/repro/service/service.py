@@ -31,7 +31,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compiler.generator import CompiledWorkload, compile_workload
+from repro.compiler.generator import (
+    CompiledWorkload,
+    WorkloadFrontEnd,
+    analyze_workload,
+    compile_workload,
+)
 from repro.core.config import FlexiWalkerConfig
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
@@ -43,7 +48,7 @@ from repro.graph.invalidation import (
 )
 from repro.runtime.cost_model import CostModel
 from repro.runtime.engine import EngineCaches, WalkEngine
-from repro.runtime.profiler import ProfileResult, profile_edge_costs
+from repro.runtime.profiler import ProfileResult, profile_edge_costs, profile_unchanged
 from repro.runtime.selector import (
     CostModelSelector,
     DegreeBasedSelector,
@@ -172,6 +177,9 @@ class WalkService:
             tenant_quotas=tenant_quotas,
             strict_verification=strict_verification,
         )
+        # The graph-independent compile stages, keyed by structural spec key
+        # alone: they are shared by every graph version.
+        self._fronts: OrderedDict[tuple, WorkloadFrontEnd] = OrderedDict()
         self._compiled: OrderedDict[tuple, CompiledWorkload] = OrderedDict()
         self._profiles: OrderedDict[tuple, ProfileResult] = OrderedDict()
         self._caches: OrderedDict[tuple, EngineCaches] = OrderedDict()
@@ -179,7 +187,8 @@ class WalkService:
         # never evict an entry a live session still executes against —
         # version-keying multiplies distinct keys, so eviction pressure is
         # real even for a handful of workloads.  Sessions unpin on garbage
-        # collection (weakref.finalize) or explicit close().
+        # collection (weakref.finalize) or explicit close(); the last unpin of
+        # a superseded version releases its entries.
         self._pins: dict[tuple, int] = {}
         self._sessions_created = 0
 
@@ -234,12 +243,30 @@ class WalkService:
             self._pins[key] = self._pins.get(key, 0) + 1
 
     def _unpin(self, keys: tuple[tuple, ...]) -> None:
+        released = False
         for key in keys:
             count = self._pins.get(key, 0) - 1
             if count > 0:
                 self._pins[key] = count
             else:
                 self._pins.pop(key, None)
+                released = True
+        if released:
+            self._release_superseded()
+
+    def _release_superseded(self) -> None:
+        """Evict every unpinned registry entry of a superseded graph version.
+
+        Sessions always open on the current version, so once nothing pins an
+        older version's entry no caller can ask for it again.
+        """
+        current = self.graph_version
+        # Registry keys end in the version; profile keys in (version, seed).
+        # pop(): a session finalizer run by the garbage collector may release
+        # entries while another registry walk is in progress.
+        for registry, at in ((self._compiled, -1), (self._caches, -1), (self._profiles, -2)):
+            for key in [k for k in registry if k[at] < current and not self._pins.get(k, 0)]:
+                registry.pop(key, None)
 
     # ------------------------------------------------------------------ #
     def capabilities(self) -> ServiceCapabilities:
@@ -309,11 +336,20 @@ class WalkService:
         return (*self._spec_key(spec), self.graph_version)
 
     def compile(self, spec: WalkSpec) -> CompiledWorkload:
-        """Compile a workload against this service's graph and device (cached)."""
+        """Compile a workload against this service's graph and device (cached).
+
+        The graph-independent stages (analysis, verification, helper
+        generation) are cached per structural spec key, so a workload
+        compiled at an earlier graph version only re-runs preprocessing.
+        """
         key = self._registry_key(spec)
         compiled = self._registry_get(self._compiled, key)
         if compiled is None:
-            compiled = compile_workload(spec, self.graph, device=self.fleet.device)
+            front = self._registry_get(self._fronts, key[:-1])
+            if front is None:
+                front = analyze_workload(spec)
+                self._registry_put(self._fronts, key[:-1], front)
+            compiled = compile_workload(spec, self.graph, device=self.fleet.device, front=front)
             self._registry_put(self._compiled, key, compiled)
         return compiled
 
@@ -357,15 +393,25 @@ class WalkService:
         * ``service.graph`` becomes the compacted snapshot of the new
           version (CSR topology caches repaired incrementally from the old
           snapshot's, per :mod:`repro.graph.invalidation`);
+        * every compiled workload of the previous version is carried to
+          the new one, re-preprocessing only the touched rows
+          (:meth:`~repro.compiler.generator.CompiledWorkload.rebind`);
+        * every profile of the previous version is carried unchanged when
+          the delta provably cannot change it (a node-only workload whose
+          sampled rows the delta left alone, see
+          :func:`~repro.runtime.profiler.profile_unchanged`); otherwise the
+          next session re-profiles;
         * every **unpinned** engine-cache holder keyed at the previous
           current version migrates to the new version key via the scoped
           rebind contracts — untouched-node entries survive by object
-          identity, the workload is recompiled against the new snapshot;
+          identity;
         * holders pinned by in-flight sessions stay at their version key
           untouched: those sessions finish on the graph they started on,
           and only :meth:`session` calls made after this point see the new
           edges (new sessions of a migrated workload share the migrated
-          caches).
+          caches).  Entries of the previous version that no session pins
+          are released; pinned ones are released when their last session
+          closes.
 
         ``repartition=True`` additionally drops migrated holders' sharded
         decompositions instead of rebinding them, so the next sharded use
@@ -382,11 +428,31 @@ class WalkService:
         record = invalidation_for(self._dynamic)
         repair_csr_caches(old_graph, new_graph, record)
         self.graph = new_graph
+        version = self._dynamic.version
+        touched = record.touched_nodes
+
+        # Compiled bundles and profiles are immutable values, so they are
+        # carried even while a session still pins the old version.
+        for key, compiled in [(k, c) for k, c in self._compiled.items() if k[-1] == old_version]:
+            self._registry_put(
+                self._compiled,
+                (*key[:-1], version),
+                compiled.rebind(new_graph, touched, device=self.fleet.device),
+            )
+        for key, profile in [(k, p) for k, p in self._profiles.items() if k[-2] == old_version]:
+            *spec_key, _, seed = key
+            compiled = self._compiled.get((*spec_key, version))
+            if (
+                compiled is not None
+                and compiled.weights_node_only
+                and profile_unchanged(old_graph, new_graph, touched, seed=seed)
+            ):
+                self._registry_put(self._profiles, (*spec_key, version, seed), profile)
 
         for key in [k for k in self._caches if k[-1] == old_version]:
-            if self._pins.get(key, 0):
+            caches = None if self._pins.get(key, 0) else self._caches.pop(key, None)
+            if caches is None:  # pinned, or released by a session finalizer
                 continue
-            caches = self._caches.pop(key)
             spec = None
             if caches.transition_cache is not None:
                 spec = caches.transition_cache.spec
@@ -396,8 +462,9 @@ class WalkService:
             rebind_engine_caches(
                 caches, new_graph, record, compiled=compiled, repartition=repartition
             )
-            self._registry_put(self._caches, (*key[:-1], self._dynamic.version), caches)
-        return self._dynamic.version
+            self._registry_put(self._caches, (*key[:-1], version), caches)
+        self._release_superseded()
+        return version
 
     # ------------------------------------------------------------------ #
     # Session creation (plan + execute stages)

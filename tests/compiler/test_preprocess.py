@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler.preprocess import preprocess_graph
+from repro.compiler.preprocess import preprocess_graph, preprocess_rows
 from repro.errors import CompilerError
 from repro.graph.builders import from_edge_list
+from repro.graph.delta import DeltaCSRGraph
 from repro.gpusim.device import A6000
 
 
@@ -90,3 +91,22 @@ class TestCostAccounting:
 
     def test_no_device_no_time(self, graph):
         assert preprocess_graph(graph).simulated_time_ns == 0.0
+
+
+class TestTouchedRows:
+    def test_touched_rows_equal_a_full_pass(self, graph):
+        before = preprocess_graph(graph, arrays=("weights", "labels"), device=A6000)
+        # Empty row 1, refill empty row 2, grow row 0 and the trailing row 3.
+        version = DeltaCSRGraph(graph).apply_delta(
+            [(2, 0), (2, 3), (0, 0), (3, 1)], [(1, 0)],
+            weights=[4.0, 0.5, 9.0, 1.5], labels=[5, 6, 7, 8],
+        )
+        after = version.snapshot()
+        carried = preprocess_rows(before, after, version.delta.touched_nodes, device=A6000)
+        fresh = preprocess_graph(after, arrays=("weights", "labels"), device=A6000)
+        assert list(carried.aggregates) == list(fresh.aggregates)
+        for key, values in fresh.aggregates.items():
+            assert np.array_equal(carried.aggregates[key], values), key
+        assert carried.counters == fresh.counters
+        assert carried.simulated_time_ns == fresh.simulated_time_ns
+        assert before.aggregates["weights_max"][1] == 5.0  # the old result is untouched

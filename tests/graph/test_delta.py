@@ -116,6 +116,14 @@ class TestApplyDelta:
         with pytest.raises(GraphError, match="outside"):
             d0.apply_delta([(0, d0.num_nodes)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        d0 = DeltaCSRGraph(base_graph())
+        adds, _ = some_delta(d0)
+        src, dst = (int(v) for v in adds[1])
+        with pytest.raises(GraphError, match=rf"edge \({src}, {dst}\) has weight"):
+            d0.apply_delta(adds[:2], weights=[1.0, bad])
+
     def test_labels_required_iff_base_labeled(self):
         labeled = DeltaCSRGraph(base_graph(labeled=True))
         adds, _ = some_delta(labeled)
@@ -220,6 +228,33 @@ class TestCompaction:
         d = DeltaCSRGraph(base_graph())
         d1 = d.apply_delta(*some_delta(d))
         assert d1.snapshot() is d1.snapshot()
+
+    def test_compact_does_not_sort(self, monkeypatch):
+        d = DeltaCSRGraph(base_graph(labeled=True))
+        for seed in (1, 2, 3):
+            adds, rems = some_delta(d, seed=seed)
+            d = d.apply_delta(adds, rems, labels=np.full(len(adds), seed, dtype=np.int64))
+        expected = d.compact()
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("compact() must splice, not sort")
+
+        for name in ("lexsort", "argsort", "sort"):
+            monkeypatch.setattr(np, name, no_sort)
+        spliced = d.compact()
+        monkeypatch.undo()
+        for name in ("indptr", "indices", "weights", "labels", "_edge_key_cache"):
+            assert np.array_equal(getattr(spliced, name), getattr(expected, name))
+
+    def test_edge_list_reads_the_cached_snapshot(self, monkeypatch):
+        d = DeltaCSRGraph(base_graph())
+        d1 = d.apply_delta(*some_delta(d))
+        snapshot = d1.snapshot()
+        monkeypatch.setattr(DeltaCSRGraph, "compact", lambda self: pytest.fail("recompacted"))
+        edges, weights, _ = d1.edge_list()
+        assert np.array_equal(edges[:, 1], snapshot.indices)
+        assert np.array_equal(weights, snapshot.weights)
+        assert weights is not snapshot.weights
 
 
 class TestCSRCacheRepair:

@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
 from repro.graph.builders import from_edge_list
 from repro.graph.delta import DeltaCSRGraph
@@ -28,6 +29,7 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.gpusim.device import A6000
 from repro.runtime.engine import EngineCaches, WalkEngine
+from repro.runtime.profiler import _sample_nodes, profile_edge_costs
 from repro.runtime.selector import FixedSelector
 from repro.sampling.erjs import EnhancedRejectionSampler
 from repro.service import DeviceFleet, WalkService
@@ -302,3 +304,136 @@ class TestScopedInvalidationThroughTheService:
                             repartition=True)
         assert not caches.sharded_graphs  # dropped: next use re-partitions
         assert not caches.ghost_tables
+
+
+def quiet_delta(service: WalkService, seed: int, avoid: np.ndarray):
+    """A delta whose touched rows avoid ``avoid`` and keep every degree non-zero."""
+    rng = np.random.default_rng(seed)
+    graph = service.graph
+    degrees = graph.degrees()
+    sources = np.setdiff1d(np.nonzero(degrees >= 2)[0], avoid)
+    src = rng.choice(sources, 3, replace=False)
+    fresh = [(int(s), int(d)) for s in src for d in rng.permutation(graph.num_nodes)[:4]
+             if s != d and not graph.has_edge(int(s), int(d))][:4]
+    removal = [(int(src[0]), int(graph.neighbors(int(src[0]))[0]))]
+    return fresh, removal
+
+
+class TestVersionCarryAndRelease:
+    """Compiled bundles and profiles follow a delta; superseded versions go."""
+
+    def test_compiled_bundle_is_carried_with_touched_rows_only(self, monkeypatch):
+        spec = DeepWalkSpec()
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        v0 = service.compile(spec)
+        monkeypatch.setattr("repro.service.service.analyze_workload",
+                            lambda spec: pytest.fail("graph-independent stages re-ran"))
+        for seed in range(5):
+            mutate(service, seed=70 + seed)
+            carried = service._compiled[service._registry_key(spec)]
+            assert service.compile(spec) is carried
+            assert carried.helpers is v0.helpers and carried.analysis is v0.analysis
+            fresh = compile_workload(spec, service.graph, device=DEVICE)
+            for key, values in fresh.preprocessed.aggregates.items():
+                assert np.array_equal(carried.preprocessed.aggregates[key], values)
+            assert carried.preprocessed.counters == fresh.preprocessed.counters
+            assert carried.preprocessed.simulated_time_ns == fresh.preprocessed.simulated_time_ns
+        assert v0.preprocessed.aggregates["weights_max"] is not carried.preprocessed.aggregates[
+            "weights_max"]
+
+    def test_an_evicted_bundle_recompiles_from_the_cached_front_end(self, monkeypatch):
+        spec = DeepWalkSpec()
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        v0 = service.compile(spec)
+        monkeypatch.setattr("repro.service.service.analyze_workload",
+                            lambda spec: pytest.fail("graph-independent stages re-ran"))
+        mutate(service, seed=3)
+        service._compiled.clear()
+        recompiled = service.compile(spec)
+        assert recompiled.helpers is v0.helpers
+        fresh = compile_workload(spec, service.graph, device=DEVICE)
+        assert np.array_equal(recompiled.preprocessed.aggregates["weights_sum"],
+                              fresh.preprocessed.aggregates["weights_sum"])
+
+    def test_carried_profile_equals_a_fresh_profile(self):
+        spec = DeepWalkSpec()
+        config = FlexiWalkerConfig(device=DEVICE, seed=3)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        profile = service.session(spec, config).profile
+        sampled = _sample_nodes(service.graph, 0.02, 64, seed=3)
+        history = service.graph.indices[service.graph.indptr[sampled]]
+        service.apply_delta(*quiet_delta(service, 5, np.concatenate([sampled, history])))
+        carried = service._profiles.get((*service._registry_key(spec), 3))
+        assert carried is profile
+        assert carried == profile_edge_costs(service.graph, spec, DEVICE, seed=3)
+        assert service.session(spec, config).profile is profile
+
+    def test_node2vec_always_reprofiles(self):
+        spec = Node2VecSpec(a=2.0, b=0.5)
+        config = FlexiWalkerConfig(device=DEVICE)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        service.session(spec, config)
+        sampled = _sample_nodes(service.graph, 0.02, 64, seed=0)
+        history = service.graph.indices[service.graph.indptr[sampled]]
+        service.apply_delta(*quiet_delta(service, 6, np.concatenate([sampled, history])))
+        key = (*service._registry_key(spec), 0)
+        assert key not in service._profiles
+        fresh = service.session(spec, config).profile
+        assert service._profiles[key] is fresh
+        assert fresh == profile_edge_costs(service.graph, spec, DEVICE, seed=0)
+
+    def test_a_delta_touching_a_sampled_node_reprofiles(self):
+        spec = DeepWalkSpec()
+        config = FlexiWalkerConfig(device=DEVICE)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        profile = service.session(spec, config).profile
+        node = int(_sample_nodes(service.graph, 0.02, 64, seed=0)[0])
+        target = next(v for v in range(service.graph.num_nodes)
+                      if v != node and not service.graph.has_edge(node, v))
+        service.apply_delta([(node, target)], weights=[7.0])
+        key = (*service._registry_key(spec), 0)
+        assert key not in service._profiles
+        fresh = service.session(spec, config).profile
+        assert fresh is not profile
+        assert fresh == profile_edge_costs(service.graph, spec, DEVICE, seed=0)
+
+    def test_superseded_versions_are_released(self):
+        specs = (DeepWalkSpec(), Node2VecSpec(a=2.0, b=0.5))
+        config = FlexiWalkerConfig(device=DEVICE)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        queries = make_queries(service.graph.num_nodes, walk_length=3, num_queries=4, seed=1)
+
+        def check():
+            version = service.graph_version
+            for registry, at in ((service._compiled, -1), (service._caches, -1),
+                                 (service._profiles, -2)):
+                for key in registry:
+                    assert key[at] == version or service._pins.get(key, 0), key
+
+        held = []
+        for step in range(20):
+            for spec in specs:
+                session = service.session(spec, config)
+                session.submit(queries)
+                session.collect()
+                if step % 3 == 0:
+                    held.append(session)  # stays pinned across the next delta
+                else:
+                    session.close()
+            check()
+            mutate(service, seed=100 + step)
+            check()
+            if step % 3 == 2:
+                for session in held:
+                    session.close()
+                    check()
+                held.clear()
+        for session in held:
+            session.close()
+        check()
+        assert not service._pins
+        version = service.graph_version
+        for registry, at in ((service._compiled, -1), (service._caches, -1),
+                             (service._profiles, -2)):
+            assert {key[at] for key in registry} <= {version}
+        assert len(service._compiled) == len(specs)  # carried, not dropped
