@@ -365,6 +365,18 @@ class CompiledWorkload:
             return None
         return self.helpers.estimate_sum(graph, state, self.preprocessed)
 
+    def replay_hint_nodes(
+        self, graph: CSRGraph, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The vectorised half of :meth:`hint_nodes` alone (supported
+        workloads only): ``None`` when the replay is unsafe for ``nodes``."""
+        return self.helpers.estimate_hints_nodes(
+            graph,
+            nodes,
+            self.preprocessed,
+            per_kernel=self.granularity is BoundGranularity.PER_KERNEL,
+        )
+
     def hint_nodes(self, graph: CSRGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(bound, sum)`` hints for many nodes at once (node-only hints).
 
@@ -379,12 +391,7 @@ class CompiledWorkload:
         sums = np.full(nodes.size, np.nan, dtype=np.float64)
         if not self.supported or nodes.size == 0:
             return bounds, sums
-        vectorised = self.helpers.estimate_hints_nodes(
-            graph,
-            nodes,
-            self.preprocessed,
-            per_kernel=self.granularity is BoundGranularity.PER_KERNEL,
-        )
+        vectorised = self.replay_hint_nodes(graph, nodes)
         if vectorised is not None:
             return vectorised
         probe = WalkerState(

@@ -80,8 +80,17 @@ class CostCounters:
 
     def merge(self, other: CostCounters) -> CostCounters:
         """Add ``other``'s counts into this object (in place) and return self."""
-        for name in self._COUNT_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        # Spelled out field by field: merges run several times per superstep.
+        self.coalesced_accesses += other.coalesced_accesses
+        self.random_accesses += other.random_accesses
+        self.weight_computations += other.weight_computations
+        self.rng_draws += other.rng_draws
+        self.reduction_elements += other.reduction_elements
+        self.prefix_sum_elements += other.prefix_sum_elements
+        self.rejection_trials += other.rejection_trials
+        self.warp_syncs += other.warp_syncs
+        self.atomic_ops += other.atomic_ops
+        self.table_builds += other.table_builds
         return self
 
     def copy(self) -> CostCounters:
@@ -103,6 +112,10 @@ class CostCounters:
         return self.copy().merge(other)
 
 
+#: Row of each count field in :attr:`CounterBatch.counts`.
+COUNT_ROWS = {name: row for row, name in enumerate(CostCounters._COUNT_FIELDS)}
+
+
 class CounterBatch:
     """Vectorised cost accounting: one counter *array* per operation class.
 
@@ -114,15 +127,34 @@ class CounterBatch:
     in the current superstep.  Batch kernels add whole numpy vectors
     (``batch.coalesced_accesses[slots] += degrees``), and the totals fold
     back into an ordinary :class:`CostCounters` for aggregation.
+
+    All counts live in one ``(fields, size)`` int64 matrix, :attr:`counts`
+    (rows in :attr:`CostCounters._COUNT_FIELDS` order); each field attribute
+    is a view of its row, so a batch costs one allocation and folds —
+    :meth:`totals`, per-owner sums, ledger columns — are single array
+    operations over the matrix.  Update the fields in place (``+=`` or
+    slice assignment); rebinding one to a new array would detach it from
+    the matrix.
     """
 
-    __slots__ = ("size", "bytes_per_weight") + CostCounters._COUNT_FIELDS
+    __slots__ = ("size", "bytes_per_weight", "counts") + CostCounters._COUNT_FIELDS
 
     def __init__(self, size: int, bytes_per_weight: int = 8) -> None:
         self.size = int(size)
         self.bytes_per_weight = int(bytes_per_weight)
-        for name in CostCounters._COUNT_FIELDS:
-            setattr(self, name, np.zeros(self.size, dtype=np.int64))
+        self.counts = np.zeros((len(COUNT_ROWS), self.size), dtype=np.int64)
+        (
+            self.coalesced_accesses,
+            self.random_accesses,
+            self.weight_computations,
+            self.rng_draws,
+            self.reduction_elements,
+            self.prefix_sum_elements,
+            self.rejection_trials,
+            self.warp_syncs,
+            self.atomic_ops,
+            self.table_builds,
+        ) = self.counts
 
     # ------------------------------------------------------------------ #
     def charge(self, name: str, slots: np.ndarray, amount: np.ndarray | int) -> None:
@@ -140,15 +172,13 @@ class CounterBatch:
         baseline step-overhead hooks) so their accounting lands in the same
         per-walker slot the vectorised kernels use.
         """
-        for name in CostCounters._COUNT_FIELDS:
-            getattr(self, name)[slot] += getattr(counters, name)
+        self.counts[:, slot] += list(counters.as_dict().values())
 
     def snapshot(self, slot: int) -> CostCounters:
         """One slot's counts as a scalar :class:`CostCounters` (a copy)."""
-        out = CostCounters(bytes_per_weight=self.bytes_per_weight)
-        for name in CostCounters._COUNT_FIELDS:
-            setattr(out, name, int(getattr(self, name)[slot]))
-        return out
+        return CostCounters(
+            *self.counts[:, slot].tolist(), bytes_per_weight=self.bytes_per_weight
+        )
 
     def write_back(self, slot: int, counters: CostCounters) -> None:
         """Overwrite one slot with a scalar :class:`CostCounters`.
@@ -158,15 +188,14 @@ class CounterBatch:
         (the scalar engine hands hooks the live step counters, so the
         batched engine round-trips the slot through a scalar object).
         """
-        for name in CostCounters._COUNT_FIELDS:
-            getattr(self, name)[slot] = getattr(counters, name)
+        self.counts[:, slot] = list(counters.as_dict().values())
 
     def totals(self) -> CostCounters:
         """Fold every slot into one scalar :class:`CostCounters`."""
-        out = CostCounters(bytes_per_weight=self.bytes_per_weight)
-        for name in CostCounters._COUNT_FIELDS:
-            setattr(out, name, int(getattr(self, name).sum()))
-        return out
+        return CostCounters(
+            *np.add.reduce(self.counts, axis=1).tolist(),
+            bytes_per_weight=self.bytes_per_weight,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CounterBatch(size={self.size})"

@@ -18,8 +18,9 @@ CSR immutable and layers an append-only **edge delta** on top:
   segment, one ``lexsort`` for a whole node batch.
 * :meth:`DeltaCSRGraph.compact` folds the deltas into a fresh
   :class:`~repro.graph.csr.CSRGraph` by **splicing** the already-sorted
-  cumulative overlay into the base arrays: no sort, one gather per output
-  array, O(E) copying plus O(|overlay| log E) searching.  The result is
+  cumulative overlay into the base arrays: no sort, one slice copy per run
+  of surviving base edges (one gather per output array once the overlay
+  is large), O(E) copying plus O(|overlay| log E) searching.  The result is
   **bit-identical** to building that graph from scratch with
   :func:`~repro.graph.builders.from_edge_list`.  This is the invariant the
   dynamic scenario family asserts: walks after compaction match walks on a
@@ -53,6 +54,13 @@ from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
 __all__ = ["DeltaCSRGraph", "GraphDelta"]
+
+#: :meth:`DeltaCSRGraph.compact` copies the surviving base edges run by run
+#: (one slice copy per stretch between removed positions and insertion
+#: points) while there is at most one run per this many output edges; a
+#: larger overlay gathers through one index array instead, whose cost does
+#: not grow with the number of runs.
+_EDGES_PER_SLICE_RUN = 64
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -493,38 +501,67 @@ class DeltaCSRGraph:
         So ``indptr``/``indices``/``weights``/``labels`` come out
         bit-identical to building the graph from scratch at this version,
         and the spliced key array becomes the new CSR's edge-key cache.
+        The surviving base edges are copied as slices, one per run between
+        cut points, while the overlay is small next to the graph, and
+        through one gather index otherwise (``_EDGES_PER_SLICE_RUN``); the
+        two give the same arrays.
         """
         base = self.base
         removed = self._removed_pos
         add_keys = self._add_keys
-        if removed.size == 0 and add_keys.size == 0:
-            return base
         base_keys = base._edge_keys()
+        if removed.size == 0 and add_keys.size == 0:
+            # Nothing to splice: the base itself is this version's snapshot,
+            # and like every snapshot it carries its edge keys.
+            return base
         num_edges = self.num_edges
         # Rank of each addition among the surviving base keys, then its
         # output slot (earlier additions sit in front of it too).
         first = np.searchsorted(base_keys, add_keys)
         rank = first - np.searchsorted(removed, first)
         add_slots = rank + np.arange(add_keys.size, dtype=np.int64)
-        # gather[k]: the base position output slot k copies.  Walking the
-        # slots in order, it advances by one per base slot plus one per
-        # removed position skipped just before that slot; addition slots do
-        # not advance it (they are overwritten below).  The survivor right
-        # after the i-th removed position r is survivor r - i, and its slot
-        # lies behind every addition ranked at or before it.
-        gather = np.ones(num_edges, dtype=np.int64)
-        gather[add_slots] = 0
-        after = removed - np.arange(removed.size, dtype=np.int64)
-        after = after[after < base.num_edges - removed.size]
-        np.add.at(gather, after + np.searchsorted(rank, after, side="right"), 1)
-        np.cumsum(gather, out=gather)
-        gather -= 1
+        # Runs of surviving base edges: the stretches between consecutive
+        # cut points (removed positions, the positions just past them, and
+        # the base positions additions are inserted before), minus the
+        # one-edge stretches that are removed edges.  A run starting at
+        # base position lo lands behind the survivors before it and every
+        # addition ranked at or before its first survivor.
+        cuts = np.unique(np.concatenate([[0, base.num_edges], removed, removed + 1, first]))
+        lo, hi = cuts[:-1], cuts[1:]
+        live = (hi > lo) & ~np.isin(lo, removed)
+        lo, hi = lo[live], hi[live]
+        if lo.size * _EDGES_PER_SLICE_RUN <= num_edges:
+            survivors = lo - np.searchsorted(removed, lo)
+            dst = survivors + np.searchsorted(rank, survivors, side="right")
+            runs = list(zip(lo.tolist(), hi.tolist(), dst.tolist()))
+
+            def place(base_values: np.ndarray, out: np.ndarray) -> None:
+                for a, b, d in runs:
+                    out[d:d + b - a] = base_values[a:b]
+        else:
+            # gather[k]: the base position output slot k copies.  Walking
+            # the slots in order, it advances by one per base slot plus one
+            # per removed position skipped just before that slot; addition
+            # slots do not advance it (they are overwritten below).  The
+            # survivor right after the i-th removed position r is survivor
+            # r - i, and its slot lies behind every addition ranked at or
+            # before it.
+            gather = np.ones(num_edges, dtype=np.int64)
+            gather[add_slots] = 0
+            after = removed - np.arange(removed.size, dtype=np.int64)
+            after = after[after < base.num_edges - removed.size]
+            np.add.at(gather, after + np.searchsorted(rank, after, side="right"), 1)
+            np.cumsum(gather, out=gather)
+            gather -= 1
+
+            def place(base_values: np.ndarray, out: np.ndarray) -> None:
+                # Addition slots before the first base slot hold -1: clip it.
+                np.take(base_values, gather, out=out, mode="clip")
 
         def splice(base_values: np.ndarray, add_values: np.ndarray) -> np.ndarray:
             out = np.empty(num_edges, dtype=base_values.dtype)
             if base_values.size:
-                # Addition slots before the first base slot hold -1: clip it.
-                np.take(base_values, gather, out=out, mode="clip")
+                place(base_values, out)
             out[add_slots] = add_values
             return out
 

@@ -19,11 +19,15 @@ executed.  Per structure:
   layout (untouched nodes keep their materialised values and their
   ``have``-flags; touched nodes are cleared and refill lazily).  The cache
   *object* survives the delta — sibling sessions sharing it keep sharing it.
-* **NodeHintTables** — per-node arrays are fixed-size, so the repair is pure
-  scoped clearing: touched rows go back to "not computed", untouched rows
-  (including the arrays themselves) keep their identity.  The compiled
-  workload is swapped for the new version's (its preprocessed per-node
-  aggregates are graph-derived).
+* **NodeHintTables** — per-node arrays are fixed-size, so the repair is
+  scoped to the touched rows: a table filled when built (the normal case)
+  re-fills them with one vectorised replay against the new version, so it
+  stays complete and equal to a fresh build; a lazy table — one whose
+  replay bails, e.g. on a zero-degree node — clears them to "not computed"
+  and refills them on first visit.  Untouched rows (including the arrays
+  themselves) keep their identity.  The compiled workload is swapped for
+  the new version's first (its preprocessed per-node aggregates are
+  graph-derived).
 * **CSRGraph topology caches** — the in-degree cache is repaired
   incrementally on the new snapshot by two bincounts over the delta
   endpoints; the sorted edge-key cache needs no repair, because

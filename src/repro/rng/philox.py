@@ -100,13 +100,23 @@ class PhiloxEngine:
         statistically independent (the stream participates in the key).
     """
 
-    __slots__ = ("_key", "_counter")
+    __slots__ = ("_key", "_mixed_key", "_counter")
 
     def __init__(self, seed: int, stream: int = 0) -> None:
         with np.errstate(over="ignore"):
             key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) + np.uint64(stream) * _GOLDEN_GAMMA
         self._key = np.uint64(key)
+        self._mixed_key = premix_key(self._key)
         self._counter = np.uint64(0)
+
+    @classmethod
+    def from_key(cls, key: int | np.uint64) -> PhiloxEngine:
+        """A fresh engine (counter 0) over an already-derived stream key."""
+        engine = cls.__new__(cls)
+        engine._key = np.uint64(key)
+        engine._mixed_key = premix_key(engine._key)
+        engine._counter = np.uint64(0)
+        return engine
 
     @property
     def counter(self) -> int:
@@ -133,25 +143,24 @@ class PhiloxEngine:
 
     def split(self, index: int) -> PhiloxEngine:
         """Derive an independent child engine (cheap stream splitting)."""
-        child = PhiloxEngine.__new__(PhiloxEngine)
         with np.errstate(over="ignore"):
-            child._key = _mix64(self._key + np.uint64(index + 1) * _GOLDEN_GAMMA)
-        child._counter = np.uint64(0)
-        return child
+            return PhiloxEngine.from_key(
+                _mix64(self._key + np.uint64(index + 1) * _GOLDEN_GAMMA)
+            )
 
     def uniform(self, size: int | tuple[int, ...] | None = None) -> np.ndarray | float:
         """Draw uniform(0, 1) doubles, advancing the counter."""
         if size is None:
-            value = philox_uniform(self._key, self._counter)
+            value = philox_uniform_premixed(self._mixed_key, self._counter)
             with np.errstate(over="ignore"):
                 self._counter += np.uint64(1)
             return float(value)
-        n = int(np.prod(size))
+        n = size if isinstance(size, int) else int(np.prod(size))
         counters = self._counter + np.arange(n, dtype=np.uint64)
         with np.errstate(over="ignore"):
             self._counter += np.uint64(n)
-        values = philox_uniform(self._key, counters)
-        return values.reshape(size)
+        values = philox_uniform_premixed(self._mixed_key, counters)
+        return values if isinstance(size, int) else values.reshape(size)
 
     def integers(self, low: int, high: int, size: int | None = None) -> np.ndarray | int:
         """Draw integers uniformly from ``[low, high)``."""

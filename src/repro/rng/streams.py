@@ -55,7 +55,10 @@ class CountingStream:
         self.draws = 0
 
     def uniform(self, size: int | tuple[int, ...] | None = None) -> np.ndarray | float:
-        self.draws += 1 if size is None else int(np.prod(size))
+        if size is None:
+            self.draws += 1
+        else:
+            self.draws += size if isinstance(size, int) else int(np.prod(size))
         return self._engine.uniform(size)
 
     def integers(self, low: int, high: int, size: int | None = None) -> np.ndarray | int:
@@ -74,6 +77,11 @@ class CountingStream:
     def philox_key(self) -> np.uint64:
         """The underlying engine key (used by :class:`BatchStreams`)."""
         return self._engine.key
+
+    @property
+    def philox_counter(self) -> int:
+        """The underlying engine counter: variates drawn or reserved so far."""
+        return self._engine.counter
 
     def reserve(self, n: int) -> np.uint64:
         """Claim ``n`` draws (counting them) and return the start counter.
@@ -116,6 +124,10 @@ class PooledStream(CountingStream):
     def philox_key(self) -> np.uint64:
         return np.uint64(self._pool._keys[self._slot])
 
+    @property
+    def philox_counter(self) -> int:
+        return int(self._pool._counters[self._slot])
+
     def _take(self, n: int) -> int:
         """Claim ``n`` counters (tallying the draws) and return the start."""
         pool = self._pool
@@ -154,10 +166,8 @@ class PooledStream(CountingStream):
         return -np.log1p(-np.asarray(u))
 
     def split(self, index: int) -> CountingStream:
-        child = PhiloxEngine.__new__(PhiloxEngine)
-        child._key = np.uint64(derive_child_keys(self.philox_key, np.array([index]))[0])
-        child._counter = np.uint64(0)
-        return CountingStream(child)
+        key = derive_child_keys(self.philox_key, np.array([index]))[0]
+        return CountingStream(PhiloxEngine.from_key(key))
 
 
 class BatchStreams:
@@ -354,6 +364,19 @@ class AdoptedStreamPool:
             )
             self._draws = np.concatenate([self._draws, np.zeros(ids.size, dtype=np.int64)])
         return np.arange(start, start + ids.size, dtype=np.int64)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the slots ``keep`` (ascending), renumbered in order.
+
+        Slot numbers are frontier positions, so this follows
+        :meth:`~repro.walks.state.WalkerFrontier.compact`; each surviving
+        stream keeps its key, counter and draw tally.
+        """
+        self._keys = self._keys[keep]
+        self._mixed_keys = self._mixed_keys[keep]
+        self._counters = self._counters[keep]
+        self._draws = self._draws[keep]
+        self._views.clear()
 
     def stream(self, slot: int) -> CountingStream:
         """The (cached) scalar stream view over one adopted slot."""

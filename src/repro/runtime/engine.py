@@ -569,7 +569,7 @@ class WalkEngine:
         return ghost
 
     def _node_hint_tables(self):
-        """Cached lazily-filled hint tables (node-only compiled workloads)."""
+        """Cached per-node hint tables (node-only compiled workloads)."""
         if self.caches.hint_tables is None:
             from repro.runtime.frontier import NodeHintTables
 

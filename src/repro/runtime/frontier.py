@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpusim.counters import CostCounters, CounterBatch
+from repro.gpusim.counters import COUNT_ROWS, CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.rng.streams import StreamPool
 from repro.runtime.faults import FaultRuntime, reassign_owners, resilient_supersteps
@@ -60,21 +60,25 @@ if TYPE_CHECKING:  # pragma: no cover - engine imports frontier
 
 
 class NodeHintTables:
-    """Lazily-filled per-node bound/sum hint tables (node-only workloads).
+    """Per-node bound/sum hint tables (node-only workloads).
 
-    When ``compiled.hints_node_only`` the compiler helpers are a pure
+    When ``compiled.hints_node_only`` (which implies a supported workload)
+    the compiler helpers are a pure
     function of the current node, so their values can be cached per node and
-    shared by every walker that ever visits it.  Entries are computed on
-    first visit rather than eagerly for the whole graph — a sparse-query run
-    on a large graph must not pay an O(num_nodes) startup the scalar engine
-    would never pay.  ``NaN`` is the array form of the scalar ``None`` ("no
-    estimate"), so a separate mask tracks which entries are populated.
+    shared by every walker that ever visits it.  ``NaN`` is the array form
+    of the scalar ``None`` ("no estimate").
 
-    Pending nodes are batch-evaluated through
-    :meth:`~repro.compiler.generator.CompiledWorkload.hint_nodes`, which
-    replays the generated helpers with per-node aggregate *arrays* bound in
-    place of scalars (falling back to exact per-node evaluation whenever the
-    vectorised replay is unsafe).
+    The tables are filled when built: one vectorised
+    :meth:`~repro.compiler.generator.GeneratedHelpers.estimate_hints_nodes`
+    replay over every node (the generated helpers with per-node aggregate
+    *arrays* bound in place of scalars), after which :meth:`lookup` is two
+    gathers.  When that replay bails on the whole node set — e.g. a helper
+    that divides by a zero degree — the tables stay lazy instead: entries
+    are computed on first visit through
+    :meth:`~repro.compiler.generator.CompiledWorkload.hint_nodes`, whose
+    exact per-node fallback covers the unsafe nodes, and a mask tracks
+    which entries are populated.  The values are equal either way, because
+    the replay is element-wise and the scalar fallback is exact.
     """
 
     def __init__(self, compiled, graph) -> None:
@@ -84,18 +88,33 @@ class NodeHintTables:
         self.bounds = np.full(n, np.nan, dtype=np.float64)
         self.sums = np.full(n, np.nan, dtype=np.float64)
         self._computed = np.zeros(n, dtype=bool)
+        #: True while every entry is populated (``lookup`` only gathers).
+        self._complete = self._fill(np.arange(n, dtype=np.int64))
+
+    def _fill(self, nodes: np.ndarray) -> bool:
+        """Evaluate ``nodes`` with one vectorised replay; False if it bails."""
+        if nodes.size == 0:
+            return True
+        replay = self._compiled.replay_hint_nodes(self._graph, nodes)
+        if replay is None:
+            return False
+        self.bounds[nodes], self.sums[nodes] = replay
+        self._computed[nodes] = True
+        return True
 
     def rebind(self, graph, touched_nodes: np.ndarray, compiled=None) -> None:
         """Scoped invalidation contract: follow a graph delta in place.
 
         Called by the versioned invalidation layer
         (:mod:`repro.graph.invalidation`).  The per-node arrays are
-        fixed-size, so the repair is a pure scoped clear: touched rows go
-        back to "not computed" and refill lazily; untouched rows — and the
-        ``bounds`` / ``sums`` arrays themselves — keep their object identity.
-        ``compiled`` must be the new version's compiled workload whenever the
-        workload preprocesses the graph (its per-node aggregates are
-        graph-derived); ``None`` keeps the current one.
+        fixed-size, so the repair is scoped to the touched rows: a complete
+        table re-fills them with one vectorised replay (a lazy one, or one
+        whose replay bails on them, clears them to refill on first visit).
+        Untouched rows — and the ``bounds`` / ``sums`` arrays themselves —
+        keep their object identity.  ``compiled`` must be the new version's
+        compiled workload whenever the workload preprocesses the graph (its
+        per-node aggregates are graph-derived); ``None`` keeps the current
+        one.
         """
         touched = np.asarray(touched_nodes, dtype=np.int64)
         self._graph = graph
@@ -104,9 +123,13 @@ class NodeHintTables:
         self.bounds[touched] = np.nan
         self.sums[touched] = np.nan
         self._computed[touched] = False
+        if self._complete:
+            self._complete = self._fill(touched)
 
     def lookup(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hints for the given nodes, evaluating missing entries on demand."""
+        """Hints for the given nodes (evaluating missing entries when lazy)."""
+        if self._complete:
+            return self.bounds[nodes], self.sums[nodes]
         pending = np.unique(nodes[~self._computed[nodes]])
         if pending.size:
             bounds, sums = self._compiled.hint_nodes(self._graph, pending)
@@ -153,6 +176,9 @@ class SuperstepReport:
         walker ``active[j]`` executed — what lets the continuous-batching
         scheduler split the fused ``sampler_usage`` back out per session
         exactly.  ``None`` for dead-end-only reports.
+    totals:
+        ``counters.totals()``, as already merged into ``aggregate``
+        (``None`` for dead-end-only reports).
     """
 
     active: np.ndarray
@@ -162,6 +188,7 @@ class SuperstepReport:
     step_ns: np.ndarray
     sampler_names: tuple[str, ...] = ()
     assignment: np.ndarray | None = None
+    totals: CostCounters | None = None
 
     @property
     def steps(self) -> int:
@@ -203,6 +230,18 @@ class FrontierRun:
 
     def __len__(self) -> int:
         return len(self.frontier)
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the walkers at the ascending positions ``keep``.
+
+        The survivors are renumbered ``0..len(keep)-1`` in order across the
+        frontier, the stream pool and ``per_query_ns``; their streams move
+        with them (each is keyed by its query id), so no walk changes.
+        """
+        self.frontier.compact(keep)
+        self.pool.compact(keep)
+        self.streams = self.pool.batch_all()
+        self.per_query_ns = self.per_query_ns[keep]
 
     def admit(self, queries: list[WalkQuery], seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Admit queries whose streams derive from ``StreamPool(seed)``.
@@ -282,7 +321,7 @@ def iter_supersteps(
         degrees = graph.indptr[current + 1] - graph.indptr[current]
         dead = degrees == 0
         dead_finished = active[dead]
-        if dead.any():
+        if dead_finished.size:
             frontier.terminate(dead_finished)
             active = active[~dead]
             if active.size == 0:
@@ -345,7 +384,7 @@ def iter_supersteps(
 
         next_nodes = np.full(k, -1, dtype=np.int64)
         for position, sampler in enumerate(samplers):
-            part = np.nonzero(assignment == position)[0]
+            part = (assignment == position).nonzero()[0]
             if part.size == 0:
                 continue
             sub = ctx.subset(part)
@@ -361,12 +400,13 @@ def iter_supersteps(
 
         step_ns = device.lane_times_ns(counters)
         per_query_ns[active] += step_ns
-        aggregate.merge(counters.totals())
+        totals = counters.totals()
+        aggregate.merge(totals)
 
         advancing = next_nodes >= 0
-        if not advancing.all():
-            frontier.terminate(active[~advancing])
         moving = active[advancing]
+        if moving.size < k:
+            frontier.terminate(active[~advancing])
         if moving.size:
             targets = next_nodes[advancing]
             spec.update_batch(graph, frontier, moving, targets)
@@ -376,9 +416,12 @@ def iter_supersteps(
         # hitting a dead end.
         if track_finished:
             exhausted = moving[frontier.steps[moving] >= frontier.max_lengths[moving]]
-            finished = np.sort(
-                np.concatenate([dead_finished, active[~advancing], exhausted])
-            )
+            if dead_finished.size or moving.size < k:
+                finished = np.sort(
+                    np.concatenate([dead_finished, active[~advancing], exhausted])
+                )
+            else:
+                finished = exhausted  # a subset of the sorted active set
         else:
             finished = _NO_FINISHED
         yield SuperstepReport(
@@ -387,34 +430,25 @@ def iter_supersteps(
             finished=finished,
             nodes=step_nodes,
             step_ns=step_ns,
-            sampler_names=tuple(s.name for s in samplers),
+            sampler_names=tuple([s.name for s in samplers]),
             assignment=assignment,
+            totals=totals,
         )
 
 
 def fold_counters_by_owner(
-    owners: np.ndarray,
-    counters: CounterBatch,
-    device_aggs: list[CostCounters],
-    num_devices: int,
-) -> None:
-    """Fold one superstep's per-walker counts into per-device aggregates.
+    owners: np.ndarray, counters: CounterBatch, num_owners: int
+) -> np.ndarray:
+    """One superstep's per-walker counts summed per owner.
 
-    ``owners[j]`` names the device charged with slot ``j`` of ``counters``.
-    Exact under any grouping of supersteps: every per-walker count is an
-    integer, so the bincount sums (and their int truncation) cannot lose
-    precision — the property both the fused replicated fold and the sharded
-    ledger rely on for wave-composition invariance.
+    ``owners[j]`` names the owner charged with slot ``j`` of ``counters``;
+    the result is a ``(fields, num_owners)`` int64 matrix, rows in
+    :attr:`~repro.gpusim.counters.CostCounters._COUNT_FIELDS` order.  One
+    integer product of the count matrix with the owners' one-hot matrix:
+    exact under any grouping of supersteps, the property the scheduler's
+    per-session fold relies on for wave-composition invariance.
     """
-    for name in CostCounters._COUNT_FIELDS:
-        arr = getattr(counters, name)
-        if not arr.any():
-            continue
-        sums = np.bincount(owners, weights=arr, minlength=num_devices)
-        for d in range(num_devices):
-            if sums[d]:
-                agg = device_aggs[d]
-                setattr(agg, name, getattr(agg, name) + int(sums[d]))
+    return counters.counts @ (owners[:, None] == np.arange(num_owners))
 
 
 def _partition_for_devices(engine: WalkEngine, starts: np.ndarray) -> list[np.ndarray]:
@@ -473,11 +507,10 @@ class ReplicatedRunAccounting:
         counts[_ATOMIC_ROW] = 1
         self._append(start_nodes, counts)
 
-    def record(self, start_nodes: np.ndarray, counts: dict[str, np.ndarray]) -> None:
-        """Per-walker counts of walkers executed elsewhere (the scheduler)."""
-        self._append(
-            start_nodes, np.array([counts[name] for name in CostCounters._COUNT_FIELDS])
-        )
+    def record(self, start_nodes: np.ndarray, counts: np.ndarray) -> None:
+        """Per-walker counts of walkers executed elsewhere (the scheduler),
+        as a ``(fields, walkers)`` matrix."""
+        self._append(start_nodes, counts)
 
     def observe(
         self,
@@ -491,10 +524,7 @@ class ReplicatedRunAccounting:
         if active.size == 0:
             return
         cols = active + offset if offset else active
-        for j, name in enumerate(CostCounters._COUNT_FIELDS):
-            column = getattr(report.counters, name)
-            if column.any():
-                self._counts[j, cols] += column
+        self._counts[:, cols] += report.counters.counts
 
     def owners(self) -> np.ndarray:
         """The device of every registered walker."""
@@ -550,7 +580,7 @@ class ReplicatedRunAccounting:
 
 
 #: Row of the queue-fetch atomic in the ledgers' per-field count matrices.
-_ATOMIC_ROW = CostCounters._COUNT_FIELDS.index("atomic_ops")
+_ATOMIC_ROW = COUNT_ROWS["atomic_ops"]
 
 
 def _device_counters(engine: WalkEngine, totals: np.ndarray) -> CostCounters:
@@ -710,22 +740,14 @@ class ShardedRunAccounting:
             return
         hosts = self._hosts[offset]
         current = hosts[active]
-        counters = report.counters
-        k = self.num_shards
-        live = [
-            (j, column)
-            for j, name in enumerate(CostCounters._COUNT_FIELDS)
-            if (column := getattr(counters, name)).any()
-        ]
-        if live:
-            # One bincount over (field, device) keys covers every non-zero
-            # counter column of the superstep in a single pass.
-            keys = np.concatenate([current + j * k for j, _ in live])
-            weights = np.concatenate([column for _, column in live])
-            top = live[-1][0] + 1
-            self._counter_sums[:top] += np.bincount(
-                keys, weights=weights, minlength=top * k
-            ).reshape(top, k)
+        counts = report.counters.counts
+        fields, k = self._counter_sums.shape
+        # One bincount over (field, device) keys covers the whole count
+        # matrix of the superstep in a single pass.
+        keys = current + (np.arange(fields) * k)[:, None]
+        self._counter_sums += np.bincount(
+            keys.ravel(), weights=counts.ravel(), minlength=fields * k
+        ).reshape(fields, k)
         cols = active + offset if offset else active
         self._res_times[current, cols] += report.step_ns
         self._res_seen[current, cols] = True
@@ -1141,12 +1163,13 @@ class FrontierDriver:
         queries: list[WalkQuery],
         paths: list[list[int]],
         per_query_ns: np.ndarray,
-        counts: dict[str, np.ndarray] | None = None,
+        counts: np.ndarray | None = None,
     ) -> None:
         """Append finished walks executed outside :meth:`advance`.
 
-        ``counts`` — per-walker integer counts, needed by a replicated
-        multi-device ledger — must cover the same walkers in the same order.
+        ``counts`` — per-walker integer counts as a ``(fields, walkers)``
+        matrix, needed by a replicated multi-device ledger — must cover the
+        same walkers in the same order.
         """
         self.launched += len(queries)
         self._paths.extend(paths)

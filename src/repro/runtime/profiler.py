@@ -16,7 +16,7 @@ simulated time of both profiling kernels is reported too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +33,21 @@ from repro.walks.state import WalkerState, WalkQuery
 
 @dataclass(frozen=True)
 class ProfileResult:
-    """Outcome of the start-up profiling kernels."""
+    """Outcome of the start-up profiling kernels.
+
+    ``checkpoints[i]`` is the profiling loop's running state just before
+    sampled node ``i`` — the profiling stream's counter and the five
+    running sums — so a later profile of a graph version that agrees on
+    the first ``i`` sampled nodes can resume there (see
+    :func:`profile_edge_costs`).  Bookkeeping only: it takes no part in
+    equality.
+    """
 
     edge_cost_rjs: float
     edge_cost_rvs: float
     simulated_time_ns: float
     sampled_nodes: int
+    checkpoints: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def edge_cost_ratio(self) -> float:
@@ -58,30 +67,34 @@ def _sample_nodes(graph: CSRGraph, node_fraction: float, max_nodes: int, seed: i
     return np.sort(rng.choice(candidates, size=min(target, candidates.size), replace=False))
 
 
-def profile_unchanged(
+def profile_resume_index(
     old_graph: CSRGraph,
     new_graph: CSRGraph,
     touched_nodes: np.ndarray,
     node_fraction: float = 0.02,
     max_nodes: int = 64,
     seed: int = 0,
-) -> bool:
-    """True when a delta provably leaves :func:`profile_edge_costs` unchanged.
+) -> int | None:
+    """How many leading sampled nodes a delta provably leaves alone.
 
     Sound only for workloads whose transition weights are a pure function
     of the edge (:attr:`~repro.compiler.generator.CompiledWorkload.weights_node_only`):
     the profiling kernels then read nothing but each sampled node's own row
     and the row of its history node (its first neighbour).  Both graphs
     sample the same nodes when no touched node's degree crossed zero — the
-    candidate set, and with it the seeded draw, is unchanged — so the result
-    is bit-identical when none of the rows read was touched.
+    candidate set, and with it the seeded draw, is unchanged — and the
+    profiling loop's state after a sampled node depends only on the rows
+    read up to it.  So the result is the number of sampled nodes before the
+    first one whose rows the delta touched (the sample size when it touched
+    none), or ``None`` when the sample itself changed.
     """
     touched = np.asarray(touched_nodes, dtype=np.int64)
     if np.any((old_graph.degrees()[touched] > 0) != (new_graph.degrees()[touched] > 0)):
-        return False
+        return None
     nodes = _sample_nodes(new_graph, node_fraction, max_nodes, seed)
     history = new_graph.indices[new_graph.indptr[nodes]]
-    return not np.any(np.isin(np.concatenate([nodes, history]), touched))
+    hit = np.isin(nodes, touched) | np.isin(history, touched)
+    return int(hit.argmax()) if hit.any() else int(nodes.size)
 
 
 def profile_edge_costs(
@@ -92,6 +105,7 @@ def profile_edge_costs(
     max_nodes: int = 64,
     max_neighbors: int = 256,
     seed: int = 0,
+    resume: tuple[ProfileResult, int] | None = None,
 ) -> ProfileResult:
     """Run the two profiling kernels and return the measured per-edge costs.
 
@@ -103,6 +117,14 @@ def profile_edge_costs(
         sub-percent range of the main walk.
     max_neighbors:
         Cap on the neighbours evaluated per profiled node.
+    resume:
+        ``(previous, index)``: ``previous`` profiled another version of the
+        graph with the same arguments, and ``index`` sampled nodes ago the
+        two versions agree (:func:`profile_resume_index`).  The loop
+        restarts from ``previous.checkpoints[index]`` instead of node 0;
+        the result is bit-identical to a full run, because every sum
+        accumulates the same terms in the same order and the stream
+        continues at the same counter.
     """
     nodes = _sample_nodes(graph, node_fraction, max_nodes, seed)
     if nodes.size == 0:
@@ -117,11 +139,14 @@ def profile_edge_costs(
     rvs_kernel = EnhancedReservoirSampler()
     rjs_kernel = EnhancedRejectionSampler(use_estimated_bound=True)
 
-    rvs_ns = 0.0
-    rvs_edges = 0
-    rjs_ns = 0.0
-    rjs_edges = 0
-    total_ns = 0.0
+    start = 0
+    rvs_ns, rvs_edges, rjs_ns, rjs_edges, total_ns = 0.0, 0, 0.0, 0, 0.0
+    checkpoints: list[tuple] = []
+    if resume is not None and resume[0].checkpoints:
+        previous, start = resume
+        checkpoints = list(previous.checkpoints[:start])
+        counter, rvs_ns, rvs_edges, rjs_ns, rjs_edges, total_ns = previous.checkpoints[start]
+        stream.reserve(counter)
 
     def profiled_state(node: int) -> WalkerState:
         """A representative walker state: one step of history when possible.
@@ -138,7 +163,10 @@ def profile_edge_costs(
             state.step = 1
         return state
 
-    for node in nodes:
+    for node in nodes[start:]:
+        checkpoints.append(
+            (stream.philox_counter, rvs_ns, rvs_edges, rjs_ns, rjs_edges, total_ns)
+        )
         degree = min(graph.degree(int(node)), max_neighbors)
         if degree == 0:
             continue
@@ -172,9 +200,15 @@ def profile_edge_costs(
     edge_cost_rjs = rjs_ns / max(rjs_edges, 1)
     # Both kernels run concurrently across the sampled nodes on the device.
     parallel_ns = total_ns / max(1, min(device.parallel_lanes, nodes.size))
+    # The state after the last node: a version agreeing on every sampled
+    # node resumes past the loop.
+    checkpoints.append(
+        (stream.philox_counter, rvs_ns, rvs_edges, rjs_ns, rjs_edges, total_ns)
+    )
     return ProfileResult(
         edge_cost_rjs=edge_cost_rjs,
         edge_cost_rvs=edge_cost_rvs,
         simulated_time_ns=parallel_ns,
         sampled_nodes=int(nodes.size),
+        checkpoints=tuple(checkpoints),
     )

@@ -343,7 +343,7 @@ class BatchStepContext:
     def charge(self, name: str, amount: np.ndarray | int, idx: np.ndarray | None = None) -> None:
         """Charge a counter for every walker (or the subset ``idx``)."""
         slots = self.slots if idx is None else self.slots[idx]
-        self.counters.charge(name, slots, amount)
+        getattr(self.counters, name)[slots] += amount
 
     def transition_weights(self) -> np.ndarray:
         """Flattened transition weights of every candidate edge (no accounting).

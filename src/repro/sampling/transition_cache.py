@@ -10,8 +10,10 @@ device and repeated ``engine.run`` call, so the batched engine can compute
 them **once per (graph, spec)** and share the result from then on.
 
 The cache stores three flattened per-node structures, all parallel to the
-graph's CSR edge arrays and filled lazily on first visit (a sparse-query run
-must not pay an O(num_edges) startup it would never have paid):
+graph's CSR edge arrays, allocated when first needed and filled lazily on
+first visit (a sparse-query run must not pay an O(num_edges) startup it
+would never have paid, and a workload that never runs ITS or ALS never
+holds CDF or alias arrays):
 
 * the transition **weights** themselves (consulted by
   :meth:`~repro.sampling.batch.BatchStepContext.transition_weights`, i.e. by
@@ -55,15 +57,16 @@ class TransitionCache:
     def __init__(self, graph: CSRGraph, spec: WalkSpec) -> None:
         self.graph = graph
         self.spec = spec
-        num_nodes, num_edges = graph.num_nodes, graph.num_edges
-        self._weights = np.zeros(num_edges, dtype=np.float64)
+        num_nodes = graph.num_nodes
+        # Edge-parallel arrays stay None until a fill needs them.
+        self._weights: np.ndarray | None = None
         self._row_max = np.full(num_nodes, -np.inf, dtype=np.float64)
         self._have_weights = np.zeros(num_nodes, dtype=bool)
-        self._cdf = np.zeros(num_edges, dtype=np.float64)
+        self._cdf: np.ndarray | None = None
         self._totals = np.zeros(num_nodes, dtype=np.float64)
         self._have_cdf = np.zeros(num_nodes, dtype=bool)
-        self._alias_prob = np.zeros(num_edges, dtype=np.float64)
-        self._alias_idx = np.zeros(num_edges, dtype=np.int64)
+        self._alias_prob: np.ndarray | None = None
+        self._alias_idx: np.ndarray | None = None
         self._have_alias = np.zeros(num_nodes, dtype=bool)
         self._probe = WalkerState(
             query=WalkQuery(query_id=0, start_node=0, max_length=1), current_node=0
@@ -89,9 +92,10 @@ class TransitionCache:
         bulk = self.spec.static_transition_weights(self.graph)
         if bulk is not None:
             # The workload can produce the whole edge array in one shot; fill
-            # everything and never come back.
+            # everything and never come back.  The array may be the graph's
+            # own weights: it is only ever read (a rebind builds new ones).
             bulk = np.asarray(bulk, dtype=np.float64)
-            if bulk.shape != self._weights.shape:
+            if bulk.shape != self.graph.indices.shape:
                 raise ValueError(
                     "static_transition_weights must be parallel to graph.indices"
                 )
@@ -106,6 +110,8 @@ class TransitionCache:
             self._have_weights[:] = True
             self.weight_fills += int(self.graph.num_nodes)
             return
+        if self._weights is None:
+            self._weights = np.zeros(self.graph.num_edges, dtype=np.float64)
         indptr = self.graph.indptr
         for node in pending.tolist():
             self._probe.current_node = node
@@ -138,10 +144,15 @@ class TransitionCache:
 
         old_graph = self.graph
         touched = np.asarray(touched_nodes, dtype=np.int64)
-        new_weights = np.zeros(new_graph.num_edges, dtype=np.float64)
-        new_cdf = np.zeros(new_graph.num_edges, dtype=np.float64)
-        new_alias_prob = np.zeros(new_graph.num_edges, dtype=np.float64)
-        new_alias_idx = np.zeros(new_graph.num_edges, dtype=np.int64)
+
+        def remapped(old: np.ndarray | None) -> np.ndarray | None:
+            # An array never allocated holds nothing to carry.
+            return None if old is None else np.zeros(new_graph.num_edges, dtype=old.dtype)
+
+        new_weights = remapped(self._weights)
+        new_cdf = remapped(self._cdf)
+        new_alias_prob = remapped(self._alias_prob)
+        new_alias_idx = remapped(self._alias_idx)
 
         def carried(have: np.ndarray) -> np.ndarray:
             mask = have.copy()
@@ -189,6 +200,8 @@ class TransitionCache:
         the cache's own storage: read it, never write it.
         """
         self.ensure_weights(nodes)
+        if self._weights is None:  # nothing requested, nothing filled yet
+            self._weights = np.zeros(self.graph.num_edges, dtype=np.float64)
         self.lookups += 1
         return self._weights, self._row_max[nodes]
 
@@ -202,6 +215,8 @@ class TransitionCache:
         as the uncached ITS kernel evaluates them per walker, so the stored
         values are bit-identical to what every later step would recompute.
         """
+        if self._cdf is None:
+            self._cdf = np.zeros(self.graph.num_edges, dtype=np.float64)
         pending = np.unique(nodes[~self._have_cdf[nodes]])
         if pending.size == 0:
             return
@@ -225,6 +240,9 @@ class TransitionCache:
     # ------------------------------------------------------------------ #
     def ensure_alias(self, nodes: np.ndarray) -> None:
         """Materialise Vose alias tables for the given nodes (idempotent)."""
+        if self._alias_prob is None:
+            self._alias_prob = np.zeros(self.graph.num_edges, dtype=np.float64)
+            self._alias_idx = np.zeros(self.graph.num_edges, dtype=np.int64)
         pending = np.unique(nodes[~self._have_alias[nodes]])
         if pending.size == 0:
             return

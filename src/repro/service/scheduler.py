@@ -36,10 +36,14 @@ ledgers are keyed by private wave-local step ordinals).  The
 from bit-exactness: its selector flips coins from a shared sequential
 generator, so fused execution interleaves the draws.
 
-Like the frontier it wraps, the scheduler trades memory for simplicity: a
-fusion group's arrays grow monotonically with every admitted walker and are
-never compacted, so a scheduler is sized for a workload burst, not an
-unbounded service lifetime.
+The scheduler's state stays bounded over a long service lifetime: at every
+admission boundary a fusion group's fused frontier drops its finished
+walkers (random streams are keyed by query id, so moving a walker to a new
+position cannot change its walk), each finished walker's per-query time and
+counts are settled into its session's ledger as soon as the walk is
+emitted, and a group retires when its last attached session detaches
+(its fault tallies fold into scheduler-level totals first).  A superstep
+skips idle groups without touching their frontiers.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import dataclasses
 import heapq
 import time
 from collections import deque
+from operator import attrgetter
 from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -55,7 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import QueueFull, ServiceError
-from repro.gpusim.counters import CostCounters, CounterBatch
+from repro.gpusim.counters import COUNT_ROWS, CostCounters
 from repro.runtime.faults import restore_checkpoint, take_checkpoint
 from repro.runtime.frontier import (
     FrontierRun,
@@ -73,6 +78,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Fairness policies the scheduler implements.
 FAIRNESS_POLICIES = ("wrr", "fifo")
+
+#: WRR pick order: smallest virtual time, ties broken by tenant name.
+_WRR_KEY = attrgetter("vtime", "name")
+
+
+def _head_seq(tenant: _TenantState) -> int:
+    """FIFO pick order: the submission sequence of the tenant's oldest walker."""
+    return tenant.queue[0].seq
+
+
+def _take(lane: deque, n: int) -> list:
+    """Pop the first ``n`` entries of an admission lane, in order."""
+    if n >= len(lane):
+        block = list(lane)
+        lane.clear()
+        return block
+    return [lane.popleft() for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -147,10 +169,19 @@ class _Pending:
 
 
 class _SessionEntry:
-    """Scheduler-side ledger of one attached session."""
+    """Scheduler-side ledger of one attached session.
 
-    __slots__ = ("session", "tenant", "group", "gidx", "fused_pos", "queries",
-                 "sub_ords", "flushed", "queued", "inflight", "chunks",
+    Covers every walker admitted since the session's last flush, in
+    admission order: its query, submission ordinal and — filled when the
+    walk finishes or is cancelled — its per-query simulated time and (for
+    replicated multi-device plans) its per-walker count column.  Finished
+    walkers are settled here when :meth:`ServiceScheduler._fold` emits
+    them, so a flush never reads the fused frontier, whose positions move
+    when finished walkers are compacted away.
+    """
+
+    __slots__ = ("session", "tenant", "group", "gidx", "attached", "queries",
+                 "sub_ords", "ns", "counts", "queued", "inflight", "chunks",
                  "quarantined")
 
     def __init__(self, session, tenant: _TenantState, group: _Group) -> None:
@@ -158,10 +189,11 @@ class _SessionEntry:
         self.tenant = tenant
         self.group = group
         self.gidx = len(group.sessions)  # this entry's index within the group
-        self.fused_pos: list[int] = []   # admission-ordered frontier positions
+        self.attached = True
         self.queries: list[WalkQuery] = []
         self.sub_ords: list[int] = []
-        self.flushed = 0
+        self.ns: list[float] = []
+        self.counts: list[np.ndarray | None] = []
         self.queued = 0
         self.inflight = 0
         self.chunks: deque["WalkChunk"] = deque()
@@ -169,14 +201,23 @@ class _SessionEntry:
 
 
 class _Group:
-    """One fusion group: sessions compatible enough to share a frontier."""
+    """One fusion group: sessions compatible enough to share a frontier.
 
-    __slots__ = ("key", "engine", "seed", "run", "gen", "sessions", "owner",
-                 "tenants", "aggregate", "usage", "track_counts", "counts",
-                 "faults", "checkpoint", "ordinal")
+    Per fused frontier position it keeps the owning session (``owner``, an
+    index into ``sessions``), that walker's slot in the owner's ledger
+    (``slot``) and its tenant; ``counts`` holds the per-walker count columns
+    of replicated multi-device plans.  All four are compacted together with
+    the frontier when finished walkers are dropped.
+    """
 
-    def __init__(self, key, engine, track_counts: bool) -> None:
+    __slots__ = ("key", "seq", "engine", "seed", "run", "gen", "sessions",
+                 "attached", "inflight", "owner", "slot", "tenants", "aggregate",
+                 "usage", "track_counts", "counts", "faults", "checkpoint",
+                 "ordinal")
+
+    def __init__(self, key, seq: int, engine, track_counts: bool) -> None:
         self.key = key
+        self.seq = seq  # creation order (fault tallies sum in this order)
         self.engine = engine
         self.seed = engine.seed
         self.run = FrontierRun(engine)
@@ -188,7 +229,10 @@ class _Group:
         self.checkpoint = None
         self.ordinal = 0
         self.sessions: list[_SessionEntry] = []
+        self.attached = 0   # sessions still attached
+        self.inflight = 0   # admitted walkers that have not finished
         self.owner = np.zeros(0, dtype=np.int64)     # fused pos -> gidx
+        self.slot = np.zeros(0, dtype=np.int64)      # fused pos -> ledger slot
         self.tenants: list[_TenantState] = []        # fused pos -> tenant
         # Fused-level sinks required by iter_supersteps; the per-session
         # attribution happens in the scheduler's fold, these are only kept
@@ -196,11 +240,7 @@ class _Group:
         self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
         self.usage: dict[str, int] = {}
         self.track_counts = track_counts
-        self.counts: dict[str, np.ndarray] = (
-            {name: np.zeros(0, dtype=np.int64) for name in CostCounters._COUNT_FIELDS}
-            if track_counts
-            else {}
-        )
+        self.counts = np.zeros((len(COUNT_ROWS), 0), dtype=np.int64)
 
 
 class ServiceScheduler:
@@ -221,7 +261,12 @@ class ServiceScheduler:
 
     One :meth:`tick` = one fused superstep boundary: first admission (SLO
     lane, then the fairness policy, within the in-flight budget), then one
-    superstep of every fusion group.
+    superstep of every fusion group that has walkers in flight.
+
+    State is bounded by what is live: admission compacts finished walkers
+    out of a group's fused frontier, finished walks are settled into their
+    session's ledger when emitted, and a group retires when its last
+    attached session detaches.
     """
 
     def __init__(
@@ -265,6 +310,13 @@ class ServiceScheduler:
         # a heap popped at every tick boundary.
         self._deadlines: list[tuple[int, int, _SessionEntry, int]] = []
         self._quarantined: list[_SessionEntry] = []
+        # Fault tallies of retired groups: recovery time by group creation
+        # order (so sums keep the order of live groups), checkpoints taken,
+        # devices lost.
+        self._group_seq = 0
+        self._retired_recovery: dict[int, float] = {}
+        self._retired_checkpoints = 0
+        self._retired_degraded: set[int] = set()
         self._seq = 0
         self._tick = 0
         self._vclock = 0.0
@@ -341,6 +393,7 @@ class ServiceScheduler:
         group = self._group_for(session)
         entry = _SessionEntry(session, tstate, group)
         group.sessions.append(entry)
+        group.attached += 1
         self._entries[id(session)] = entry
         session._scheduler = self
         tstate.sessions += 1
@@ -373,6 +426,22 @@ class ServiceScheduler:
         session._scheduler = None
         entry.tenant.sessions -= 1
         del self._entries[id(session)]
+        entry.attached = False
+        group = entry.group
+        group.attached -= 1
+        if group.attached == 0:
+            self._retire_group(group)
+
+    def _retire_group(self, group: _Group) -> None:
+        """Drop a group no session is attached to, keeping its fault tallies."""
+        if self._groups.get(group.key) is group:
+            del self._groups[group.key]
+        faults = group.faults
+        if faults is not None:
+            if faults.recovery_ns:
+                self._retired_recovery[group.seq] = faults.recovery_ns
+            self._retired_checkpoints += faults.checkpoints_taken
+            self._retired_degraded.update(faults.degraded)
 
     def _group_for(self, session: WalkSession) -> _Group:
         from repro.service.service import WalkService
@@ -392,7 +461,8 @@ class ServiceScheduler:
         group = self._groups.get(key)
         if group is None:
             counts = isinstance(session._driver.ledger, ReplicatedRunAccounting)
-            group = _Group(key, session.engine, track_counts=counts)
+            group = _Group(key, self._group_seq, session.engine, track_counts=counts)
+            self._group_seq += 1
             self._groups[key] = group
         return group
 
@@ -442,15 +512,18 @@ class ServiceScheduler:
 
     @property
     def recovery_time_ns(self) -> float:
-        """Simulated recovery time accumulated by every fusion group."""
-        return sum(
-            g.faults.recovery_ns for g in self._groups.values() if g.faults is not None
-        )
+        """Simulated recovery time accumulated by every fusion group
+        (retired ones included; quarantined ones are gone)."""
+        by_seq = dict(self._retired_recovery)
+        for g in self._groups.values():
+            if g.faults is not None:
+                by_seq[g.seq] = g.faults.recovery_ns
+        return sum(by_seq[seq] for seq in sorted(by_seq))
 
     @property
     def checkpoints_taken(self) -> int:
         """Explicit (charged) checkpoints taken across every fusion group."""
-        return sum(
+        return self._retired_checkpoints + sum(
             g.faults.checkpoints_taken
             for g in self._groups.values()
             if g.faults is not None
@@ -459,7 +532,7 @@ class ServiceScheduler:
     @property
     def degraded_devices(self) -> tuple[int, ...]:
         """Devices lost to permanent failures, across every fusion group."""
-        dead: set[int] = set()
+        dead = set(self._retired_degraded)
         for g in self._groups.values():
             if g.faults is not None:
                 dead.update(g.faults.degraded)
@@ -499,6 +572,7 @@ class ServiceScheduler:
             "tenants": sorted(self._tenants),
             "sessions": len(self._entries),
             "fusion_groups": len(self._groups),
+            "fused_positions": sum(len(g.run) for g in self._groups.values()),
             "supersteps": self._tick,
             "queued": self._queued,
             "inflight": self._inflight,
@@ -631,25 +705,27 @@ class ServiceScheduler:
                 return False
             self._drop_pending(pending, reason)
             return True
-        frontier = entry.group.run.frontier
-        for i, query in enumerate(entry.queries):
-            if query.query_id == qid:
-                pos = entry.fused_pos[i]
+        group = entry.group
+        frontier = group.run.frontier
+        for pos in np.flatnonzero(group.owner == entry.gidx).tolist():
+            if frontier.queries[pos].query_id == qid:
                 break
-        else:  # pragma: no cover - claimed ids always have an entry slot
+        else:  # pragma: no cover - claimed ids are in flight in the group
             return False
         frontier.terminate(np.array([pos], dtype=np.int64))
         session._path_by_qid[qid] = list(frontier.path(pos))
         session._cancelled_ids[qid] = reason
+        self._settle(group, np.array([pos], dtype=np.int64))
         # A restore from a pre-cancellation checkpoint would resurrect the
         # terminated walker; rebase the group's restore point on the
         # post-cancellation state instead.
-        if entry.group.faults is not None:
-            entry.group.checkpoint = None
-        tenant = entry.group.tenants[pos]
+        if group.faults is not None:
+            group.checkpoint = None
+        tenant = group.tenants[pos]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
         entry.inflight -= 1
+        group.inflight -= 1
         self._inflight -= 1
         return True
 
@@ -716,23 +792,30 @@ class ServiceScheduler:
         for entry in group.sessions:
             if entry.quarantined is not None:
                 continue
-            session = entry.session
             self._slo = self._drop_entry_pendings(self._slo, entry)
             for tenant in self._tenants.values():
                 if tenant.queue:
                     tenant.queue = self._drop_entry_pendings(tenant.queue, entry)
-            for i, query in enumerate(entry.queries):
-                qid = query.query_id
-                if qid in session._path_by_qid or qid in session._cancelled_ids:
-                    continue
-                session._cancelled_ids[qid] = "quarantined"
-                tenant = group.tenants[entry.fused_pos[i]]
-                tenant.outstanding -= 1
-                tenant.dead_letters += 1
-                entry.inflight -= 1
-                self._inflight -= 1
-            entry.quarantined = message
-            self._quarantined.append(entry)
+        # Every walker still in the fused frontier that has not finished
+        # was in flight (compaction only ever drops finished walkers).
+        owner = group.owner.tolist()
+        for pos, query in enumerate(group.run.frontier.queries):
+            entry = group.sessions[owner[pos]]
+            session = entry.session
+            qid = query.query_id
+            if qid in session._path_by_qid or qid in session._cancelled_ids:
+                continue
+            session._cancelled_ids[qid] = "quarantined"
+            tenant = group.tenants[pos]
+            tenant.outstanding -= 1
+            tenant.dead_letters += 1
+            entry.inflight -= 1
+            self._inflight -= 1
+        group.inflight = 0
+        for entry in group.sessions:
+            if entry.quarantined is None:
+                entry.quarantined = message
+                self._quarantined.append(entry)
 
     def _drop_entry_pendings(self, lane: deque, entry: _SessionEntry) -> deque:
         keep: deque[_Pending] = deque()
@@ -869,6 +952,12 @@ class ServiceScheduler:
         the fairness policy — ``wrr`` picks the backlogged tenant with the
         smallest virtual time (one walker per pick, virtual time advanced
         by ``1/weight``), ``fifo`` follows global submission order.
+
+        Consecutive picks of one tenant are taken as one block: the run
+        lasts until the tenant's queue empties, the budget binds or another
+        backlogged tenant would win the next pick.  The admission order,
+        the ``admissions`` log and every tenant's virtual time come out
+        exactly as walker-by-walker picking would leave them.
         """
         if not self._queued:
             return
@@ -889,88 +978,136 @@ class ServiceScheduler:
                     p.deadline_steps is not None for p in remaining
                 )
 
-        budget = (
+        # Walkers that may still be admitted this tick (None: unbounded).
+        room = (
             None
             if self.max_inflight_walkers == 0
             else self.max_inflight_walkers - self._inflight
         )
         admitted: list[_Pending] = []
-
-        def room() -> bool:
-            return budget is None or budget - len(admitted) > 0
-
-        while self._slo and room():
-            p = self._slo.popleft()
-            p.tenant.slo_admitted += 1
-            admitted.append(p)
-        if self.fairness == "fifo":
-            while room():
-                backlogged = [t for t in self._tenants.values() if t.queue]
-                if not backlogged:
-                    break
-                tenant = min(backlogged, key=lambda t: t.queue[0].seq)
-                admitted.append(tenant.queue.popleft())
-        else:  # wrr: virtual-time weighted fair queuing over unit walkers
-            while room():
-                backlogged = [t for t in self._tenants.values() if t.queue]
-                if not backlogged:
-                    break
-                tenant = min(backlogged, key=lambda t: (t.vtime, t.name))
-                # Catch the virtual clock up for tenants that sat idle, so a
-                # returning tenant gets its fair share, not a stale burst.
-                tenant.vtime = max(tenant.vtime, self._vclock)
-                self._vclock = tenant.vtime
-                tenant.vtime += 1.0 / tenant.weight
-                admitted.append(tenant.queue.popleft())
+        slo = self._slo
+        if slo and (room is None or room > 0):
+            block = _take(slo, len(slo) if room is None else room)
+            for p in block:
+                p.tenant.slo_admitted += 1
+            admitted.extend(block)
+            if room is not None:
+                room -= len(block)
+        backlogged = [t for t in self._tenants.values() if t.queue]
+        while backlogged and (room is None or room > 0):
+            if self.fairness == "fifo":
+                tenant, n = self._fifo_run(backlogged, room)
+            else:  # wrr: virtual-time weighted fair queuing over unit walkers
+                tenant, n = self._wrr_run(backlogged, room)
+            admitted.extend(_take(tenant.queue, n))
+            if room is not None:
+                room -= n
+            if not tenant.queue:
+                backlogged.remove(tenant)
         if not admitted:
             return
         if self.record_admissions:
-            self.admissions.extend((self._tick, p.tenant.name) for p in admitted)
+            tick = self._tick
+            self.admissions.extend([(tick, p.tenant.name) for p in admitted])
 
-        by_group: dict[int, list[_Pending]] = {}
-        groups: dict[int, _Group] = {}
+        group = admitted[0].entry.group
         for p in admitted:
-            gid = id(p.entry.group)
-            by_group.setdefault(gid, []).append(p)
-            groups[gid] = p.entry.group
-        for gid, batch in by_group.items():
-            self._apply_admission(groups[gid], batch)
+            if p.entry.group is not group:
+                break
+        else:
+            self._apply_admission(group, admitted)
+            return
+        by_group: dict[_Group, list[_Pending]] = {}
+        for p in admitted:
+            by_group.setdefault(p.entry.group, []).append(p)
+        for group, batch in by_group.items():
+            self._apply_admission(group, batch)
+
+    @staticmethod
+    def _fifo_run(backlogged: list[_TenantState], room: int | None) -> tuple[_TenantState, int]:
+        """The next run of FIFO picks: global submission order."""
+        backlogged.sort(key=_head_seq)
+        tenant = backlogged[0]
+        queue = tenant.queue
+        limit = len(queue) if room is None else min(len(queue), room)
+        if len(backlogged) == 1:
+            return tenant, limit
+        bound = backlogged[1].queue[0].seq
+        n = 1
+        while n < limit and queue[n].seq < bound:
+            n += 1
+        return tenant, n
+
+    def _wrr_run(self, backlogged: list[_TenantState], room: int | None) -> tuple[_TenantState, int]:
+        """The next run of WRR picks, advancing the virtual clocks pick by pick."""
+        backlogged.sort(key=_WRR_KEY)
+        tenant = backlogged[0]
+        queue = tenant.queue
+        limit = len(queue) if room is None else min(len(queue), room)
+        rival = (backlogged[1].vtime, backlogged[1].name) if len(backlogged) > 1 else None
+        name, step = tenant.name, 1.0 / tenant.weight
+        vtime, vclock = tenant.vtime, self._vclock
+        n = 0
+        while n < limit and (rival is None or n == 0 or (vtime, name) < rival):
+            # Catch the virtual clock up for tenants that sat idle, so a
+            # returning tenant gets its fair share, not a stale burst.
+            if vclock > vtime:
+                vtime = vclock
+            vclock = vtime
+            vtime += step
+            n += 1
+        tenant.vtime, self._vclock = vtime, vclock
+        return tenant, n
 
     def _apply_admission(self, group: _Group, batch: list[_Pending]) -> None:
-        """Inject one group's admitted walkers into its fused frontier."""
-        queries = [p.query for p in batch]
-        positions, _fetch_ns = group.run.admit(queries, group.seed)
+        """Inject one group's admitted walkers into its fused frontier.
+
+        An admission boundary is the only time fused positions may move:
+        the group's finished walkers are compacted away first (their
+        results already sit in their sessions' ledgers), then the new
+        walkers are appended.
+        """
+        run = group.run
+        if len(run) > group.inflight or group.attached < len(group.sessions):
+            self._compact(group)
+        run.admit([p.query for p in batch], group.seed)
         k = len(batch)
+        tick = self._tick
+        slots: list[int] = []
+        per_entry: dict[_SessionEntry, int] = {}
+        for p in batch:
+            entry = p.entry
+            slots.append(len(entry.queries))
+            entry.queries.append(p.query)
+            entry.sub_ords.append(p.sub_ord)
+            entry.ns.append(0.0)
+            entry.counts.append(None)
+            entry.queued -= 1
+            entry.inflight += 1
+            session = entry.session
+            session._claimed_ids.add(p.query.query_id)
+            session._start_step_by_qid[p.query.query_id] = tick
+            p.tenant.admitted += 1
+            per_entry[entry] = per_entry.get(entry, 0) + 1
         group.owner = np.concatenate(
             [group.owner, np.array([p.entry.gidx for p in batch], dtype=np.int64)]
         )
-        group.tenants.extend(p.tenant for p in batch)
+        group.slot = np.concatenate([group.slot, np.array(slots, dtype=np.int64)])
+        group.tenants.extend([p.tenant for p in batch])
         if group.track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                group.counts[name] = np.concatenate(
-                    [group.counts[name], np.zeros(k, dtype=np.int64)]
-                )
-            group.counts["atomic_ops"][positions] = 1
+            fresh = np.zeros((len(COUNT_ROWS), k), dtype=np.int64)
+            fresh[COUNT_ROWS["atomic_ops"]] = 1
+            group.counts = np.concatenate([group.counts, fresh], axis=1)
 
         # Per-session fetch accounting: one queue atomic per admitted
         # walker, exactly as a solo wave launch charges it (lane pricing is
         # per-slot, so splitting a launch across admissions changes nothing).
-        per_entry: dict[int, int] = {}
-        for pos, p in zip(positions, batch, strict=False):
-            entry = p.entry
-            entry.fused_pos.append(int(pos))
-            entry.queries.append(p.query)
-            entry.sub_ords.append(p.sub_ord)
-            entry.queued -= 1
-            entry.inflight += 1
-            entry.session._claimed_ids.add(p.query.query_id)
-            entry.session._start_step_by_qid[p.query.query_id] = self._tick
-            p.tenant.admitted += 1
-            per_entry[entry.gidx] = per_entry.get(entry.gidx, 0) + 1
-        for gidx, count in per_entry.items():
-            fetch = CounterBatch(count, bytes_per_weight=group.engine.weight_bytes)
-            fetch.atomic_ops += 1
-            group.sessions[gidx].session._driver.charge(fetch.totals())
+        weight_bytes = group.engine.weight_bytes
+        for entry, count in per_entry.items():
+            entry.session._driver.charge(
+                CostCounters(atomic_ops=count, bytes_per_weight=weight_bytes)
+            )
+        group.inflight += k
         self._queued -= k
         self._inflight += k
         # Admission grew the frontier, so the group's restore point no
@@ -979,16 +1116,44 @@ class ServiceScheduler:
         if group.faults is not None:
             group.checkpoint = None
 
+    @staticmethod
+    def _compact(group: _Group) -> None:
+        """Drop a group's finished walkers and detached sessions.
+
+        Every walker that is not active has finished or was cancelled, and
+        its results were settled into its session's ledger then.  The
+        survivors keep their relative order; random streams are keyed by
+        query id, so renumbering them cannot change any walk.  A detached
+        session owned no live walker (detaching drains it), so the attached
+        sessions are renumbered too.
+        """
+        keep = group.run.frontier.active_indices()
+        group.run.compact(keep)
+        group.owner = group.owner[keep]
+        group.slot = group.slot[keep]
+        group.tenants = [group.tenants[i] for i in keep.tolist()]
+        if group.track_counts:
+            group.counts = group.counts[:, keep]
+        if group.attached < len(group.sessions):
+            renumber = np.zeros(len(group.sessions), dtype=np.int64)
+            group.sessions = [e for e in group.sessions if e.attached]
+            for gidx, entry in enumerate(group.sessions):
+                renumber[entry.gidx] = gidx
+                entry.gidx = gidx
+            group.owner = renumber[group.owner]
+
     # ------------------------------------------------------------------ #
     # Superstep execution and exact per-session attribution
     # ------------------------------------------------------------------ #
     def _advance_group(
         self, group: _Group, participants: list[tuple[_SessionEntry, int]]
     ) -> int:
+        if not group.inflight:
+            # Idle: a superstep generator would only find an empty frontier.
+            group.gen = None
+            return 0
         run = group.run
         if group.gen is None:
-            if run.frontier.active_indices().size == 0:
-                return 0
             group.gen = self._group_gen(group)
         faults = group.faults
         if faults is not None and group.checkpoint is None:
@@ -1075,84 +1240,103 @@ class ServiceScheduler:
     ) -> None:
         """Split one fused superstep back out per session and tenant.
 
-        Integer counts fold exactly under any grouping (bincount of
+        Integer counts fold exactly under any grouping (per-owner sums of
         per-walker integers); per-walker float times accumulate in each
         walker's own slot in walk order, identical to a solo run — which is
-        why the per-session results stay bit-identical.
+        why the per-session results stay bit-identical.  Finished walkers
+        are settled into their sessions' ledgers and emitted as chunks.
         """
-        engine = group.engine
-        if group.track_counts and report.active.size:
-            for name in CostCounters._COUNT_FIELDS:
-                column = getattr(report.counters, name)
-                if column.any():
-                    group.counts[name][report.active] += column
-
-        steps_by: dict[int, int] = {}
+        sessions = group.sessions
+        steps_by: list[int] = []
         tick_counters: dict[int, CostCounters] = {}
-        if report.active.size:
-            owners = group.owner[report.active]
-            present = np.unique(owners)
-            compact = np.searchsorted(present, owners)
-            folded = [
-                CostCounters(bytes_per_weight=engine.weight_bytes) for _ in present
-            ]
-            fold_counters_by_owner(compact, report.counters, folded, present.size)
-            step_counts = np.bincount(compact, minlength=present.size)
-            lane_ns = np.bincount(
-                compact, weights=report.step_ns, minlength=present.size
-            )
-            for j, gidx in enumerate(present):
-                entry = group.sessions[int(gidx)]
-                entry.session._driver.charge(folded[j], steps=int(step_counts[j]))
-                entry.tenant.steps += int(step_counts[j])
-                entry.tenant.lane_ns += float(lane_ns[j])
-                steps_by[int(gidx)] = int(step_counts[j])
-                tick_counters[int(gidx)] = folded[j]
-                participants.append((entry, int(step_counts[j])))
+        active = report.active
+        if active.size:
+            counters = report.counters
+            if group.track_counts:
+                group.counts[:, active] += counters.counts
+            owners = group.owner[active]
+            n = len(sessions)
+            counts = np.bincount(owners, minlength=n)
+            lane_ns = np.bincount(owners, weights=report.step_ns, minlength=n).tolist()
+            present = counts.nonzero()[0].tolist()
+            steps_by = counts.tolist()
+            if len(present) == 1:
+                folded = [report.totals]
+            else:
+                weight_bytes = group.engine.weight_bytes
+                sums = fold_counters_by_owner(owners, counters, n)
+                folded = [
+                    CostCounters(*column, bytes_per_weight=weight_bytes)
+                    for column in sums[:, present].T.tolist()
+                ]
+            for gidx, totals in zip(present, folded, strict=True):
+                entry = sessions[gidx]
+                steps = steps_by[gidx]
+                entry.session._driver.charge(totals, steps=steps)
+                entry.tenant.steps += steps
+                entry.tenant.lane_ns += lane_ns[gidx]
+                tick_counters[gidx] = totals
+                participants.append((entry, steps))
             # Sampler usage, attributed per session through the report's
             # kernel assignment (key set matches solo runs: a sampler is
             # recorded only for sessions whose walkers executed it).
             if report.assignment is not None:
-                for pos, name in enumerate(report.sampler_names):
-                    mask = report.assignment == pos
-                    if not mask.any():
-                        continue
-                    used = np.bincount(compact[mask], minlength=present.size)
-                    for j, gidx in enumerate(present):
-                        if used[j]:
-                            driver = group.sessions[int(gidx)].session._driver
-                            driver.charge_usage(name, int(used[j]))
+                names = report.sampler_names
+                used = np.bincount(report.assignment * n + owners, minlength=len(names) * n)
+                for key, count in zip(used.nonzero()[0].tolist(),
+                                      used[used > 0].tolist(), strict=True):
+                    sessions[key % n].session._driver.charge_usage(names[key // n], count)
 
-        if report.finished.size == 0:
+        finished = report.finished
+        if finished.size == 0:
             return
-        finished_by: dict[int, list[int]] = {}
-        for i in report.finished:
-            finished_by.setdefault(int(group.owner[i]), []).append(int(i))
+        self._settle(group, finished)
         frontier = group.run.frontier
-        for gidx, fused in finished_by.items():
-            entry = group.sessions[gidx]
+        fused = finished.tolist()
+        owner = group.owner[finished].tolist()
+        rows = frontier.path_buf[finished].tolist()
+        lengths = frontier.path_len[finished].tolist()
+        by_entry: dict[int, list[int]] = {}
+        for j, gidx in enumerate(owner):
+            by_entry.setdefault(gidx, []).append(j)
+        for gidx, picks in by_entry.items():
+            entry = sessions[gidx]
             session = entry.session
-            paths = tuple(tuple(frontier.path(i)) for i in fused)
-            query_ids = tuple(frontier.queries[i].query_id for i in fused)
-            for qid, path in zip(query_ids, paths, strict=False):
+            paths = tuple([tuple(rows[j][: lengths[j]]) for j in picks])
+            query_ids = tuple([frontier.queries[fused[j]].query_id for j in picks])
+            for qid, path in zip(query_ids, paths, strict=True):
                 session._path_by_qid[qid] = list(path)
-            count = len(fused)
-            entry.inflight -= count
-            self._inflight -= count
-            for i in fused:
-                tenant = group.tenants[i]
+            for j in picks:
+                tenant = group.tenants[fused[j]]
                 tenant.outstanding -= 1
                 tenant.completed += 1
+            entry.inflight -= len(picks)
             chunk = session._emit(
                 query_ids,
                 paths,
-                steps=steps_by.get(gidx, 0),
-                counters=tick_counters.get(
-                    gidx, CostCounters(bytes_per_weight=engine.weight_bytes)
-                ),
+                steps=steps_by[gidx] if steps_by else 0,
+                counters=tick_counters.get(gidx)
+                or CostCounters(bytes_per_weight=group.engine.weight_bytes),
                 superstep=self._tick,
             )
             entry.chunks.append(chunk)
+        group.inflight -= len(fused)
+        self._inflight -= len(fused)
+
+    @staticmethod
+    def _settle(group: _Group, positions: np.ndarray) -> None:
+        """Move finished walkers' per-query times (and, when tracked, their
+        count columns) from the fused frontier into their sessions' ledgers."""
+        ns = group.run.per_query_ns[positions].tolist()
+        owner = group.owner[positions].tolist()
+        slot = group.slot[positions].tolist()
+        sessions = group.sessions
+        for j, gidx in enumerate(owner):
+            sessions[gidx].ns[slot[j]] = ns[j]
+        if group.track_counts:
+            columns = group.counts[:, positions].T
+            for j, gidx in enumerate(owner):
+                sessions[gidx].counts[slot[j]] = columns[j]
 
     # ------------------------------------------------------------------ #
     # Finalisation
@@ -1162,35 +1346,33 @@ class ServiceScheduler:
 
         Records one submission-ordered batch covering every walker admitted
         since the previous flush — paths, per-query times and (for
-        replicated multi-device plans) per-walker counts — through
+        replicated multi-device plans) per-walker counts, all read from the
+        session's own ledger — through
         :meth:`~repro.runtime.frontier.FrontierDriver.record`, so
-        ``collect()`` assembles it exactly like a solo wave.  Only legal
-        when the session has nothing queued or in flight (its
-        admitted-so-far set is then exactly its submitted-so-far set, so
-        submission order is recoverable).
+        ``collect()`` assembles it exactly like a solo wave, and empties the
+        ledger.  Only legal when the session has nothing queued or in
+        flight (its admitted-so-far set is then exactly its
+        submitted-so-far set, so submission order is recoverable).
         """
         self._check_quarantined(entry)
-        start, end = entry.flushed, len(entry.fused_pos)
-        if start == end:
+        if not entry.queries:
             return
         if entry.queued + entry.inflight:  # pragma: no cover - defensive
             raise ServiceError("cannot flush a session with pending walkers")
         session = entry.session
-        group = entry.group
-        order = sorted(range(start, end), key=lambda i: entry.sub_ords[i])
-        fused = np.array([entry.fused_pos[i] for i in order], dtype=np.int64)
+        order = sorted(range(len(entry.queries)), key=entry.sub_ords.__getitem__)
         queries = [entry.queries[i] for i in order]
         session._driver.record(
             queries,
             [session._path_by_qid[q.query_id] for q in queries],
-            group.run.per_query_ns[fused],
+            np.array([entry.ns[i] for i in order], dtype=np.float64),
             counts=(
-                {name: column[fused] for name, column in group.counts.items()}
-                if group.track_counts
+                np.stack([entry.counts[i] for i in order], axis=1)
+                if entry.group.track_counts
                 else None
             ),
         )
-        entry.flushed = end
+        entry.queries, entry.sub_ords, entry.ns, entry.counts = [], [], [], []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -48,7 +48,7 @@ from repro.graph.invalidation import (
 )
 from repro.runtime.cost_model import CostModel
 from repro.runtime.engine import EngineCaches, WalkEngine
-from repro.runtime.profiler import ProfileResult, profile_edge_costs, profile_unchanged
+from repro.runtime.profiler import ProfileResult, profile_edge_costs, profile_resume_index
 from repro.runtime.selector import (
     CostModelSelector,
     DegreeBasedSelector,
@@ -182,6 +182,9 @@ class WalkService:
         self._fronts: OrderedDict[tuple, WorkloadFrontEnd] = OrderedDict()
         self._compiled: OrderedDict[tuple, CompiledWorkload] = OrderedDict()
         self._profiles: OrderedDict[tuple, ProfileResult] = OrderedDict()
+        # Profile key -> (previous version's profile, sampled nodes it still
+        # agrees on): where the next profile() of that key resumes.
+        self._profile_resume: dict[tuple, tuple[ProfileResult, int]] = {}
         self._caches: OrderedDict[tuple, EngineCaches] = OrderedDict()
         # Registry keys pinned by open sessions (refcounted): the LRU must
         # never evict an entry a live session still executes against —
@@ -358,7 +361,13 @@ class WalkService:
         key = (*self._registry_key(spec), seed)
         result = self._registry_get(self._profiles, key)
         if result is None:
-            result = profile_edge_costs(self.graph, spec, self.fleet.device, seed=seed)
+            result = profile_edge_costs(
+                self.graph,
+                spec,
+                self.fleet.device,
+                seed=seed,
+                resume=self._profile_resume.pop(key, None),
+            )
             self._registry_put(self._profiles, key, result)
         return result
 
@@ -399,8 +408,11 @@ class WalkService:
         * every profile of the previous version is carried unchanged when
           the delta provably cannot change it (a node-only workload whose
           sampled rows the delta left alone, see
-          :func:`~repro.runtime.profiler.profile_unchanged`); otherwise the
-          next session re-profiles;
+          :func:`~repro.runtime.profiler.profile_resume_index`); when the
+          delta left the sample alone but touched rows of some sampled
+          node, the next session re-profiles from that node on (resuming
+          the previous profile's loop, bit-identical to a full run);
+          otherwise it re-profiles in full;
         * every **unpinned** engine-cache holder keyed at the previous
           current version migrates to the new version key via the scoped
           rebind contracts — untouched-node entries survive by object
@@ -439,15 +451,23 @@ class WalkService:
                 (*key[:-1], version),
                 compiled.rebind(new_graph, touched, device=self.fleet.device),
             )
+        # A profile the delta cannot change is carried; one it changes only
+        # from some sampled node on is re-run from there by the next
+        # profile() call.  Resume points of older versions are dropped.
+        self._profile_resume = {}
         for key, profile in [(k, p) for k, p in self._profiles.items() if k[-2] == old_version]:
             *spec_key, _, seed = key
             compiled = self._compiled.get((*spec_key, version))
-            if (
-                compiled is not None
-                and compiled.weights_node_only
-                and profile_unchanged(old_graph, new_graph, touched, seed=seed)
-            ):
-                self._registry_put(self._profiles, (*spec_key, version, seed), profile)
+            if compiled is None or not compiled.weights_node_only:
+                continue
+            index = profile_resume_index(old_graph, new_graph, touched, seed=seed)
+            if index is None:
+                continue
+            new_key = (*spec_key, version, seed)
+            if index == profile.sampled_nodes:
+                self._registry_put(self._profiles, new_key, profile)
+            else:
+                self._profile_resume[new_key] = (profile, index)
 
         for key in [k for k in self._caches if k[-1] == old_version]:
             caches = None if self._pins.get(key, 0) else self._caches.pop(key, None)

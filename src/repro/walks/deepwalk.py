@@ -40,5 +40,6 @@ class DeepWalkSpec(WalkSpec):
         return graph.weights[batch.flat_edges].astype(np.float64)
 
     def static_transition_weights(self, graph: CSRGraph) -> np.ndarray:
-        """Whole-graph weights in one pass (enables bulk transition caching)."""
-        return graph.weights.astype(np.float64)
+        """Whole-graph weights in one pass (enables bulk transition caching):
+        the graph's own property-weight array, not a copy."""
+        return np.asarray(graph.weights, dtype=np.float64)

@@ -166,7 +166,9 @@ class WalkSpec(ABC):
         is a constant of the (graph, spec) pair; a workload may return the
         whole array (parallel to ``graph.indices``) here so the runtime's
         :class:`~repro.sampling.transition_cache.TransitionCache` fills in
-        one vectorised pass instead of probing node by node.  The default
+        one vectorised pass instead of probing node by node.  The cache
+        only reads the array, so a workload whose weights are the edge
+        property weights may return ``graph.weights`` itself.  The default
         ``None`` keeps the per-node fill path; state-dependent workloads are
         never asked.
         """
@@ -269,4 +271,4 @@ class UniformWalkSpec(WalkSpec):
         return graph.weights[batch.flat_edges].astype(np.float64)
 
     def static_transition_weights(self, graph: CSRGraph) -> np.ndarray:
-        return graph.weights.astype(np.float64)
+        return np.asarray(graph.weights, dtype=np.float64)

@@ -183,6 +183,25 @@ class WalkerFrontier:
         self._states.extend([None] * k)
         return positions
 
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the walkers at the ascending positions ``keep``.
+
+        The continuous-batching scheduler drops finished walkers at
+        admission boundaries; the survivors are renumbered
+        ``0..len(keep)-1`` in their old order, with their state (including
+        materialised :class:`WalkerState` objects) unchanged.
+        """
+        picks = keep.tolist()
+        self.queries = [self.queries[i] for i in picks]
+        self.max_lengths = self.max_lengths[keep]
+        self.current = self.current[keep]
+        self.prev = self.prev[keep]
+        self.steps = self.steps[keep]
+        self.alive = self.alive[keep]
+        self.path_buf = self.path_buf[keep]
+        self.path_len = self.path_len[keep]
+        self._states = [self._states[i] for i in picks]
+
     # ------------------------------------------------------------------ #
     def active_indices(self) -> np.ndarray:
         """Walkers that are alive and have steps left to take."""

@@ -9,7 +9,8 @@ Three invariants, hunted across randomly generated delta chains:
 2. **Scoped invalidation** — rebinding a filled ``TransitionCache`` /
    ``NodeHintTables`` across one delta keeps untouched-node entries alive
    (flags set, values carried bit-for-bit, per-node arrays object-identical)
-   while clearing exactly the touched rows; lazily refilled post-rebind
+   while clearing exactly the touched cache rows and re-filling exactly the
+   touched hint rows to a fresh build's values; lazily refilled post-rebind
    state matches a scratch build on the new version.
 3. **Version monotonicity under the scheduler** — interleaving
    ``apply_delta`` with session attaches and continuous-batching ticks
@@ -169,7 +170,8 @@ class TestScopedInvalidation:
         hints.rebind(new_graph, touched, compiled=new_compiled)
 
         # Per-node flag / hint arrays keep object identity; only the
-        # touched rows were cleared.
+        # touched rows were cleared (the cache's) or re-filled on the new
+        # version (the hint tables', equal to a fresh build's rows).
         assert cache._have_weights is have_weights
         assert cache._have_cdf is have_cdf
         assert hints.bounds is old_bounds and hints.sums is old_sums
@@ -180,8 +182,12 @@ class TestScopedInvalidation:
             assert not np.any(cache._have_weights[touched])
             assert not np.any(cache._have_cdf[touched])
             assert not np.any(cache._have_alias[touched])
-            assert not np.any(hints._computed[touched])
             assert np.all(cache._totals[touched] == 0.0)
+            fresh = NodeHintTables(new_compiled, new_graph)
+            assert np.array_equal(hints.bounds[touched], fresh.bounds[touched],
+                                  equal_nan=True)
+            assert np.array_equal(hints.sums[touched], fresh.sums[touched],
+                                  equal_nan=True)
 
         # Untouched values were carried bit-for-bit into the new layout.
         new_indptr = new_graph.indptr

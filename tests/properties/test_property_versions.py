@@ -8,26 +8,33 @@ Long delta chains (30+ versions) hunt three invariants:
    independently tracked edge multiset, and it carries an edge-key cache
    equal to a fresh ``_edge_keys()``.  The chains cover parallel base
    edges, labels, trailing empty rows, rows emptied and refilled, and
-   removed base edges added back.
+   removed base edges added back.  The run-by-run slice splice and the
+   gather splice build the same arrays on every version.
 2. **Carried compile** — a compiled workload carried across a chain by
    ``CompiledWorkload.rebind`` (touched rows re-preprocessed, the rest
    carried) equals a fresh ``compile_workload`` on every version.
-3. **Carried profile** — whenever ``profile_unchanged`` allows a node-only
-   workload's profile to be carried, a fresh ``profile_edge_costs`` on the
-   new version returns the same result bit for bit.
+3. **Carried profile** — whenever ``profile_resume_index`` finds that a
+   delta left every sampled node alone, so a node-only workload's profile
+   is carried, a fresh ``profile_edge_costs`` on the new version returns
+   the same result bit for bit; and a profile resumed
+   at ``profile_resume_index`` from the previous version's, version after
+   version, equals a fresh one, checkpoints included.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.generator import compile_workload
 from repro.graph.builders import from_edge_list
+from repro.graph import delta as delta_module
 from repro.graph.delta import DeltaCSRGraph
 from repro.gpusim.device import A6000
-from repro.runtime.profiler import profile_edge_costs, profile_unchanged
+from repro.runtime.profiler import profile_edge_costs, profile_resume_index
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
 
@@ -95,6 +102,9 @@ class TestSpliceIdentity:
         chain_seed=st.integers(min_value=0, max_value=10_000),
         length=st.integers(min_value=CHAIN, max_value=CHAIN + 10),
     )
+    # Version 1 of this chain has no additions and no removals, so its
+    # snapshot is the base graph itself.
+    @example(graph_seed=0, labeled=False, chain_seed=562, length=30)
     def test_every_version_equals_a_fresh_build(self, graph_seed, labeled, chain_seed, length):
         base = multigraph(graph_seed, labeled)
         n = base.num_nodes
@@ -125,6 +135,33 @@ class TestSpliceIdentity:
             assert snapshot._edge_key_cache is not None
             assert snapshot._edge_key_cache.dtype == fresh._edge_keys().dtype
             assert np.array_equal(snapshot._edge_key_cache, fresh._edge_keys())
+
+
+class TestSpliceStrategies:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        labeled=st.booleans(),
+        chain_seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_slice_runs_and_gather_splice_the_same_arrays(self, graph_seed, labeled,
+                                                          chain_seed):
+        dynamic = DeltaCSRGraph(multigraph(graph_seed, labeled))
+        rng = np.random.default_rng(chain_seed)
+        removed: list = []
+        for _ in range(CHAIN):
+            additions, removals, weights, labels = chain_delta(dynamic, removed, rng)
+            dynamic = dynamic.apply_delta(additions, removals, weights=weights, labels=labels)
+            built = []
+            for runs_per_edge in (0, 10**9):  # every run count slices / none does
+                with mock.patch.object(delta_module, "_EDGES_PER_SLICE_RUN", runs_per_edge):
+                    built.append(dynamic.compact())
+            sliced, gathered = built
+            assert_same_csr(sliced, gathered)
+            assert np.array_equal(sliced._edge_key_cache, gathered._edge_key_cache)
+            edges, edge_weights, edge_labels = dynamic.edge_list()
+            assert_same_csr(sliced, from_edge_list(edges, num_nodes=dynamic.num_nodes,
+                                                   weights=edge_weights, labels=edge_labels))
 
 
 class TestCarriedCompile:
@@ -176,7 +213,37 @@ class TestCarriedProfile:
             additions, removals, weights, _ = chain_delta(dynamic, removed, rng)
             dynamic = dynamic.apply_delta(additions, removals, weights=weights)
             new = dynamic.snapshot()
-            if profile_unchanged(old, new, dynamic.delta.touched_nodes, seed=seed):
-                assert profile_edge_costs(new, spec, A6000, seed=seed) == profile_edge_costs(
-                    old, spec, A6000, seed=seed
-                )
+            old_profile = profile_edge_costs(old, spec, A6000, seed=seed)
+            index = profile_resume_index(old, new, dynamic.delta.touched_nodes, seed=seed)
+            if index == old_profile.sampled_nodes:
+                assert profile_edge_costs(new, spec, A6000, seed=seed) == old_profile
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        graph_seed=st.integers(min_value=0, max_value=10_000),
+        chain_seed=st.integers(min_value=0, max_value=10_000),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_a_resumed_profile_equals_a_fresh_one(self, graph_seed, chain_seed, seed):
+        spec = DeepWalkSpec()
+        # Sample most nodes, so resume points fall anywhere in the loop.
+        args = dict(node_fraction=0.6, max_nodes=64, seed=seed)
+        dynamic = DeltaCSRGraph(multigraph(graph_seed, labeled=False))
+        rng = np.random.default_rng(chain_seed)
+        removed: list = []
+        profile = profile_edge_costs(dynamic.snapshot(), spec, A6000, **args)
+        for _ in range(CHAIN):
+            old = dynamic.snapshot()
+            additions, removals, weights, _ = chain_delta(dynamic, removed, rng)
+            dynamic = dynamic.apply_delta(additions, removals, weights=weights)
+            new = dynamic.snapshot()
+            fresh = profile_edge_costs(new, spec, A6000, **args)
+            index = profile_resume_index(old, new, dynamic.delta.touched_nodes, **args)
+            if index is not None:
+                assert index <= profile.sampled_nodes
+                resumed = profile_edge_costs(new, spec, A6000, resume=(profile, index), **args)
+                assert resumed == fresh
+                assert resumed.checkpoints == fresh.checkpoints
+                # Chain through the resumed result's own checkpoints.
+                fresh = resumed
+            profile = fresh

@@ -233,6 +233,34 @@ class TestRowMaxima:
         assert np.array_equal(weights, graph.weights.astype(np.float64))
         assert np.array_equal(cache.weight_arrays(nodes)[1], self.expected(graph, nodes))
 
+    def test_bulk_fill_shares_the_graph_weights_and_never_writes_them(self):
+        graph = self.graph_with_empty_rows()
+        before = graph.weights.copy()
+        cache = TransitionCache(graph, DeepWalkSpec())
+        weights, _ = cache.weight_arrays(np.arange(graph.num_nodes))
+        assert weights is graph.weights  # no per-version copy
+        moved = from_edge_list([(0, 1), (0, 3), (1, 0), (3, 0), (3, 1), (4, 0)],
+                               num_nodes=6, weights=[2.0, 7.5, 1.0, 0.5, 4.0, 9.0])
+        cache.rebind(moved, np.array([3]))
+        assert np.array_equal(graph.weights, before)
+        assert np.array_equal(cache.weight_arrays(np.arange(6))[0], moved.weights)
+
+    def test_cdf_and_alias_arrays_exist_only_once_used(self):
+        graph = self.graph_with_empty_rows()
+        cache = TransitionCache(graph, DeepWalkSpec())
+        nodes = np.arange(graph.num_nodes)
+        cache.weight_arrays(nodes)
+        assert cache._cdf is None and cache._alias_prob is None and cache._alias_idx is None
+        moved = from_edge_list([(0, 1), (0, 3), (1, 0), (3, 0), (3, 1), (4, 0)],
+                               num_nodes=6, weights=[2.0, 7.5, 1.0, 0.5, 4.0, 9.0])
+        cache.rebind(moved, np.array([3]))
+        assert cache._cdf is None and cache._alias_prob is None
+        fresh = TransitionCache(moved, DeepWalkSpec())
+        assert np.array_equal(cache.cdf_arrays(nodes)[0], fresh.cdf_arrays(nodes)[0])
+        for mine, theirs in zip(cache.alias_arrays(nodes), fresh.alias_arrays(nodes),
+                                strict=True):
+            assert np.array_equal(mine, theirs)
+
     def test_per_node_fill(self):
         class PerNodeDeepWalk(DeepWalkSpec):
             def static_transition_weights(self, graph):

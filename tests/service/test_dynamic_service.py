@@ -397,6 +397,40 @@ class TestVersionCarryAndRelease:
         assert fresh is not profile
         assert fresh == profile_edge_costs(service.graph, spec, DEVICE, seed=0)
 
+    def test_a_delta_touching_a_later_sampled_node_resumes_the_profile(self, monkeypatch):
+        spec = DeepWalkSpec()
+        config = FlexiWalkerConfig(device=DEVICE)
+        graph = barabasi_albert_graph(600, 3, seed=5, name="resume-svc")
+        service = WalkService(
+            DeltaCSRGraph(graph.with_weights(uniform_weights(graph, seed=5))),
+            fleet=DeviceFleet(DEVICE, 1),
+        )
+        profile = service.session(spec, config).profile
+        sampled = _sample_nodes(service.graph, 0.02, 64, seed=0)
+        history = service.graph.indices[service.graph.indptr[sampled]]
+        # The last sampled node that is no earlier node's history row.
+        k = max(i for i in range(sampled.size) if sampled[i] not in history[:i])
+        assert k > 0
+        node = int(sampled[k])
+        target = next(v for v in range(service.graph.num_nodes)
+                      if v != node and not service.graph.has_edge(node, v))
+        service.apply_delta([(node, target)], weights=[7.0])
+        key = (*service._registry_key(spec), 0)
+        assert key not in service._profiles
+        assert service._profile_resume[key] == (profile, k)
+        runs = []
+        original = EnhancedRejectionSampler.sample
+        monkeypatch.setattr(EnhancedRejectionSampler, "sample",
+                            lambda self, ctx: runs.append(ctx.state.current_node)
+                            or original(self, ctx))
+        fresh = service.session(spec, config).profile
+        assert runs == sampled[k:].tolist()  # nodes before k were not re-run
+        assert key not in service._profile_resume
+        monkeypatch.undo()
+        full = profile_edge_costs(service.graph, spec, DEVICE, seed=0)
+        assert fresh == full
+        assert fresh.checkpoints == full.checkpoints
+
     def test_superseded_versions_are_released(self):
         specs = (DeepWalkSpec(), Node2VecSpec(a=2.0, b=0.5))
         config = FlexiWalkerConfig(device=DEVICE)
