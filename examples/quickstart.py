@@ -16,7 +16,7 @@ kernel the runtime chose how often.
 
 from __future__ import annotations
 
-from repro import FlexiWalker, FlexiWalkerConfig, Node2VecSpec, load_dataset, summarize_run
+from repro import FlexiWalker, FlexiWalkerConfig, Node2VecSpec, load_dataset
 from repro.gpusim import A6000
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     print(f"host throughput: {result.throughput_steps_per_s:,.0f} simulated steps/s "
           f"({result.wall_clock_s * 1e3:.1f} ms wall clock)")
     print("full summary:")
-    for key, value in summarize_run(result).items():
+    for key, value in result.summary().items():
         print(f"  {key}: {value}")
 
     # 6. Scale out.  num_devices partitions the queries over replicated-graph

@@ -34,7 +34,6 @@ from repro.compiler.generator import CompiledWorkload, GeneratedHelpers
 from repro.compiler.preprocess import PreprocessResult
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
-from repro.core.results import summarize_run
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import DeltaCSRGraph, GraphDelta
 from repro.graph.invalidation import DeltaInvalidation, graph_version
@@ -115,7 +114,6 @@ __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
     # Legacy facade (deprecated spellings, kept for compatibility)
     "FlexiWalker",
-    "summarize_run",
     # Configuration and results
     "FlexiWalkerConfig",
     "WalkEngine",

@@ -9,10 +9,8 @@ the complete pipeline of Fig. 6.
 
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
-from repro.core.results import summarize_run
 
 __all__ = [
     "FlexiWalker",
     "FlexiWalkerConfig",
-    "summarize_run",
 ]

@@ -259,9 +259,7 @@ class WalkRunResult:
 
         Returns a plain dictionary (easy to print, compare or serialise) with
         the simulated execution time, the profiling/preprocessing overhead,
-        walk statistics and the kernel-selection ratio.  The module-level
-        :func:`repro.core.results.summarize_run` is a deprecated wrapper over
-        this method.
+        walk statistics and the kernel-selection ratio.
         """
         lengths = np.array([len(path) - 1 for path in self.paths], dtype=np.int64)
         return {
@@ -505,26 +503,26 @@ class WalkEngine:
         clone.ghost_cache_bytes = int(ghost)
         return clone
 
-    def _fault_runtime(self):
-        """The per-run fault-tolerance runtime, or ``None`` on the fast path.
+    def _recovery(self, run, aggregate, usage):
+        """The recovery protocol of one frontier run, or ``None`` on the fast path.
 
-        Returns ``None`` whenever no fault plan is configured and explicit
-        checkpointing is off, which keeps every existing driver on its
-        original superstep loop — fault tolerance costs nothing unless it is
-        asked for.  A fresh :class:`~repro.runtime.faults.FaultRuntime` is
-        minted per run (it holds mutable per-run ledgers).
+        ``None`` whenever no fault plan is configured and explicit
+        checkpointing is off — fault tolerance costs nothing unless it is
+        asked for.  Each call mints a fresh
+        :class:`~repro.runtime.faults.FaultRuntime` (mutable per-run ledgers).
         """
         plan = self.fault_plan
         if (plan is None or plan.empty) and self.checkpoint_interval == 0:
             return None
-        from repro.runtime.faults import FaultRuntime
+        from repro.runtime.faults import FaultRuntime, RunRecovery
 
-        return FaultRuntime(
+        faults = FaultRuntime(
             self.device,
             plan=plan,
             checkpoint_interval=self.checkpoint_interval,
             num_devices=self.num_devices,
         )
+        return RunRecovery(faults, run, aggregate, usage)
 
     def _sharded_graph(self):
         """The cached shard decomposition for this engine's count/policy.

@@ -10,12 +10,12 @@ combine to make failure handling *exactly* reproducible:
   fault needs).  The same plan against the same run always produces the same
   failure story.
 * **Checkpoints are cheap because state is small** — the complete execution
-  state of a frontier run is the walker arrays
-  (:meth:`~repro.walks.state.WalkerFrontier.snapshot`), the per-walker RNG
-  *counter positions* (the streams are counter-based, so no generator state
-  beyond an integer per walker exists) and the accounting accumulators.
-  :func:`take_checkpoint`/:func:`restore_checkpoint` capture and rewind all
-  of it; the modeled copy-out cost is priced through
+  state of a :class:`~repro.runtime.frontier.FrontierRun` is the walker
+  arrays (:meth:`~repro.walks.state.WalkerFrontier.snapshot`), the
+  per-walker RNG *counter positions* (the streams are counter-based, so no
+  generator state beyond an integer per walker exists) and the accounting
+  accumulators.  :func:`take_checkpoint`/:func:`restore_checkpoint` capture
+  and rewind all of it; the modeled copy-out cost is priced through
   :meth:`~repro.gpusim.device.DeviceSpec.checkpoint_time_ns`.
 * **Replay is bit-identical, so recovery is silent** — re-executing a
   superstep consumes exactly the same RNG counters and lands exactly the
@@ -29,6 +29,12 @@ combine to make failure handling *exactly* reproducible:
   run — only simulated time differs, surfaced as
   ``result.recovery_time_ns`` / ``result.degraded_devices`` /
   ``result.checkpoints_taken``.
+
+One protocol, :class:`RunRecovery`, applies all of this for both superstep
+drivers — :class:`~repro.runtime.frontier.FrontierDriver` (``WalkEngine.run``
+and standalone sessions) and the scheduler's fusion groups.  Replay happens
+eagerly inside :meth:`RunRecovery.end`, before it returns to the driver, so
+no driver ever sees a replayed report and no walker can join mid-replay.
 
 Recovery policies:
 
@@ -52,14 +58,18 @@ Recovery policies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import FaultError, SimulationError
 from repro.gpusim.counters import CostCounters
 from repro.gpusim.device import DeviceSpec
-from repro.walks.state import FrontierSnapshot, WalkerFrontier
+from repro.walks.state import FrontierSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - frontier imports faults
+    from repro.runtime.frontier import FrontierRun, SuperstepReport
 
 #: Default superstep interval between explicit checkpoints (the bench's
 #: ``recovery`` entry sweeps around this point; <10% modeled overhead on the
@@ -204,47 +214,36 @@ class RunCheckpoint:
     counters: CostCounters
     usage: dict[str, int]
     payload_bytes: int
-    extra: dict[str, object] = field(default_factory=dict)
 
 
 def take_checkpoint(
-    ordinal: int,
-    frontier: WalkerFrontier,
-    pool,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
+    ordinal: int, run: FrontierRun, aggregate: CostCounters, usage: dict[str, int]
 ) -> RunCheckpoint:
     """Capture a restore point covering walker, RNG and accounting state."""
-    live = int(frontier.active_indices().size)
     return RunCheckpoint(
         ordinal=ordinal,
-        frontier=frontier.snapshot(),
-        rng=pool.snapshot_counters(),
-        per_query_ns=per_query_ns.copy(),
+        frontier=run.frontier.snapshot(),
+        rng=run.pool.snapshot_counters(),
+        per_query_ns=run.per_query_ns.copy(),
         counters=aggregate.copy(),
         usage=dict(usage),
-        payload_bytes=live * WALKER_CHECKPOINT_BYTES,
+        payload_bytes=int(run.frontier.active_indices().size) * WALKER_CHECKPOINT_BYTES,
     )
 
 
 def restore_checkpoint(
-    cp: RunCheckpoint,
-    frontier: WalkerFrontier,
-    pool,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
+    cp: RunCheckpoint, run: FrontierRun, aggregate: CostCounters, usage: dict[str, int]
 ) -> None:
     """Rewind a run's mutable state to a checkpoint, in place.
 
-    In place matters: the live ``iter_supersteps`` state (and any observers
-    holding references) keep seeing the same objects, so a fresh generator
-    over the same triple resumes from the restored point.
+    In place matters: :func:`~repro.runtime.frontier.iter_supersteps`
+    re-reads the run at the top of every superstep, so a driver's own loop
+    resumes from the restored (and, in :meth:`RunRecovery.end`, replayed)
+    state.
     """
-    frontier.restore(cp.frontier)
-    pool.restore_counters(cp.rng)
-    per_query_ns[:] = cp.per_query_ns
+    run.frontier.restore(cp.frontier)
+    run.pool.restore_counters(cp.rng)
+    run.per_query_ns[:] = cp.per_query_ns
     for name in CostCounters._COUNT_FIELDS:
         setattr(aggregate, name, getattr(cp.counters, name))
     usage.clear()
@@ -254,8 +253,8 @@ def restore_checkpoint(
 class FaultRuntime:
     """Mutable per-run fault state: pending events, recovery ledger, tally.
 
-    One instance accompanies one run (or one scheduler fusion group).  The
-    drivers consult it at every superstep boundary; all recovery time —
+    One instance accompanies one run (or one scheduler fusion group),
+    driven through :class:`RunRecovery`; all recovery time —
     checkpoint copy-outs, retries, backoff, replayed supersteps, resent
     migration batches — accumulates in ``recovery_ns``, kept strictly apart
     from the placement-invariant per-query base times.
@@ -392,82 +391,92 @@ class FaultRuntime:
         )
 
 
-def resilient_supersteps(
-    engine,
-    faults: FaultRuntime,
-    frontier: WalkerFrontier,
-    pool,
-    streams,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
-    track_finished: bool = False,
-    on_failure=None,
-):
-    """The fault-tolerant superstep loop: yields ``(ordinal, report, replayed)``.
+def _makespan(report: SuperstepReport) -> float:
+    """A superstep's simulated time: its slowest walker's lane time."""
+    return float(report.step_ns.max()) if report.step_ns.size else 0.0
 
-    Wraps :func:`~repro.runtime.frontier.iter_supersteps` with the full
-    recovery protocol: explicit checkpoints every ``faults.interval``
-    supersteps (plus the implicit cost-free checkpoint of the initial
-    state), transient-fault retries, and restore-and-replay after permanent
-    device failures.  ``on_failure(dead_devices)`` runs once per failure
-    event, *before* the restore, so drivers re-partition ownership against
-    the state the surviving bookkeeping already reflects.
 
-    Replayed supersteps are yielded with ``replayed=True``: their results
-    are bit-identical to the first execution (same RNG counters, same
-    slots), so consumers must skip their side effects — the fold/observe
-    effects applied during the first execution remain valid — and only the
-    replayed makespans are charged to the recovery ledger.
+class RunRecovery:
+    """The checkpoint → restore → replay protocol around one frontier run.
+
+    Binds a :class:`FaultRuntime` to a
+    :class:`~repro.runtime.frontier.FrontierRun` and the ``aggregate`` /
+    ``usage`` sinks its superstep loop writes, and holds the restore point
+    and the superstep ordinal (the fault plan's clock).  A driver calls
+    :meth:`begin` before every superstep, :meth:`end` after observing its
+    report, and :meth:`invalidate` when the run changed outside the loop
+    (admission, cancellation).
     """
-    from repro.runtime.frontier import iter_supersteps
 
-    def fresh_gen():
-        return iter_supersteps(
-            engine,
-            frontier,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            track_finished=track_finished,
-        )
+    __slots__ = ("faults", "run", "aggregate", "usage", "checkpoint", "ordinal")
 
-    checkpoint = take_checkpoint(-1, frontier, pool, per_query_ns, aggregate, usage)
-    gen = fresh_gen()
-    ordinal = 0
-    replay_until = -1
-    while True:
-        try:
-            report = next(gen)
-        except StopIteration:
-            return
-        superstep_ns = float(report.step_ns.max()) if report.step_ns.size else 0.0
-        replayed = ordinal <= replay_until
-        if replayed:
-            faults.recovery_ns += superstep_ns
-            yield ordinal, report, True
-        else:
-            yield ordinal, report, False
-            faults.charge_transients(ordinal, superstep_ns)
-            dead = faults.fail_devices(ordinal)
-            if dead:
-                if on_failure is not None:
-                    on_failure(dead)
-                faults.charge_failure(dead, checkpoint)
-                restore_checkpoint(
-                    checkpoint, frontier, pool, per_query_ns, aggregate, usage
-                )
-                gen = fresh_gen()
-                replay_until = ordinal
-                ordinal = checkpoint.ordinal + 1
-                continue
-        if faults.checkpoint_due(ordinal):
-            checkpoint = take_checkpoint(
-                ordinal, frontier, pool, per_query_ns, aggregate, usage
+    def __init__(
+        self, faults: FaultRuntime, run: FrontierRun, aggregate: CostCounters, usage: dict[str, int]
+    ) -> None:
+        self.faults = faults
+        self.run = run
+        self.aggregate = aggregate
+        self.usage = usage
+        self.checkpoint: RunCheckpoint | None = None
+        self.ordinal = 0
+
+    def begin(self) -> None:
+        """Take the cost-free boundary checkpoint when none is valid.
+
+        At a run's start this is the implicit initial checkpoint; after an
+        :meth:`invalidate` it snapshots the state the next superstep starts
+        from, so a restore never resurrects cancelled walkers or drops
+        admitted ones.
+        """
+        if self.checkpoint is None:
+            self.checkpoint = take_checkpoint(
+                self.ordinal - 1, self.run, self.aggregate, self.usage
             )
-            faults.charge_checkpoint(checkpoint.payload_bytes)
-        ordinal += 1
+
+    def end(self, report: SuperstepReport, on_failure=None) -> None:
+        """Apply the fault plan after the caller observed superstep ``ordinal``.
+
+        Transient faults are a pure time penalty.  A permanent device
+        failure calls ``on_failure(dead_devices)`` (ledgers re-partition
+        against the state the caller's bookkeeping already reflects),
+        restores the checkpoint and replays the lost supersteps here, before
+        returning: each replay's makespan is charged to the recovery ledger
+        and no fault event is evaluated during it.  Due checkpoints follow
+        every superstep except a failing one's first execution.
+        """
+        faults = self.faults
+        ordinal = self.ordinal
+        faults.charge_transients(ordinal, _makespan(report))
+        dead = faults.fail_devices(ordinal)
+        if dead:
+            if on_failure is not None:
+                on_failure(dead)
+            checkpoint = self.checkpoint
+            faults.charge_failure(dead, checkpoint)
+            restore_checkpoint(checkpoint, self.run, self.aggregate, self.usage)
+            # A fresh loop over the restored run; the caller's own loop
+            # resumes from the replayed state (iter_supersteps re-reads the
+            # run at the top of every superstep).
+            from repro.runtime.frontier import iter_supersteps
+
+            replay = iter_supersteps(
+                self.run.engine, self.run, self.aggregate, self.usage, track_finished=False
+            )
+            for replayed in range(checkpoint.ordinal + 1, ordinal + 1):
+                faults.recovery_ns += _makespan(next(replay))
+                self._checkpoint_if_due(replayed)
+        else:
+            self._checkpoint_if_due(ordinal)
+        self.ordinal = ordinal + 1
+
+    def invalidate(self) -> None:
+        """The run changed outside the loop: the restore point is stale."""
+        self.checkpoint = None
+
+    def _checkpoint_if_due(self, ordinal: int) -> None:
+        if self.faults.checkpoint_due(ordinal):
+            self.checkpoint = take_checkpoint(ordinal, self.run, self.aggregate, self.usage)
+            self.faults.charge_checkpoint(self.checkpoint.payload_bytes)
 
 
 def reassign_owners(

@@ -23,10 +23,12 @@ construction, not by accident:
 The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
-Every batched run goes through one driver, :class:`FrontierDriver`: it owns
-the launch accounting, the superstep iterator (plain or fault-tolerant), one
-per-superstep placement ledger (none, :class:`ReplicatedRunAccounting` or
-:class:`ShardedRunAccounting`) and the result assembly.  ``WalkEngine.run``
+Every batched run executes a :class:`FrontierRun` through
+:func:`iter_supersteps`, recovering from faults through
+:class:`~repro.runtime.faults.RunRecovery` — under :class:`FrontierDriver`,
+which owns the launch accounting, one per-superstep placement ledger (none,
+:class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`) and the
+result assembly, or under a scheduler fusion group.  ``WalkEngine.run``
 launches everything and collects; a ``WalkSession`` launches waves and
 streams their supersteps.  Multi-device runs advance every device's walkers
 in the same shared superstep — the ledger only decides where each walker's
@@ -48,8 +50,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.gpusim.counters import COUNT_ROWS, CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
-from repro.rng.streams import StreamPool
-from repro.runtime.faults import FaultRuntime, reassign_owners, resilient_supersteps
+from repro.rng.streams import AdoptedStreamPool
+from repro.runtime.faults import RunRecovery, reassign_owners
 from repro.runtime.scheduler import validate_queries
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
@@ -201,17 +203,18 @@ _NO_FINISHED = np.zeros(0, dtype=np.int64)
 
 
 class FrontierRun:
-    """Growable execution state for a frontier that admits walkers mid-flight.
+    """The execution state of a frontier run: walkers, streams, per-query times.
 
-    The continuous-batching scheduler cannot hand :func:`iter_supersteps` a
-    fixed ``(frontier, streams, per_query_ns)`` triple: admission at a
-    superstep boundary grows all three.  A ``FrontierRun`` owns the triple
-    and is passed to :func:`iter_supersteps` as ``run=`` — the generator
-    re-reads the triple at the top of every superstep, so an :meth:`admit`
-    between two ``next()`` calls takes effect on the very next superstep.
+    :func:`iter_supersteps` re-reads all three at the top of every
+    superstep, so an :meth:`admit` between two ``next()`` calls takes effect
+    on the very next superstep.  :class:`FrontierDriver` admits each launch
+    into a fresh run; a scheduler fusion group keeps one run and admits into
+    it at superstep boundaries.  Streams live in an
+    :class:`~repro.rng.streams.AdoptedStreamPool`, one slot per walker keyed
+    by its query id.
 
-    Admission charges each new walker's queue fetch (one atomic, priced
-    per-slot) exactly as the one-shot launch paths do; because
+    Admission prices each new walker's queue fetch (one atomic, priced
+    per-slot); because
     :meth:`~repro.gpusim.device.DeviceSpec.lane_times_ns` prices each slot
     independently of batch size, splitting one launch into many admissions
     cannot change any walker's accounting.
@@ -220,8 +223,6 @@ class FrontierRun:
     __slots__ = ("engine", "frontier", "pool", "streams", "per_query_ns")
 
     def __init__(self, engine: WalkEngine) -> None:
-        from repro.rng.streams import AdoptedStreamPool
-
         self.engine = engine
         self.frontier = WalkerFrontier([])
         self.pool = AdoptedStreamPool()
@@ -243,42 +244,40 @@ class FrontierRun:
         self.streams = self.pool.batch_all()
         self.per_query_ns = self.per_query_ns[keep]
 
-    def admit(self, queries: list[WalkQuery], seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def admit(self, queries: list[WalkQuery], seed: int) -> np.ndarray:
         """Admit queries whose streams derive from ``StreamPool(seed)``.
 
-        Returns the admitted walkers' frontier positions and their priced
-        fetch times (already accumulated into ``per_query_ns``).
+        Returns their priced fetch times (already appended to
+        ``per_query_ns``); the fetch atomics are the caller's to count.
         """
-        positions = self.frontier.extend(queries)
+        self.frontier.extend(queries)
         self.pool.adopt(seed, [q.query_id for q in queries])
         self.streams = self.pool.batch_all()
         fetch = CounterBatch(len(queries), bytes_per_weight=self.engine.weight_bytes)
         fetch.atomic_ops += 1
         fetch_ns = self.engine.device.lane_times_ns(fetch)
         self.per_query_ns = np.concatenate([self.per_query_ns, fetch_ns])
-        return positions, fetch_ns
+        return fetch_ns
 
 
 def iter_supersteps(
     engine: WalkEngine,
-    frontier: WalkerFrontier,
-    streams,
-    per_query_ns: np.ndarray,
+    run: FrontierRun,
     aggregate: CostCounters,
     usage: dict[str, int],
     track_finished: bool = True,
-    run: FrontierRun | None = None,
 ):
     """Step-synchronous frontier loop, one :class:`SuperstepReport` at a time.
 
     The generator form of the batched execution core: each ``next()``
-    advances every still-active walker by one step, lands the per-walker
-    accounting in ``per_query_ns`` (indexed by frontier position) and
-    ``aggregate``, and yields a :class:`SuperstepReport` describing what
-    happened — which walkers stepped, what they charged, and whose walks
-    completed.  :class:`FrontierDriver` drives it for ``WalkEngine.run`` and
-    for the streaming session layer, which turns the reports into
-    per-superstep :class:`~repro.service.WalkChunk`s.
+    advances every still-active walker of ``run`` by one step, lands the
+    per-walker accounting in ``run.per_query_ns`` (indexed by frontier
+    position) and ``aggregate``, and yields a :class:`SuperstepReport`
+    describing what happened — which walkers stepped, what they charged,
+    and whose walks completed.  :class:`FrontierDriver` drives it for
+    ``WalkEngine.run`` and for the streaming session layer, which turns the
+    reports into per-superstep :class:`~repro.service.WalkChunk`s; the
+    continuous-batching scheduler drives one per fusion group.
 
     Because every walker owns a counter-based random stream keyed by its
     query id and every walker's counts land in its own slot, suspending the
@@ -289,13 +288,12 @@ def iter_supersteps(
     (reports carry an empty ``finished``) — used by one-shot driver runs,
     which never read it.
 
-    ``run`` enables mid-flight frontier injection: when a
-    :class:`FrontierRun` is given, the ``(frontier, streams, per_query_ns)``
-    triple is re-read from it at the top of every superstep, so walkers
-    admitted between ``next()`` calls join the very next superstep without
-    a new generator.  The generator still returns when no walker is active
-    — the scheduler recreates it after the next admission (all state lives
-    on the run and the shared engine caches, so recreation is cheap).
+    The run's frontier, streams and per-query times are re-read at the top
+    of every superstep, so walkers admitted between ``next()`` calls join
+    the very next superstep and a checkpoint restore rewinds the loop in
+    place.  The generator returns when no walker is active — the scheduler
+    recreates it after the next admission (all state lives on the run and
+    the shared engine caches, so recreation is cheap).
     """
     graph, spec, device = engine.graph, engine.spec, engine.device
 
@@ -309,10 +307,9 @@ def iter_supersteps(
     node_aggregates = None if preprocessed is None else preprocessed.aggregates
 
     while True:
-        if run is not None:
-            frontier = run.frontier
-            streams = run.streams
-            per_query_ns = run.per_query_ns
+        frontier = run.frontier
+        streams = run.streams
+        per_query_ns = run.per_query_ns
         active = frontier.active_indices()
         if active.size == 0:
             return
@@ -713,7 +710,6 @@ class ShardedRunAccounting:
         self._hosts[offset] = owners.copy()
         self._ensure_capacity(offset + owners.size)
         cols = np.arange(owners.size, dtype=np.int64) + offset
-        # fetch_ns aliases the live per-query accumulator — copy the values.
         self._res_times[owners, cols] += fetch_ns
         self._res_seen[owners, cols] = True
         self._counter_sums[_ATOMIC_ROW] += np.bincount(owners, minlength=self.num_shards)
@@ -947,13 +943,10 @@ class ShardedRunAccounting:
 class _Launch:
     """One launched batch of queries executing through a single frontier."""
 
-    queries: list[WalkQuery]
-    offset: int  # launch position of queries[0]
-    frontier: WalkerFrontier
-    per_query_ns: np.ndarray
-    # With a FaultRuntime, ``iterator`` yields (ordinal, report, replayed).
+    offset: int  # launch position of the run's first walker
+    run: FrontierRun
     iterator: Iterator
-    faults: FaultRuntime | None
+    recovery: RunRecovery | None
     # Finished walks' paths, filled as they complete (tracking drivers).
     paths: list
     # Supersteps executed so far == every walker's step index, the
@@ -964,13 +957,17 @@ class _Launch:
 class FrontierDriver:
     """The one batched walk driver behind ``WalkEngine.run`` and sessions.
 
-    Owns the launch accounting (one queue-fetch atomic per launched query,
-    priced per slot, so splitting a batch into launches changes nothing),
-    the superstep iterator (:func:`iter_supersteps`, or
-    :func:`~repro.runtime.faults.resilient_supersteps` under a fault plan
-    or checkpoint interval), one placement ledger folded every superstep
-    (none on one device, :class:`ReplicatedRunAccounting` or
-    :class:`ShardedRunAccounting`) and the result assembly.
+    Each launch is a fresh :class:`FrontierRun` admitting the batch (one
+    queue-fetch atomic per query, priced per slot, so splitting a batch
+    into launches changes nothing) and executing through
+    :func:`iter_supersteps`.  The driver owns the launch accounting, one
+    placement ledger folded every superstep (none on one device,
+    :class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`) and
+    the result assembly.  Under a fault plan or checkpoint interval each
+    launch carries a :class:`~repro.runtime.faults.RunRecovery`, the same
+    protocol the scheduler's fusion groups use; the plan's superstep
+    ordinals restart per launch, and a failure restores and replays within
+    the :meth:`advance` call that observed it.
 
     :meth:`run` launches everything and collects; a
     :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
@@ -1014,7 +1011,7 @@ class FrontierDriver:
         """Walkers of the executing batch that have not finished."""
         if self._launch is None:
             return 0
-        return int(self._launch.frontier.active_indices().size)
+        return int(self._launch.run.frontier.active_indices().size)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -1033,54 +1030,31 @@ class FrontierDriver:
         if self._launch is not None:
             raise SimulationError("the previous launch is still executing")
         engine = self.engine
-        fetch = CounterBatch(len(queries), bytes_per_weight=engine.weight_bytes)
-        fetch.atomic_ops += 1
-        per_query_ns = engine.device.lane_times_ns(fetch)
-        self.aggregate.merge(fetch.totals())
+        run = FrontierRun(engine)
+        fetch_ns = run.admit(queries, engine.seed)
+        self.aggregate.merge(
+            CostCounters(atomic_ops=len(queries), bytes_per_weight=engine.weight_bytes)
+        )
         offset = self.launched
         self.launched += len(queries)
         if self.ledger is not None:
             starts = np.array([q.start_node for q in queries], dtype=np.int64)
-            self.ledger.charge_fetch(starts, per_query_ns, offset)
-
-        frontier = WalkerFrontier(queries)
-        pool = StreamPool(engine.seed)
-        streams = pool.batch([q.query_id for q in queries])
-        faults = engine._fault_runtime()
-        if faults is None:
-            iterator = iter_supersteps(
-                engine, frontier, streams, per_query_ns, self.aggregate, self.usage,
-                track_finished=self.track_finished,
-            )
-        else:
-            # Same loop wrapped in the recovery protocol.  The plan's
-            # superstep ordinals restart per launch: each launch is an
-            # independent run of the fault schedule.
-            ledger = self.ledger
-            on_failure = None
-            if ledger is not None:
-                def on_failure(dead: list[int]) -> None:
-                    # Counts folded before the failure stay where the work
-                    # executed; only future supersteps move.
-                    ledger.take_over(dead, faults.survivors(), frontier, offset)
-
-            iterator = resilient_supersteps(
-                engine, faults, frontier, pool, streams, per_query_ns,
-                self.aggregate, self.usage,
-                track_finished=self.track_finished, on_failure=on_failure,
-            )
-        paths = [None] * len(queries) if self.track_finished else []
+            self.ledger.charge_fetch(starts, fetch_ns, offset)
         self._launch = _Launch(
-            queries, offset, frontier, per_query_ns, iterator, faults, paths
+            offset,
+            run,
+            iter_supersteps(engine, run, self.aggregate, self.usage, self.track_finished),
+            engine._recovery(run, self.aggregate, self.usage),
+            [None] * len(queries) if self.track_finished else [],
         )
         self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
 
     def advance(self) -> SuperstepReport | None:
         """Run one superstep of the executing batch.
 
-        Returns its report, or ``None`` when the superstep was a
-        bit-identical replay after a restore (already accounted by its
-        first execution) or the batch just finished.
+        Returns its report, or ``None`` when the batch just finished.  A
+        device failure restores and replays before this returns; replayed
+        supersteps are never reported (their first execution was).
         """
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
         try:
@@ -1090,50 +1064,59 @@ class FrontierDriver:
 
     def _advance(self) -> SuperstepReport | None:
         launch = self._launch
+        recovery = launch.recovery
+        if recovery is not None:
+            recovery.begin()
         try:
-            item = next(launch.iterator)
+            report = next(launch.iterator)
         except StopIteration:
             self._finish(launch)
             return None
-        if launch.faults is None:
-            report = item
-        else:
-            _, report, replayed = item
-            if replayed:
-                return None
         self.total_steps += report.steps
         ledger = self.ledger
+        frontier = launch.run.frontier
         if ledger is not None:
-            ledger.observe(report, launch.frontier, launch.steps, launch.offset)
-            if launch.faults is not None and isinstance(ledger, ShardedRunAccounting):
+            ledger.observe(report, frontier, launch.steps, launch.offset)
+            if recovery is not None and isinstance(ledger, ShardedRunAccounting):
                 src, dst = ledger.migrations_at(launch.steps)
-                launch.faults.charge_interconnect_drop(
+                recovery.faults.charge_interconnect_drop(
                     launch.steps, src, dst, WALKER_MIGRATION_BYTES
                 )
         launch.steps += 1
+        if recovery is not None:
+            recovery.end(report, None if ledger is None else self._take_over)
         if self.track_finished:
             for i in report.finished:
-                launch.paths[i] = launch.frontier.path(i)
+                launch.paths[i] = frontier.path(i)
         return report
+
+    def _take_over(self, dead: list[int]) -> None:
+        """Degraded mode: counts folded before the failure stay where the
+        work executed; only future supersteps move."""
+        launch = self._launch
+        self.ledger.take_over(
+            dead, launch.recovery.faults.survivors(), launch.run.frontier, launch.offset
+        )
 
     def finished_walks(
         self, report: SuperstepReport
     ) -> tuple[list[WalkQuery], list[list[int]]]:
         """The queries and paths of the walks ``report`` completed."""
         launch = self._launch
+        queries = launch.run.frontier.queries
         return (
-            [launch.queries[i] for i in report.finished],
+            [queries[i] for i in report.finished],
             [launch.paths[i] for i in report.finished],
         )
 
     def _finish(self, launch: _Launch) -> None:
         # A tracking launch saw every walk complete, so its paths are already
         # materialised (and shared with the caller's per-walk records).
-        paths = launch.paths if self.track_finished else launch.frontier.paths()
+        paths = launch.paths if self.track_finished else launch.run.frontier.paths()
         self._paths.extend(paths)
-        self._ns_chunks.append(launch.per_query_ns)
-        faults = launch.faults
-        if faults is not None:
+        self._ns_chunks.append(launch.run.per_query_ns)
+        if launch.recovery is not None:
+            faults = launch.recovery.faults
             self.recovery_ns += faults.recovery_ns
             self.checkpoints_taken += faults.checkpoints_taken
             for device in faults.degraded:

@@ -21,6 +21,12 @@ multi-tenant execution loop:
   :class:`~repro.runtime.frontier.SuperstepReport` sampler attribution —
   every session's ``collect()`` stays bit-identical to running it alone.
 
+A fusion group runs on the same state and protocol as a standalone run: a
+:class:`~repro.runtime.frontier.FrontierRun` it admits into, and under a
+fault plan a :class:`~repro.runtime.faults.RunRecovery`, which replays a
+failure's lost supersteps inside the tick that observed it.  Admission and
+cancellation invalidate its restore point.
+
 Fairness is weighted round-robin (virtual-time weighted fair queuing) over
 per-tenant admission queues, with an SLO lane that is admitted first:
 submissions with ``priority > 0`` enter it directly, and queued walkers
@@ -61,7 +67,6 @@ import numpy as np
 
 from repro.errors import QueueFull, ServiceError
 from repro.gpusim.counters import COUNT_ROWS, CostCounters
-from repro.runtime.faults import restore_checkpoint, take_checkpoint
 from repro.runtime.frontier import (
     FrontierRun,
     ReplicatedRunAccounting,
@@ -210,24 +215,16 @@ class _Group:
     the frontier when finished walkers are dropped.
     """
 
-    __slots__ = ("key", "seq", "engine", "seed", "run", "gen", "sessions",
-                 "attached", "inflight", "owner", "slot", "tenants", "aggregate",
-                 "usage", "track_counts", "counts", "faults", "checkpoint",
-                 "ordinal")
+    __slots__ = ("key", "seq", "engine", "run", "gen", "recovery",
+                 "sessions", "attached", "inflight", "owner", "slot", "tenants",
+                 "aggregate", "usage", "track_counts", "counts")
 
     def __init__(self, key, seq: int, engine, track_counts: bool) -> None:
         self.key = key
         self.seq = seq  # creation order (fault tallies sum in this order)
         self.engine = engine
-        self.seed = engine.seed
         self.run = FrontierRun(engine)
-        self.gen = None
-        # Fault-tolerance state: the engine's FaultRuntime (None on the
-        # fault-free fast path), the last restore point, and the group's
-        # logical superstep ordinal (the fault plan's clock).
-        self.faults = engine._fault_runtime()
-        self.checkpoint = None
-        self.ordinal = 0
+        self.gen = None  # the run's superstep loop (None while idle)
         self.sessions: list[_SessionEntry] = []
         self.attached = 0   # sessions still attached
         self.inflight = 0   # admitted walkers that have not finished
@@ -241,6 +238,9 @@ class _Group:
         self.usage: dict[str, int] = {}
         self.track_counts = track_counts
         self.counts = np.zeros((len(COUNT_ROWS), 0), dtype=np.int64)
+        # The fault-recovery protocol (None on the fault-free fast path);
+        # its superstep ordinal is the group's fault-plan clock.
+        self.recovery = engine._recovery(self.run, self.aggregate, self.usage)
 
 
 class ServiceScheduler:
@@ -436,8 +436,8 @@ class ServiceScheduler:
         """Drop a group no session is attached to, keeping its fault tallies."""
         if self._groups.get(group.key) is group:
             del self._groups[group.key]
-        faults = group.faults
-        if faults is not None:
+        if group.recovery is not None:
+            faults = group.recovery.faults
             if faults.recovery_ns:
                 self._retired_recovery[group.seq] = faults.recovery_ns
             self._retired_checkpoints += faults.checkpoints_taken
@@ -516,17 +516,17 @@ class ServiceScheduler:
         (retired ones included; quarantined ones are gone)."""
         by_seq = dict(self._retired_recovery)
         for g in self._groups.values():
-            if g.faults is not None:
-                by_seq[g.seq] = g.faults.recovery_ns
+            if g.recovery is not None:
+                by_seq[g.seq] = g.recovery.faults.recovery_ns
         return sum(by_seq[seq] for seq in sorted(by_seq))
 
     @property
     def checkpoints_taken(self) -> int:
         """Explicit (charged) checkpoints taken across every fusion group."""
         return self._retired_checkpoints + sum(
-            g.faults.checkpoints_taken
+            g.recovery.faults.checkpoints_taken
             for g in self._groups.values()
-            if g.faults is not None
+            if g.recovery is not None
         )
 
     @property
@@ -534,8 +534,8 @@ class ServiceScheduler:
         """Devices lost to permanent failures, across every fusion group."""
         dead = set(self._retired_degraded)
         for g in self._groups.values():
-            if g.faults is not None:
-                dead.update(g.faults.degraded)
+            if g.recovery is not None:
+                dead.update(g.recovery.faults.degraded)
         return tuple(sorted(dead))
 
     def tenant_stats(self) -> dict[str, TenantStats]:
@@ -719,8 +719,8 @@ class ServiceScheduler:
         # A restore from a pre-cancellation checkpoint would resurrect the
         # terminated walker; rebase the group's restore point on the
         # post-cancellation state instead.
-        if group.faults is not None:
-            group.checkpoint = None
+        if group.recovery is not None:
+            group.recovery.invalidate()
         tenant = group.tenants[pos]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
@@ -1070,7 +1070,7 @@ class ServiceScheduler:
         run = group.run
         if len(run) > group.inflight or group.attached < len(group.sessions):
             self._compact(group)
-        run.admit([p.query for p in batch], group.seed)
+        run.admit([p.query for p in batch], group.engine.seed)
         k = len(batch)
         tick = self._tick
         slots: list[int] = []
@@ -1113,8 +1113,8 @@ class ServiceScheduler:
         # Admission grew the frontier, so the group's restore point no
         # longer matches its state; a fresh (cost-free) boundary snapshot
         # is taken before the next superstep runs.
-        if group.faults is not None:
-            group.checkpoint = None
+        if group.recovery is not None:
+            group.recovery.invalidate()
 
     @staticmethod
     def _compact(group: _Group) -> None:
@@ -1152,85 +1152,23 @@ class ServiceScheduler:
             # Idle: a superstep generator would only find an empty frontier.
             group.gen = None
             return 0
-        run = group.run
         if group.gen is None:
-            group.gen = self._group_gen(group)
-        faults = group.faults
-        if faults is not None and group.checkpoint is None:
-            # Admission boundary (or group birth): a cost-free snapshot,
-            # the fused analogue of the implicit initial checkpoint.
-            group.checkpoint = take_checkpoint(
-                group.ordinal - 1, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
+            group.gen = iter_supersteps(group.engine, group.run, group.aggregate, group.usage)
+        recovery = group.recovery
+        if recovery is not None:
+            # Admission boundary (or group birth): a cost-free snapshot.
+            recovery.begin()
         try:
             report = next(group.gen)
         except StopIteration:
             group.gen = None
             return 0
         self._fold(group, report, participants)
-        if faults is not None:
-            self._recover_group(group, report)
-        group.ordinal += 1
+        if recovery is not None:
+            # A failure replays within this tick: admissions only land at
+            # tick boundaries, so no new walker can join mid-replay.
+            recovery.end(report)
         return report.steps
-
-    def _group_gen(self, group: _Group):
-        run = group.run
-        return iter_supersteps(
-            group.engine,
-            run.frontier,
-            run.streams,
-            run.per_query_ns,
-            group.aggregate,
-            group.usage,
-            track_finished=True,
-            run=run,
-        )
-
-    def _recover_group(self, group: _Group, report) -> None:
-        """Apply the fault plan at one fused superstep boundary.
-
-        The scheduler-fused counterpart of
-        :func:`~repro.runtime.faults.resilient_supersteps`: transient
-        faults are a pure (deterministic) time penalty; a permanent
-        device failure restores the group's checkpoint and silently
-        replays the lost supersteps *within this tick* — admissions only
-        land at tick boundaries, so replaying across ticks would let new
-        walkers join mid-replay and change the replayed supersteps.
-        Replayed supersteps regenerate bit-identical state, so the folds
-        already applied stay valid and only the replayed makespans are
-        charged to the recovery ledger.
-        """
-        run = group.run
-        faults = group.faults
-        ordinal = group.ordinal
-        superstep_ns = float(report.step_ns.max()) if report.step_ns.size else 0.0
-        faults.charge_transients(ordinal, superstep_ns)
-        dead = faults.fail_devices(ordinal)
-        if dead:
-            faults.charge_failure(dead, group.checkpoint)
-            restore_checkpoint(
-                group.checkpoint, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
-            group.gen = self._group_gen(group)
-            for replay_ordinal in range(group.checkpoint.ordinal + 1, ordinal + 1):
-                replay = next(group.gen)
-                faults.recovery_ns += (
-                    float(replay.step_ns.max()) if replay.step_ns.size else 0.0
-                )
-                if faults.checkpoint_due(replay_ordinal):
-                    group.checkpoint = take_checkpoint(
-                        replay_ordinal, run.frontier, run.pool, run.per_query_ns,
-                        group.aggregate, group.usage,
-                    )
-                    faults.charge_checkpoint(group.checkpoint.payload_bytes)
-        elif faults.checkpoint_due(ordinal):
-            group.checkpoint = take_checkpoint(
-                ordinal, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
-            faults.charge_checkpoint(group.checkpoint.payload_bytes)
 
     def _fold(
         self,

@@ -1,7 +1,7 @@
 """Tests for the FlexiWalker facade (the end-to-end pipeline of Fig. 6).
 
 This module deliberately exercises the deprecated one-shot spellings
-(``FlexiWalker.run`` / ``run_queries`` / ``summarize_run``) — it is the
+(``FlexiWalker.run`` / ``run_queries``) — it is the
 legacy-shim suite, so it opts out of the suite-wide
 ``error::DeprecationWarning`` filter.  The warnings themselves are asserted
 in ``tests/service/test_deprecations.py``.
@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
-from repro.core.results import summarize_run
 from repro.errors import CompilerWarning, ReproError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import A6000
@@ -115,7 +114,7 @@ class TestRunning:
 
     def test_summary_contains_key_metrics(self, small_graph):
         walker = FlexiWalker(small_graph, Node2VecSpec(), CONFIG)
-        summary = summarize_run(walker.run(walk_length=3, num_queries=5))
+        summary = walker.run(walk_length=3, num_queries=5).summary()
         for key in ("time_ms", "total_steps", "selection_ratio", "avg_walk_length"):
             assert key in summary
         assert summary["num_queries"] == 5

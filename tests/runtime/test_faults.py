@@ -36,11 +36,11 @@ from repro.runtime.faults import (
     restore_checkpoint,
     take_checkpoint,
 )
-from repro.runtime.frontier import iter_supersteps
+from repro.runtime.frontier import FrontierRun, iter_supersteps
 from repro.service import WalkService, negotiate_plan
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
-from repro.walks.state import WalkQuery, WalkerFrontier
+from repro.walks.state import WalkQuery
 
 DEVICE = dataclasses.replace(A6000, parallel_lanes=8)
 GRAPH = barabasi_albert_graph(50, 3, seed=9, name="faults-test")
@@ -103,8 +103,8 @@ class TestFaultPlanValidation:
 
 
 class TestCheckpointRoundtrip:
-    def _drive(self, engine, frontier, pool, streams, per_ns, aggregate, usage, n):
-        gen = iter_supersteps(engine, frontier, streams, per_ns, aggregate, usage)
+    def _drive(self, engine, run, aggregate, usage, n):
+        gen = iter_supersteps(engine, run, aggregate, usage)
         reports = []
         for _ in range(n):
             reports.append(next(gen))
@@ -113,25 +113,24 @@ class TestCheckpointRoundtrip:
     def test_restore_rewinds_walkers_rng_and_accounting(self):
         engine = WalkEngine(graph=GRAPH, spec=DeepWalkSpec(), device=DEVICE)
         batch = queries()
-        pool = StreamPool(engine.seed)
-        frontier = WalkerFrontier(batch)
-        streams = pool.batch([q.query_id for q in batch])
-        per_ns = np.zeros(len(batch))
+        run = FrontierRun(engine)
+        run.admit(batch, engine.seed)
+        frontier, per_ns = run.frontier, run.per_query_ns
         aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
         usage: dict[str, int] = {}
 
-        self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 3)
-        cp = take_checkpoint(2, frontier, pool, per_ns, aggregate, usage)
+        self._drive(engine, run, aggregate, usage, 3)
+        cp = take_checkpoint(2, run, aggregate, usage)
         assert cp.ordinal == 2
         assert cp.payload_bytes == int(frontier.active_indices().size) * 72
 
         # Advance past the checkpoint, then rewind and re-advance: the
         # replay must land on bit-identical state (counter-based streams).
-        first = self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 2)
+        first = self._drive(engine, run, aggregate, usage, 2)
         after_ns = per_ns.copy()
-        restore_checkpoint(cp, frontier, pool, per_ns, aggregate, usage)
+        restore_checkpoint(cp, run, aggregate, usage)
         assert not np.array_equal(per_ns, after_ns)
-        replay = self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 2)
+        replay = self._drive(engine, run, aggregate, usage, 2)
         assert np.array_equal(per_ns, after_ns)
         for a, b in zip(first, replay, strict=False):
             assert np.array_equal(a.active, b.active)

@@ -10,7 +10,6 @@ import pytest
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
 from repro.errors import ServiceError
-from repro.core.results import summarize_run
 from repro.gpusim.device import A6000
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.state import make_queries
@@ -35,13 +34,6 @@ class TestDeprecatedSpellings:
         queries = make_queries(service_graph.num_nodes, walk_length=3, num_queries=4)
         with pytest.warns(DeprecationWarning, match="MIGRATION.md"):
             walker.run_queries(queries)
-
-    def test_summarize_run_warns(self, service_graph):
-        walker = FlexiWalker(service_graph, DeepWalkSpec(), CONFIG)
-        with pytest.warns(DeprecationWarning):
-            result = walker.run(walk_length=3, num_queries=4)
-        with pytest.warns(DeprecationWarning, match="summary"):
-            summarize_run(result)
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -70,15 +62,7 @@ class TestLegacyStatefulness:
 
 
 class TestSummaryWrapper:
-    """summarize_run must delegate to WalkRunResult.summary (no drift)."""
-
-    def test_wrapper_and_method_agree(self, service_graph):
-        walker = FlexiWalker(service_graph, DeepWalkSpec(), CONFIG)
-        with pytest.warns(DeprecationWarning):
-            result = walker.run(walk_length=3, num_queries=5)
-        with pytest.warns(DeprecationWarning):
-            wrapped = summarize_run(result)
-        assert wrapped == result.summary()
+    """``WalkRunResult.summary()``, which replaced the removed ``summarize_run``."""
 
     def test_summary_reports_key_metrics(self, service_graph):
         walker = FlexiWalker(service_graph, DeepWalkSpec(), CONFIG)
