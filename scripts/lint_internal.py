@@ -9,7 +9,9 @@ the test suite cannot express file-by-file:
 - no code outside ``graph/invalidation.py`` touches the derived-cache
   internals (``_edge_key_cache``/``_in_degree_cache``/``TransitionCache``
   private buffers) except their owning modules;
-- no wall-clock calls outside bench/ and scripts/ (simulated time only).
+- no wall-clock calls outside bench/ and scripts/ (simulated time only);
+- no process-environment access (``os.environ``/``getenv``/``putenv``):
+  every behaviour is chosen by an explicit config field or argument.
 
 Exit code is non-zero iff any ERROR diagnostic is found, and every finding
 prints its rule id, so the CI lint job pinpoints the violated invariant.

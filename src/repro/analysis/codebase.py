@@ -1,7 +1,7 @@
 """Internal invariant linter: repo rules the generic linters can't express.
 
 Run over ``src/repro`` by ``scripts/lint_internal.py`` in the CI lint job.
-Three invariants, each an ERROR:
+Four invariants, each an ERROR:
 
 ``internal/unseeded-rng``
     No unseeded RNG construction and no module-level ``random`` /
@@ -23,6 +23,11 @@ Three invariants, each an ERROR:
     two modules that uphold the versioned invalidation contracts from the
     delta-graph subsystem.  Any other access path can serve stale topology
     after ``apply_delta``.
+``internal/env-read``
+    No ``os.environ``, ``os.getenv`` or ``os.putenv`` anywhere in the
+    library.  Every behaviour is chosen by an explicit config field or
+    argument; an environment variable would be a hidden knob that neither
+    ``describe()``, the plan keys nor a replay can see.
 
 Suppression uses the same ``# repro: ignore[rule-id]`` trailing comment as
 the spec verifier.
@@ -70,6 +75,9 @@ _TC_ALLOWED = ("sampling/transition_cache.py", "graph/invalidation.py")
 
 #: Path components exempt from the wall-clock rule.
 _WALL_CLOCK_EXEMPT_PARTS = frozenset({"bench", "benchmarks", "scripts"})
+
+#: ``os`` members that read or write the process environment.
+_ENV_NAMES = frozenset({"environ", "getenv", "putenv"})
 
 
 def _span(file: str, node: ast.AST) -> SourceSpan:
@@ -151,6 +159,25 @@ def _check_cache_contract(node: ast.Attribute, posix_path: str, out: _Diagnostic
         )
 
 
+def _check_env_read(node: ast.Attribute | ast.ImportFrom, file: str,
+                    out: _DiagnosticCollector) -> None:
+    if isinstance(node, ast.ImportFrom):
+        if node.module != "os":
+            return
+        names = sorted(_ENV_NAMES & {alias.name for alias in node.names})
+    else:
+        path = _dotted_path(node)
+        names = [node.attr] if path[-2:-1] == ("os",) and node.attr in _ENV_NAMES else []
+    for name in names:
+        out.add(
+            "internal/env-read",
+            Severity.ERROR,
+            f"process-environment access os.{name} in library code",
+            span=_span(file, node),
+            fix_hint="take the setting as an explicit config field or argument",
+        )
+
+
 def lint_source(source: str, file: str) -> tuple[Diagnostic, ...]:
     """Lint one file's source text; ``file`` is used for spans and contracts."""
     posix_path = file.replace("\\", "/")
@@ -171,6 +198,9 @@ def lint_source(source: str, file: str) -> tuple[Diagnostic, ...]:
             _check_internal_call(node, posix_path, wall_clock_exempt, out)
         elif isinstance(node, ast.Attribute):
             _check_cache_contract(node, posix_path, out)
+            _check_env_read(node, posix_path, out)
+        elif isinstance(node, ast.ImportFrom):
+            _check_env_read(node, posix_path, out)
     lines = source.splitlines()
 
     def get_line(_file: str, lineno: int) -> str:

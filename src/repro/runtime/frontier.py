@@ -201,6 +201,33 @@ class SuperstepReport:
 #: Shared empty finished-set for untracked supersteps.
 _NO_FINISHED = np.zeros(0, dtype=np.int64)
 
+#: Most candidate edges one warp-kernel call runs over.  A warp partition
+#: whose rows hold more is split into contiguous walker blocks of at most
+#: this many edges (a longer row is a block of its own).  Each per-edge
+#: temporary of a block — weights, edge-key queries, Philox counters, race
+#: keys — is then at most 256 KiB of float64/int64, so it is served from
+#: the malloc heap instead of freshly mmapped (and page-faulted) pages, and
+#: a block's working set fits a 2 MiB L2.  Streams are keyed per walker and
+#: counts land per slot, so the split cannot change any walk, count or
+#: simulated time.
+_EDGE_BLOCK = 32_768
+
+
+def _edge_blocks(degrees: np.ndarray) -> list[slice]:
+    """Contiguous slices of ``degrees`` holding at most ``_EDGE_BLOCK`` edges.
+
+    Greedy from the front: each block takes as many rows as fit, and a row
+    longer than the limit forms a block by itself.
+    """
+    ends = np.cumsum(degrees)
+    blocks = []
+    lo, base = 0, 0
+    while lo < ends.size:
+        hi = max(int(np.searchsorted(ends, base + _EDGE_BLOCK, side="right")), lo + 1)
+        blocks.append(slice(lo, hi))
+        lo, base = hi, int(ends[hi - 1])
+    return blocks
+
 
 class FrontierRun:
     """The execution state of a frontier run: walkers, streams, per-query times.
@@ -380,17 +407,25 @@ def iter_supersteps(
         samplers, assignment = engine.selector.select_batch(ctx)
 
         next_nodes = np.full(k, -1, dtype=np.int64)
+        # Dead-end walkers have no candidates, so this is the active set's.
+        blocked = int(degrees.sum()) > _EDGE_BLOCK
         for position, sampler in enumerate(samplers):
             part = (assignment == position).nonzero()[0]
             if part.size == 0:
                 continue
-            sub = ctx.subset(part)
-            if engine.warp_switch_overhead and sampler.processing_unit == "warp":
+            warp = sampler.processing_unit == "warp"
+            if engine.warp_switch_overhead and warp:
                 # The concurrent kernel votes (__ballot_sync) and shares the
                 # query parameters (__shfl_sync) before the warp switches
                 # into the cooperative mode.
-                sub.charge("warp_syncs", 1)
-            next_nodes[part] = sampler.sample_batch(sub)
+                ctx.charge("warp_syncs", 1, part)
+            if blocked and warp:
+                # Edge-parallel kernels run over cache-sized walker blocks.
+                for block in _edge_blocks(ctx.degrees[part]):
+                    rows = part[block]
+                    next_nodes[rows] = sampler.sample_batch(ctx.subset(rows))
+            else:
+                next_nodes[part] = sampler.sample_batch(ctx.subset(part))
             usage[sampler.name] = usage.get(sampler.name, 0) + int(part.size)
             if engine.step_overhead is not None:
                 _apply_step_overhead(engine, ctx, part, sampler)
@@ -1085,9 +1120,10 @@ class FrontierDriver:
         launch.steps += 1
         if recovery is not None:
             recovery.end(report, None if ledger is None else self._take_over)
-        if self.track_finished:
-            for i in report.finished:
-                launch.paths[i] = frontier.path(i)
+        if self.track_finished and report.finished.size:
+            finished = report.finished
+            for i, path in zip(finished.tolist(), frontier.paths_of(finished), strict=True):
+                launch.paths[i] = path
         return report
 
     def _take_over(self, dead: list[int]) -> None:

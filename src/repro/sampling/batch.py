@@ -4,8 +4,8 @@ The batched walk engine executes one *superstep* for a whole frontier of
 walkers at a time.  Per-walker neighbour lists have different lengths, so the
 frontier's candidate edges are flattened into one contiguous array segmented
 by walker; the helpers here provide the per-segment reductions (sum, max,
-first-argmax, running max, binary search) the vectorised kernels are built
-from.
+first-argmax, running-maximum records, binary search) the vectorised kernels
+are built from.
 
 Parity with the scalar engine is a hard requirement (the selection studies
 compare counter totals and simulated timings between modes), so every helper
@@ -119,40 +119,60 @@ def segment_max(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_argmax_first(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Index (local to each segment) of the first occurrence of the maximum.
+#: Padded cells below which :func:`padded_race` races every segment in one
+#: matrix: per-class numpy calls cost more than padding that small.
+_RACE_ONE_MATRIX = 4096
 
-    Matches ``np.argmax`` tie-breaking (first index wins).  Segments must be
+
+def padded_race(
+    values: np.ndarray, lengths: np.ndarray, record_from: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment first argmax and running-maximum record count.
+
+    Returns ``(choice, records)``: ``choice[i]`` is the index, local to
+    segment ``i``, of the first occurrence of its maximum (``np.argmax``
+    tie-breaking); ``records[i]`` counts the positions ``j >= record_from``
+    whose value beats the maximum of everything before them in the segment
+    (all zero when ``record_from`` is ``None``).  Segments must be
     non-empty.
+
+    Segments are raced one power-of-two length class at a time: a class's
+    rows are padded with ``-inf`` to ``(rows, longest row)`` and reduced
+    along the rows by ``np.maximum.accumulate`` and ``argmax``.  Padding
+    costs at most twice the elements that way; when one matrix over every
+    segment costs no more (or is small), it is raced at once.  Both are
+    exact, and padding can neither win nor set a record, so the results do
+    not depend on the grouping.  A record at ``j`` is exactly a rise of the
+    running maximum between ``j - 1`` and ``j``, and the running maximum
+    first reaches the segment maximum where the values do, so one
+    accumulated matrix answers both.
     """
-    offsets = segment_offsets(lengths)
-    seg = segment_ids(lengths)
-    maxima = np.maximum.reduceat(values.astype(np.float64, copy=False), offsets[:-1])
-    positions = np.arange(values.size, dtype=np.int64)
-    sentinel = values.size
-    candidates = np.where(values == maxima[seg], positions, sentinel)
-    firsts = np.minimum.reduceat(candidates, offsets[:-1])
-    return firsts - offsets[:-1]
-
-
-def segment_cummax(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-segment inclusive running maximum (Hillis–Steele doubling).
-
-    Handles ``-inf`` entries exactly (no offset tricks), which matters for
-    the exponential-race keys where zero-weight neighbours map to ``-inf``.
-    """
-    out = values.astype(np.float64, copy=True)
-    if out.size == 0 or lengths.size == 0:
-        return out
-    seg = segment_ids(lengths)
-    max_len = int(lengths.max())
-    shift = 1
-    while shift < max_len:
-        same = seg[shift:] == seg[:-shift]
-        candidate = np.where(same, out[:-shift], -np.inf)
-        out[shift:] = np.maximum(out[shift:], candidate)
-        shift <<= 1
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    choice = np.zeros(lengths.size, dtype=np.int64)
+    records = np.zeros(lengths.size, dtype=np.int64)
+    if lengths.size == 0:
+        return choice, records
+    starts = segment_offsets(lengths)[:-1]
+    if lengths.size * int(lengths.max()) <= max(2 * values.size, _RACE_ONE_MATRIX):
+        groups = [slice(None)]
+    else:
+        classes = np.frexp(lengths - 1)[1]  # ceil(log2(length)), exact
+        order = np.argsort(classes, kind="stable")
+        ends = np.cumsum(np.bincount(classes)).tolist()
+        groups = [order[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends, strict=True) if hi > lo]
+    for rows in groups:
+        row_lengths = lengths[rows]
+        columns = np.arange(int(row_lengths.max()), dtype=np.int64)
+        race = np.take(values, starts[rows, None] + columns, mode="clip")
+        race[columns >= row_lengths[:, None]] = -np.inf
+        if record_from is not None and columns.size > record_from:
+            np.maximum.accumulate(race, axis=1, out=race)
+            records[rows] = np.count_nonzero(
+                race[:, record_from:] > race[:, record_from - 1:-1], axis=1
+            )
+        choice[rows] = race.argmax(axis=1)
+    return choice, records
 
 
 def segment_bisect(

@@ -30,14 +30,7 @@ from repro.sampling.base import (
     all_weights_zero,
     gather_transition_weights,
 )
-from repro.sampling.batch import (
-    BatchStepContext,
-    local_positions,
-    segment_any_positive,
-    segment_argmax_first,
-    segment_cummax,
-    segment_ids,
-)
+from repro.sampling.batch import BatchStepContext, padded_race, segment_any_positive
 
 
 def exponential_race_keys(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -50,10 +43,9 @@ def exponential_race_keys(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarr
     weights = np.asarray(weights, dtype=np.float64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
     log_keys = np.full(weights.shape, -np.inf, dtype=np.float64)
-    positive = weights > 0
     # uniforms are in (0, 1); log is negative, dividing by the weight scales it.
     with np.errstate(divide="ignore"):
-        log_keys[positive] = np.log(uniforms[positive]) / weights[positive]
+        np.divide(np.log(uniforms), weights, out=log_keys, where=weights > 0)
     return log_keys
 
 
@@ -130,12 +122,13 @@ class EnhancedReservoirSampler(Sampler):
 
     # ------------------------------------------------------------------ #
     def _sample_batch_nonempty(self, batch: BatchStepContext, out: np.ndarray) -> np.ndarray:
-        """Frontier-wide eRVS: one exponential race across every walker.
+        """Batched eRVS: one exponential race across the batch's walkers.
 
         Walker-for-walker identical to :meth:`sample` — the per-walker
         uniforms come from the same counter positions of the same streams,
         the keys/argmax use the same formulas, and the jump accounting counts
-        the same candidate updates via a segmented running maximum.
+        the same candidate updates from padded running maxima
+        (:func:`padded_race`).
         """
         if not self.use_exponential_keys:
             # Ablation baseline: behave exactly like the FlowWalker kernel.
@@ -152,42 +145,30 @@ class EnhancedReservoirSampler(Sampler):
         # Draw exactly one uniform per neighbour for every live walker, from
         # each walker's own stream (dead-end walkers consume no draws, like
         # the scalar early return).
-        counts = np.zeros(batch.size, dtype=np.int64)
-        counts[live] = degrees[live]
-        uniforms = batch.rng.uniform_flat(counts)
-        flat_mask = batch.edge_mask(live)
-        live_weights = weights[flat_mask]
-        live_lengths = degrees[live]
+        if live.size == batch.size:
+            live_weights = weights
+            live_lengths = degrees
+            uniforms = batch.rng.uniform_flat(degrees)
+        else:
+            live_weights = weights[batch.edge_mask(live)]
+            live_lengths = degrees[live]
+            counts = np.zeros(batch.size, dtype=np.int64)
+            counts[live] = live_lengths
+            uniforms = batch.rng.uniform_flat(counts)
         log_keys = exponential_race_keys(live_weights, uniforms)
 
         widths = np.minimum(batch.warp_width, live_lengths)
-        rng_counts = live_lengths.copy()
-        if self.use_jump:
-            jump = live_lengths > batch.warp_width
-            if jump.any():
-                # Count the candidate updates exactly as the scalar helper
-                # does: position j >= width triggers an update iff its key
-                # beats the running maximum of everything before it.  Only
-                # jump-eligible segments are scanned — the running maximum is
-                # a per-segment quantity, so restricting the scan cannot
-                # change any counted update.
-                jump_idx = np.nonzero(jump)[0]
-                jump_lengths = live_lengths[jump_idx]
-                jump_mask = np.repeat(jump, live_lengths)
-                jump_keys = log_keys[jump_mask]
-                cummax = segment_cummax(jump_keys, jump_lengths)
-                prev_max = np.empty_like(cummax)
-                prev_max[0] = -np.inf
-                prev_max[1:] = cummax[:-1]
-                pos = local_positions(jump_lengths)
-                seg = segment_ids(jump_lengths)
-                beats = (pos >= widths[jump_idx][seg]) & (jump_keys > prev_max)
-                updates = np.zeros(live_lengths.size, dtype=np.int64)
-                updates[jump_idx] = np.bincount(seg[beats], minlength=jump_lengths.size)
-                rng_counts = np.where(jump, 2 * widths + 2 * updates, live_lengths)
+        jump = live_lengths > batch.warp_width
+        if self.use_jump and jump.any():
+            # Iteration 1 draws one key per lane, every later candidate
+            # update two more (see :meth:`sample`).
+            choice, updates = padded_race(log_keys, live_lengths, batch.warp_width)
+            rng_counts = np.where(jump, 2 * widths + 2 * updates, live_lengths)
+        else:
+            choice, _ = padded_race(log_keys, live_lengths)
+            rng_counts = live_lengths
         batch.charge("rng_draws", rng_counts, live)
         batch.charge("reduction_elements", widths, live)
 
-        choice = segment_argmax_first(log_keys, live_lengths)
         out[live] = batch.graph.indices[batch.edge_start[live] + choice]
         return out

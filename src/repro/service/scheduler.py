@@ -1232,15 +1232,14 @@ class ServiceScheduler:
         frontier = group.run.frontier
         fused = finished.tolist()
         owner = group.owner[finished].tolist()
-        rows = frontier.path_buf[finished].tolist()
-        lengths = frontier.path_len[finished].tolist()
+        walks = frontier.paths_of(finished)
         by_entry: dict[int, list[int]] = {}
         for j, gidx in enumerate(owner):
             by_entry.setdefault(gidx, []).append(j)
         for gidx, picks in by_entry.items():
             entry = sessions[gidx]
             session = entry.session
-            paths = tuple([tuple(rows[j][: lengths[j]]) for j in picks])
+            paths = tuple([tuple(walks[j]) for j in picks])
             query_ids = tuple([frontier.queries[fused[j]].query_id for j in picks])
             for qid, path in zip(query_ids, paths, strict=True):
                 session._path_by_qid[qid] = list(path)

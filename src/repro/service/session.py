@@ -479,12 +479,11 @@ class WalkSession:
             if report.finished.size == 0:
                 continue
             finished, paths = driver.finished_walks(report)
-            query_ids = tuple(q.query_id for q in finished)
-            for qid, path in zip(query_ids, paths, strict=True):
-                self._path_by_qid[qid] = path
+            query_ids = tuple([q.query_id for q in finished])
+            self._path_by_qid.update(zip(query_ids, paths, strict=True))
             yield self._emit(
                 query_ids,
-                tuple(tuple(p) for p in paths),
+                tuple(map(tuple, paths)),
                 steps=report.steps,
                 counters=report.counters.totals(),
             )

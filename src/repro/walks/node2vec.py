@@ -129,12 +129,17 @@ class Node2VecSpec(WalkSpec):
         prev = batch.prev[walkers]
         post = graph.indices[edges]
         has_prev = prev >= 0
-        w = np.full(edges.size, 1.0 / self.b, dtype=np.float64)
-        check = np.nonzero(has_prev)[0]
-        if check.size:
-            w[check[graph.has_edges(prev[check], post[check])]] = 1.0
-        w[has_prev & (post == prev)] = 1.0 / self.a
-        w[~has_prev] = 1.0
+        if has_prev.all():
+            # Every superstep after the first: no pair needs filtering.
+            w = np.where(graph.has_edges(prev, post), 1.0, 1.0 / self.b)
+            w[post == prev] = 1.0 / self.a
+        else:
+            w = np.full(edges.size, 1.0 / self.b, dtype=np.float64)
+            check = np.nonzero(has_prev)[0]
+            if check.size:
+                w[check[graph.has_edges(prev[check], post[check])]] = 1.0
+            w[has_prev & (post == prev)] = 1.0 / self.a
+            w[~has_prev] = 1.0
         if self.weighted:
             w *= graph.weights[edges]
         return w

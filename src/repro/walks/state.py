@@ -308,14 +308,23 @@ class WalkerFrontier:
         return state
 
     def path(self, index: int) -> list[int]:
-        """Walker ``index``'s walk so far (the single source of the
-        path-buffer slice convention)."""
-        index = int(index)
-        return self.path_buf[index, : int(self.path_len[index])].tolist()
+        """Walker ``index``'s walk so far."""
+        return self.paths_of([int(index)])[0]
+
+    def paths_of(self, indices) -> list[list[int]]:
+        """The walks of walkers ``indices`` so far: one gather, one ``tolist``
+        (the single source of the path-buffer slice convention)."""
+        rows = self.path_buf[indices].tolist()
+        lengths = self.path_len[indices]
+        # Only walks shorter than the buffer need trimming.
+        short = np.flatnonzero(lengths < self.path_buf.shape[1])
+        for j, n in zip(short.tolist(), lengths[short].tolist(), strict=True):
+            rows[j] = rows[j][:n]
+        return rows
 
     def paths(self) -> list[list[int]]:
         """The walks, one python list per query in submission order."""
-        return [self.path(i) for i in range(len(self.queries))]
+        return self.paths_of(np.arange(len(self.queries)))
 
 
 def make_queries(

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Severity, lint_paths, lint_source
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -71,6 +73,29 @@ class TestCacheContractInvariant:
         src = "def repair(graph):\n    graph._edge_key_cache = None\n"
         assert lint_source(src, "src/repro/graph/invalidation.py") == ()
         assert lint_source(src, "src/repro/graph/csr.py") == ()
+
+
+class TestEnvReadInvariant:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import os\nlevel = os.environ.get('REPRO_BLOCK', '1')\n",
+            "import os\nlevel = os.environ['REPRO_BLOCK']\n",
+            "import os\nlevel = os.getenv('REPRO_BLOCK')\n",
+            "import os\nos.putenv('REPRO_BLOCK', '1')\n",
+            "from os import environ\nlevel = environ['REPRO_BLOCK']\n",
+            "from os import getenv as env\nlevel = env('REPRO_BLOCK')\n",
+        ],
+    )
+    def test_environment_access_fails(self, src):
+        diags = lint_source(src, "src/repro/runtime/fresh.py")
+        assert rules_of(diags) == {"internal/env-read"}
+        assert len(diags) == 1
+        assert diags[0].severity is Severity.ERROR
+
+    def test_other_os_members_pass(self):
+        src = "import os\nhere = os.path.join('a', 'b')\ncpus = os.cpu_count()\n"
+        assert lint_source(src, "src/repro/runtime/fresh.py") == ()
 
 
 class TestLinterMechanics:

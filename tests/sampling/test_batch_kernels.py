@@ -17,10 +17,9 @@ from repro.rng.streams import BatchStreams, CountingStream, StreamPool
 from repro.sampling.base import Sampler, all_weights_zero, is_dead_end
 from repro.sampling.batch import (
     local_positions,
+    padded_race,
     segment_any_positive,
-    segment_argmax_first,
     segment_bisect,
-    segment_cummax,
     segment_max,
     segment_offsets,
 )
@@ -40,26 +39,63 @@ class TestSegmentPrimitives:
         expected = [values[offsets[i]:offsets[i + 1]].max() for i in range(20)]
         assert np.allclose(segment_max(values, lengths), expected)
 
-    def test_segment_argmax_matches_numpy_tie_breaking(self):
+    def test_padded_race_matches_numpy_tie_breaking(self):
         lengths = np.array([4, 3, 5])
         values = np.array([1.0, 3.0, 3.0, 0.0,
                            -np.inf, -np.inf, -np.inf,
                            2.0, 5.0, 5.0, 5.0, 1.0])
         offsets = segment_offsets(lengths)
         expected = [int(np.argmax(values[offsets[i]:offsets[i + 1]])) for i in range(3)]
-        assert segment_argmax_first(values, lengths).tolist() == expected
+        choice, records = padded_race(values, lengths)
+        assert choice.tolist() == expected
+        assert records.tolist() == [0, 0, 0]
 
-    def test_segment_cummax_matches_accumulate(self):
+    @pytest.mark.parametrize("record_from", [1, 2, 5])
+    def test_padded_race_records_match_accumulate(self, record_from):
         rng = np.random.default_rng(1)
         lengths = rng.integers(1, 12, size=15)
         values = rng.normal(size=int(lengths.sum()))
         values[rng.random(values.size) < 0.2] = -np.inf
         offsets = segment_offsets(lengths)
-        expected = np.concatenate([
+        running = [
             np.maximum.accumulate(values[offsets[i]:offsets[i + 1]])
             for i in range(15)
-        ])
-        assert np.array_equal(segment_cummax(values, lengths), expected)
+        ]
+        # A record is a rise of the running maximum at or after record_from.
+        expected = [
+            int(np.count_nonzero(run[record_from:] > run[record_from - 1:-1]))
+            for run in running
+        ]
+        first_max = [int(np.argmax(run)) for run in running]
+        choice, records = padded_race(values, lengths, record_from)
+        assert records.tolist() == expected
+        assert choice.tolist() == first_max
+
+    def test_padded_race_by_length_class_matches_accumulate(self):
+        # One long row makes a single padded matrix too costly, so the
+        # segments are raced one power-of-two length class at a time.
+        rng = np.random.default_rng(3)
+        lengths = np.concatenate([rng.integers(1, 70, size=40), [5000], [1, 33]])
+        values = rng.normal(size=int(lengths.sum()))
+        values[rng.random(values.size) < 0.2] = -np.inf
+        offsets = segment_offsets(lengths)
+        running = [
+            np.maximum.accumulate(values[offsets[i]:offsets[i + 1]])
+            for i in range(lengths.size)
+        ]
+        expected = [int(np.count_nonzero(run[32:] > run[31:-1])) for run in running]
+        choice, records = padded_race(values, lengths, 32)
+        assert records.tolist() == expected
+        assert choice.tolist() == [int(np.argmax(run)) for run in running]
+
+    def test_padded_race_mixed_length_classes(self):
+        # Rows of very different lengths land in different padded classes.
+        lengths = np.array([1, 40, 3, 2, 33, 1])
+        values = np.arange(lengths.sum(), dtype=np.float64)[::-1].copy()
+        values[1 + 17] = 1e9  # row 1's maximum, a record at position 17
+        choice, records = padded_race(values, lengths, record_from=8)
+        assert choice.tolist() == [0, 17, 0, 0, 0, 0]
+        assert records.tolist() == [0, 1, 0, 0, 0, 0]
 
     def test_segment_bisect_matches_searchsorted(self):
         rng = np.random.default_rng(2)
