@@ -6,8 +6,8 @@ the expensive shared state hot — the CSR graph, compiled workloads, device
 profiles, per-node hint tables and transition caches — while every tenant
 talks to its own lightweight :class:`~repro.service.WalkSession`.
 
-This example demonstrates the three capabilities the one-shot facade never
-had:
+This example demonstrates the three capabilities a one-shot run does not
+have:
 
 1. **Incremental submission** — queries are enqueued in batches while the
    session runs, each batch tracked by a :class:`~repro.service.QueryTicket`;

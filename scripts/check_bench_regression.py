@@ -37,10 +37,8 @@ same interleaved sweep, so exceeding the ceiling means the per-update work —
 overlay maintenance, CSR cache repair, recompilation, scoped cache
 migration — actually grew, not that the host got slower overall.
 
-Both the multi-entry schema (``schema_version >= 2``: per-workload entries
-under ``"entries"``) and the legacy single-entry schema (one top-level
-``speedup``) are understood, so the gate keeps working across baseline
-format migrations.
+Both reports use the multi-entry schema (``schema_version >= 2``): one entry
+per workload under ``"entries"``.
 
 Usage::
 
@@ -58,14 +56,11 @@ from pathlib import Path
 
 
 def load_entries(path: Path) -> dict[str, dict]:
-    """Workload-keyed entries of a report, legacy reports mapped to one entry."""
-    report = json.loads(path.read_text())
-    entries = report.get("entries")
-    if isinstance(entries, dict) and entries:
-        return entries
-    # Legacy single-entry schema: the whole report is the one entry.
-    workload = report.get("workload", "default")
-    return {workload: report}
+    """Workload-keyed entries of a report."""
+    entries = json.loads(path.read_text()).get("entries")
+    if not isinstance(entries, dict) or not entries:
+        raise SystemExit(f"{path}: no workload entries (expected a non-empty 'entries' dict)")
+    return entries
 
 
 def entry_speedup(path: Path, name: str, entry: dict) -> float:

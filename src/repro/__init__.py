@@ -20,9 +20,9 @@ Quick start (serving API)::
     result = session.collect()    # exact aggregate
     print(result.time_ms, result.selection_ratio())
 
-The legacy one-shot facade (``FlexiWalker(graph, spec).run(...)``) still
-works and produces bit-identical results, but emits ``DeprecationWarning`` —
-see ``MIGRATION.md``.
+A session is the one way to serve walks; :meth:`WalkEngine.run` executes an
+explicit query batch directly (the scalar oracle and the Fig. 15 device
+sweeps use it).  ``MIGRATION.md`` maps the spellings removed in 2.0 to these.
 """
 
 from repro.analysis import Diagnostic, Severity, SourceSpan, SpecReport, verify_spec
@@ -33,7 +33,6 @@ from repro.compiler.analyzer import AnalysisResult, EdgeIndexedVariable
 from repro.compiler.generator import CompiledWorkload, GeneratedHelpers
 from repro.compiler.preprocess import PreprocessResult
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import DeltaCSRGraph, GraphDelta
 from repro.graph.invalidation import DeltaInvalidation, graph_version
@@ -49,7 +48,6 @@ from repro.gpusim.device import A6000, DeviceSpec
 from repro.gpusim.energy import EnergyReport
 from repro.gpusim.executor import KernelResult
 from repro.gpusim.memory import MemoryModel
-from repro.gpusim.multigpu import MultiGPUResult
 from repro.runtime.cost_model import CostModel
 from repro.runtime.engine import WalkEngine, WalkRunResult
 from repro.runtime.faults import (
@@ -86,7 +84,7 @@ from repro.walks.second_order_pr import SecondOrderPRSpec
 from repro.walks.spec import UniformWalkSpec, WalkSpec
 from repro.walks.state import WalkerState, WalkQuery, make_queries
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # Serving API (the supported entry point)
@@ -112,15 +110,12 @@ __all__ = [
     "InterconnectDrop",
     "FaultError",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    # Legacy facade (deprecated spellings, kept for compatibility)
-    "FlexiWalker",
     # Configuration and results
     "FlexiWalkerConfig",
     "WalkEngine",
     "WalkRunResult",
     "SuperstepReport",
     "KernelResult",
-    "MultiGPUResult",
     "CostCounters",
     "ProfileResult",
     "CostModel",

@@ -24,7 +24,6 @@ from repro.bench.config import ExperimentConfig
 from repro.bench.runner import prepare_graph, scaled_device_for
 from repro.bench.tables import format_table
 from repro.core.config import FlexiWalkerConfig
-from repro.gpusim.multigpu import MultiGPUExecutor
 from repro.service import DeviceFleet, WalkService
 from repro.walks.registry import make_workload
 from repro.walks.state import make_queries
@@ -57,9 +56,9 @@ def run_experiment(config: ExperimentConfig | None = None) -> dict:
         # a sparse subsample would wash that correlation out.
         queries = make_queries(graph.num_nodes, walk_length=config.walk_length)
         device = scaled_device_for("gpu", len(queries), config.waves)
-        # The fleet declares the sweep's maximum device count; each
-        # MultiGPUExecutor below re-targets the session's engine at a
-        # specific count/policy without recompiling anything.
+        # The fleet declares the sweep's maximum device count; each cell
+        # below re-targets the session's engine at a specific count/policy
+        # without recompiling anything.
         service = WalkService(graph, fleet=DeviceFleet(device, max(GPU_COUNTS)))
         session = service.session(
             make_workload(WORKLOAD), FlexiWalkerConfig(device=device, seed=config.seed)
@@ -73,10 +72,10 @@ def run_experiment(config: ExperimentConfig | None = None) -> dict:
             # cell is the single run itself — no need to re-walk.
             row[f"{policy}_x1"] = 1.0
         for gpus in [g for g in GPU_COUNTS if g > 1]:
-            executor = MultiGPUExecutor(device, gpus)
             for policy in POLICIES:
-                result = executor.run(session.engine, queries, policy=policy)
-                row[f"{policy}_x{gpus}"] = result.speedup_over(single.kernel.time_ns)
+                engine = session.engine.with_devices(gpus, partition_policy=policy)
+                result = engine.run(queries)
+                row[f"{policy}_x{gpus}"] = single.kernel.time_ns / result.kernel.time_ns
                 if gpus == max(GPU_COUNTS):
                     row[f"imbalance_{policy}_x{gpus}"] = result.load_imbalance
         rows.append(row)

@@ -1,16 +1,13 @@
-"""FlexiWalker public API.
+"""FlexiWalker pipeline configuration.
 
-:class:`~repro.core.flexiwalker.FlexiWalker` is the facade a downstream user
-interacts with: give it a graph and a walk specification (the three-function
-gather-move-update logic), and it compiles the workload, profiles the device,
-wires the runtime selector to the optimised kernels and runs walk queries —
-the complete pipeline of Fig. 6.
+:class:`~repro.core.config.FlexiWalkerConfig` holds the knobs of the
+pipeline of Fig. 6 (selection policy, seed, overheads, device count).  Every
+run starts at :meth:`repro.service.WalkService.session`, which takes one, or
+at :meth:`repro.runtime.engine.WalkEngine.run`.
 """
 
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 
 __all__ = [
-    "FlexiWalker",
     "FlexiWalkerConfig",
 ]

@@ -53,9 +53,9 @@ class ServiceError(ReproError):
     """Raised by the session-based service API (:mod:`repro.service`).
 
     Covers plan-negotiation failures (requesting more devices than the
-    service fleet owns, unknown backends), invalid submissions (duplicate
-    query ids within a session) and collecting results from a session that
-    never received queries.
+    service fleet owns, unknown partition policies), invalid submissions
+    (duplicate query ids within a session) and collecting results from a
+    session that never received queries.
     """
 
 

@@ -201,15 +201,18 @@ class KernelExecutor:
             # earliest-free-lane assignment is the identity.  Bit-identical
             # to the heap below (lane i serves query i, paying one fetch).
             return per_query_ns + atomic_ns
+        # A sorted list is already a heap.  The (busy, lane) keys are unique,
+        # so one heapreplace on the root pops and pushes exactly what a
+        # heappop/heappush pair would.
         heap = [(0.0, lane) for lane in range(lanes)]
-        heapq.heapify(heap)
-        lane_times = np.zeros(lanes, dtype=np.float64)
-        for t in per_query_ns:
-            busy, lane = heapq.heappop(heap)
-            busy += float(t) + atomic_ns
+        lane_times = [0.0] * lanes
+        atomic_ns = float(atomic_ns)
+        for t in per_query_ns.tolist():
+            busy, lane = heap[0]
+            busy += t + atomic_ns
             lane_times[lane] = busy
-            heapq.heappush(heap, (busy, lane))
-        return lane_times
+            heapq.heapreplace(heap, (busy, lane))
+        return np.array(lane_times, dtype=np.float64)
 
     @staticmethod
     def _static_schedule(per_query_ns: np.ndarray, lanes: int) -> np.ndarray:

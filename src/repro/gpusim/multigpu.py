@@ -3,31 +3,21 @@
 The paper scales FlexiWalker to four GPUs by replicating the graph on every
 device and partitioning the walk queries across them — hash-based index
 mapping of the start nodes, because naive range-based mapping showed lower
-scalability.  This module holds the partitioning policies and the
-:class:`MultiGPUExecutor` front-end.  The executor drives the *real* walk
-engine: every device's walkers advance through the engine's shared
-step-synchronous frontier, each partition is scheduled on its own device,
-and the job finishes when the slowest device does.  A legacy cost-array replay
-(:meth:`MultiGPUExecutor.execute`) is kept for analyses that only have
-per-query times, e.g. what-if makespan studies.
+scalability.  This module holds the partitioning policies and the load
+imbalance statistic.  The multi-device run itself is the walk engine's:
+``engine.with_devices(n, partition_policy=p).run(queries)`` advances every
+device's walkers through the shared step-synchronous frontier, schedules each
+partition on its own device, and finishes when the slowest device does.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpusim.counters import CostCounters
-from repro.gpusim.device import DeviceSpec
-from repro.gpusim.executor import KernelExecutor, KernelResult
-
-if TYPE_CHECKING:  # pragma: no cover - engine imported lazily (layering)
-    from repro.runtime.engine import WalkEngine, WalkRunResult
-    from repro.walks.state import WalkQuery
+from repro.gpusim.executor import KernelResult
 
 #: Valid values of the query-partitioning policy.
 PARTITION_POLICIES = ("hash", "range", "balanced")
@@ -67,7 +57,7 @@ def partition_queries(
     of queries (or a policy simply maps nothing to a device) the surplus
     devices receive zero-length index arrays and idle for the whole kernel.
     Idle devices do not count toward load-imbalance statistics — see
-    :attr:`MultiGPUResult.load_imbalance`.
+    :func:`occupied_load_imbalance`.
     """
     start_nodes = np.asarray(start_nodes, dtype=np.int64)
     if num_gpus < 1:
@@ -110,91 +100,3 @@ def _balanced_owners(costs: np.ndarray, num_gpus: int) -> np.ndarray:
         owner[i] = gpu
         heapq.heappush(heap, (load + float(costs[i]), gpu))
     return owner
-
-
-@dataclass
-class MultiGPUResult:
-    """Outcome of a multi-GPU launch."""
-
-    time_ns: float
-    per_gpu: list[KernelResult]
-    policy: str
-    #: The full engine result when the launch ran the real walk engine
-    #: (:meth:`MultiGPUExecutor.run`); ``None`` for cost-array replays.
-    run: WalkRunResult | None = field(default=None, repr=False)
-
-    @property
-    def time_ms(self) -> float:
-        return self.time_ns / 1e6
-
-    def speedup_over(self, single_gpu_time_ns: float) -> float:
-        if self.time_ns <= 0:
-            return float("inf")
-        return single_gpu_time_ns / self.time_ns
-
-    @property
-    def load_imbalance(self) -> float:
-        """Max-over-mean time across occupied GPUs; the loss term on AB.
-
-        See :func:`occupied_load_imbalance` for the idle-device rule.
-        """
-        return occupied_load_imbalance(self.per_gpu)
-
-
-class MultiGPUExecutor:
-    """Runs one walk workload across several replicated-graph GPUs."""
-
-    def __init__(self, device: DeviceSpec, num_gpus: int) -> None:
-        if num_gpus < 1:
-            raise SimulationError("need at least one GPU")
-        self.device = device
-        self.num_gpus = num_gpus
-
-    def run(
-        self,
-        engine: WalkEngine,
-        queries: list[WalkQuery],
-        policy: str = "hash",
-    ) -> MultiGPUResult:
-        """Drive the real walk engine across ``num_gpus`` replicated devices.
-
-        The engine is re-targeted (not mutated) at this executor's device
-        count and the requested partition policy, then every partition runs
-        the full frontier loop.  Because walker randomness is counter-based
-        per query id, the walks, per-query counters and per-query simulated
-        times are identical to a single-device run — only the makespan (and
-        hence the Fig. 15 speedup) depends on the placement.
-        """
-        multi = engine.with_devices(self.num_gpus, partition_policy=policy)
-        result = multi.run(queries)
-        per_gpu = result.device_kernels if result.device_kernels else [result.kernel]
-        return MultiGPUResult(
-            time_ns=result.kernel.time_ns, per_gpu=per_gpu, policy=policy, run=result
-        )
-
-    def execute(
-        self,
-        per_query_ns: np.ndarray,
-        start_nodes: np.ndarray,
-        policy: str = "hash",
-        counters: CostCounters | None = None,
-    ) -> MultiGPUResult:
-        """Replay precomputed per-query costs: partition, execute, take the max.
-
-        The legacy cost-array path — no walks are recomputed, so it can
-        replay placements of runs that already happened (the ``"balanced"``
-        policy then packs by the *measured* per-query times).  Experiments
-        that need the honest end-to-end path use :meth:`run` instead.
-        """
-        per_query_ns = np.asarray(per_query_ns, dtype=np.float64)
-        start_nodes = np.asarray(start_nodes, dtype=np.int64)
-        if per_query_ns.shape != start_nodes.shape:
-            raise SimulationError("per_query_ns and start_nodes must be parallel arrays")
-        partitions = partition_queries(start_nodes, self.num_gpus, policy, costs=per_query_ns)
-        executor = KernelExecutor(self.device)
-        results = [
-            executor.execute(per_query_ns[part], counters=counters, scheduling="dynamic")
-            for part in partitions
-        ]
-        makespan = max((r.time_ns for r in results), default=0.0)
-        return MultiGPUResult(time_ns=makespan, per_gpu=results, policy=policy)

@@ -313,10 +313,6 @@ class BatchStreams:
             ctrs = starts[seg] + local
         return philox_uniform_premixed(self.mixed_keys[seg], ctrs)
 
-    def uniform_each(self) -> np.ndarray:
-        """One uniform per stream (the vectorised form of ``uniform()``)."""
-        return self.uniform_flat(np.ones(len(self), dtype=np.int64))
-
 
 def _all_distinct(slots: np.ndarray) -> bool:
     return int(np.unique(slots).size) == int(slots.size)

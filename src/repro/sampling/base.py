@@ -141,11 +141,6 @@ def gather_transition_weights(
     return weights
 
 
-def probe_overhead_words(ctx: StepContext) -> int:
-    """Uncoalesced words one rejection trial needs beyond the probed weight."""
-    return ctx.spec.probe_cost_words(ctx.graph, ctx.state)
-
-
 class Sampler(ABC):
     """Base class for next-node sampling kernels.
 

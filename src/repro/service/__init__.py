@@ -1,14 +1,16 @@
 """Session-based service API: compile → plan → execute, decoupled.
 
-The serving surface of the reproduction.  Where the legacy
-:class:`~repro.core.flexiwalker.FlexiWalker` facade re-resolves everything on
-every one-shot ``run()``, this package keeps a workload *hot*:
+The serving surface of the reproduction and the front door of every run
+(:meth:`WalkService.session`); :meth:`repro.runtime.engine.WalkEngine.run`
+is the only other entry.  The package keeps a workload *hot* across
+requests:
 
 * :class:`WalkService` — owns the shared immutable state (graph, compiled
   workloads, profiles, hint tables, transition caches, device fleet);
-* :class:`ExecutionPlan` / :func:`negotiate_plan` — backend selection as an
+* :class:`ExecutionPlan` / :func:`negotiate_plan` — device placement as an
   explicit, auditable negotiation against declared
-  :class:`ServiceCapabilities` instead of scattered constructor flags;
+  :class:`ServiceCapabilities` instead of scattered constructor flags (the
+  backend follows from the device count);
 * :class:`WalkSession` — per-tenant execution: incremental
   :meth:`~WalkSession.submit` (returning :class:`QueryTicket`\\ s), streaming
   :meth:`~WalkSession.stream` (yielding :class:`WalkChunk`\\ s as walks
@@ -19,9 +21,9 @@ every one-shot ``run()``, this package keeps a workload *hot*:
   (:class:`~repro.errors.QueueFull`), configured per submission through the
   frozen :class:`SubmitOptions`.
 
-``FlexiWalker.run`` is now a thin deprecated shim over a single-session
-service; the parity suite keeps the two bit-identical — as does each
-scheduler-attached session's ``collect()``.
+A session's ``collect()`` — standalone or scheduler-attached — is
+bit-identical to ``WalkEngine.run`` over the same queries; the parity suites
+enforce it.
 """
 
 from repro.service.plan import (

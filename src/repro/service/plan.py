@@ -1,15 +1,15 @@
 """Execution-plan negotiation for the session service.
 
 The legacy surface scattered backend selection across constructor flags:
-``WalkEngine(num_devices=...)``, ``WalkEngine.with_devices(...)``.  The service API replaces that with an
-explicit negotiation step: the service declares what it *can* do
-(:class:`ServiceCapabilities` — which backends exist, how many devices the
-:class:`DeviceFleet` owns, which partition policies are implemented), the
-session says what it *wants* (its :class:`~repro.core.config.FlexiWalkerConfig`
-plus an optional explicit backend), and :func:`negotiate_plan` resolves the
-two into one immutable :class:`ExecutionPlan` — including *why* each choice
-was made, so a serving operator can audit the decision instead of reverse-
-engineering flag defaults.
+``WalkEngine(num_devices=...)``, ``WalkEngine.with_devices(...)``.  The
+service API replaces that with an explicit negotiation step: the service
+declares what it *can* do (:class:`ServiceCapabilities` — how many devices
+the :class:`DeviceFleet` owns, which partition policies and graph placements
+are implemented), the session says what it *wants* (its
+:class:`~repro.core.config.FlexiWalkerConfig`), and :func:`negotiate_plan`
+resolves the two into one immutable :class:`ExecutionPlan` — including *why*
+each choice was made, so a serving operator can audit the decision instead
+of reverse-engineering flag defaults.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from repro.gpusim.device import A6000, DeviceSpec
 from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.sharded import SHARD_POLICIES
 
-#: Backends a service can negotiate: ``batched`` is the single-device
-#: step-synchronous frontier loop, ``multi_device`` the same loop over
-#: several devices (placement only moves the makespan, never the walks).
-#: Both stream superstep-by-superstep.  The scalar interpreter is not a
-#: serving backend; it survives only as ``WalkEngine(execution="scalar")``,
-#: the reference oracle the batched driver is tested against.
+#: Values of :attr:`ExecutionPlan.backend`, which follows from the device
+#: count: ``batched`` is the single-device step-synchronous frontier loop,
+#: ``multi_device`` the same loop over several devices (placement only moves
+#: the makespan, never the walks).  Both stream superstep-by-superstep.  The
+#: scalar interpreter is not a serving backend; it survives only as
+#: ``WalkEngine(execution="scalar")``, the reference oracle the batched
+#: driver is tested against.
 BACKENDS = ("batched", "multi_device")
 
 
@@ -63,7 +64,6 @@ class ServiceCapabilities:
     by :func:`negotiate_plan`; sessions never probe flags at run time.
     """
 
-    backends: tuple[str, ...]
     max_devices: int
     partition_policies: tuple[str, ...]
     device_name: str
@@ -108,9 +108,6 @@ class ServiceCapabilities:
         if self.max_inflight_walkers < 0:
             raise ServiceError("max_inflight_walkers must be non-negative (0 = unbounded)")
 
-    def supports(self, backend: str) -> bool:
-        return backend in self.backends
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -122,10 +119,8 @@ class ExecutionPlan:
 
     Attributes
     ----------
-    backend:
-        One of :data:`BACKENDS`.
     num_devices / partition_policy:
-        Device placement; 1/"hash" for single-device backends.
+        Device placement; 1/"hash" for a single device.
     graph_placement / shard_policy:
         How a multi-device plan places the graph: ``"replicated"`` copies
         it onto every device (Fig. 15), ``"sharded"`` splits it into
@@ -156,7 +151,6 @@ class ExecutionPlan:
         Human-readable negotiation trail, for logs and ``describe()``.
     """
 
-    backend: str
     num_devices: int = 1
     partition_policy: str = "hash"
     graph_placement: str = "replicated"
@@ -167,6 +161,11 @@ class ExecutionPlan:
     scheduler_fusion: bool = True
     checkpoint_interval: int = 0
     reasons: tuple[str, ...] = field(default=())
+
+    @property
+    def backend(self) -> str:
+        """One of :data:`BACKENDS`: ``multi_device`` on several devices."""
+        return "multi_device" if self.num_devices > 1 else "batched"
 
     def describe(self) -> dict[str, object]:
         """Plain-dict view (used by examples, logs and ``describe()``s)."""
@@ -189,7 +188,6 @@ def negotiate_plan(
     capabilities: ServiceCapabilities,
     config: FlexiWalkerConfig,
     compiled: CompiledWorkload | None = None,
-    backend: str | None = None,
     graph_footprint_bytes: int | None = None,
 ) -> ExecutionPlan:
     """Resolve declared capabilities and a session request into one plan.
@@ -197,17 +195,13 @@ def negotiate_plan(
     Parameters
     ----------
     capabilities:
-        What the service can do (fleet size, implemented backends, device
-        memory, graph placements).
+        What the service can do (fleet size, device memory, graph
+        placements).
     config:
         The session's requested knobs (device count, partition policy,
         graph placement, scheduling).
     compiled:
         The compiled workload, consulted for cache eligibility.
-    backend:
-        Explicit backend request; by default the backend is derived from
-        ``config`` (``num_devices > 1`` → ``multi_device``, else
-        ``batched``).
     graph_footprint_bytes:
         Memory footprint of the graph to serve
         (:meth:`~repro.graph.csr.CSRGraph.memory_footprint_bytes`).  Drives
@@ -220,51 +214,20 @@ def negotiate_plan(
     Raises
     ------
     ServiceError
-        When the request exceeds the declared capabilities (unknown
-        backend, more devices than the fleet owns, inconsistent
-        backend/device/placement combinations).
+        When the request exceeds the declared capabilities (more devices
+        than the fleet owns, an unknown partition policy, an inconsistent
+        device/placement combination).
     """
-    reasons: list[str] = []
-
-    if backend is None:
-        if config.num_devices > 1:
-            backend = "multi_device"
-            reasons.append(
-                f"config requested {config.num_devices} devices -> multi_device backend"
-            )
-        else:
-            backend = "batched"
-            reasons.append("config requested one device -> batched backend")
-    else:
-        reasons.append(f"backend {backend!r} requested explicitly")
-
-    if backend not in BACKENDS:
-        raise ServiceError(f"unknown backend {backend!r}; valid: {BACKENDS}")
-    if not capabilities.supports(backend):
-        raise ServiceError(
-            f"backend {backend!r} not offered by this service; "
-            f"declared: {capabilities.backends}"
-        )
-
     num_devices = config.num_devices
-    if backend == "multi_device" and num_devices < 2:
-        num_devices = capabilities.max_devices
-        reasons.append(
-            f"multi_device backend with no device count requested -> "
-            f"using the whole fleet ({num_devices})"
-        )
-    if backend != "multi_device" and num_devices > 1:
-        raise ServiceError(
-            f"backend {backend!r} is single-device but config requests "
-            f"{num_devices} devices; use the multi_device backend"
-        )
+    if num_devices > 1:
+        reasons = [f"config requested {num_devices} devices -> multi_device backend"]
+    else:
+        reasons = ["config requested one device -> batched backend"]
     if num_devices > capabilities.max_devices:
         raise ServiceError(
             f"session requests {num_devices} devices but the service fleet "
             f"owns {capabilities.max_devices}"
         )
-    if backend == "multi_device" and num_devices < 2:
-        raise ServiceError("the multi_device backend needs a fleet of at least 2 devices")
 
     if config.partition_policy not in capabilities.partition_policies:
         raise ServiceError(
@@ -273,12 +236,12 @@ def negotiate_plan(
         )
 
     # Graph placement: replicated vs sharded.  Only a multi-device plan has
-    # a placement choice to make; single-device backends trivially hold the
-    # whole graph (replicated) and reject explicit shard requests.
+    # a placement choice to make; a single device trivially holds the whole
+    # graph (replicated) and rejects explicit shard requests.
     placement = "replicated"
     shard_policy: str | None = None
     ghost_cache_bytes = 0
-    if backend == "multi_device":
+    if num_devices > 1:
         memory = capabilities.device_memory_bytes
         known = graph_footprint_bytes is not None and memory > 0
         fits = not known or graph_footprint_bytes <= memory
@@ -372,10 +335,7 @@ def negotiate_plan(
                         f"{num_devices} devices (simulated-OOM risk)"
                     )
     elif config.graph_placement == "sharded":
-        raise ServiceError(
-            f"sharded graph placement needs the multi_device backend, "
-            f"not {backend!r}"
-        )
+        raise ServiceError("sharded graph placement needs more than one device")
 
     # Static verification gates the bit-identity optimisations.  ERROR
     # diagnostics mean a hook was *refuted* (nondeterministic, cache-unsafe
@@ -446,7 +406,6 @@ def negotiate_plan(
     )
 
     return ExecutionPlan(
-        backend=backend,
         num_devices=num_devices,
         partition_policy=config.partition_policy,
         graph_placement=placement,
@@ -460,8 +419,6 @@ def negotiate_plan(
     )
 
 
-#: Default capability declaration for a fleet: every backend this codebase
-#: implements, gated only by the fleet size.
 def declare_capabilities(
     fleet: DeviceFleet,
     *,
@@ -477,13 +434,10 @@ def declare_capabilities(
     builds schedulers with these defaults); they default to an open policy —
     unbounded in-flight walkers, weighted round-robin, no quotas.
     """
-    backends = ["batched"]
     placements = ["replicated"]
     if fleet.count > 1:
-        backends.append("multi_device")
         placements.append("sharded")
     return ServiceCapabilities(
-        backends=tuple(backends),
         max_devices=fleet.count,
         partition_policies=PARTITION_POLICIES,
         device_name=fleet.device.name,

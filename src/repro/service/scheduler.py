@@ -322,7 +322,6 @@ class ServiceScheduler:
         self._vclock = 0.0
         self._inflight = 0
         self._queued = 0
-        self._exec_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Tenants and sessions
@@ -405,10 +404,9 @@ class ServiceScheduler:
         config: FlexiWalkerConfig | None = None,
         *,
         tenant: str | None = None,
-        backend: str | None = None,
     ) -> WalkSession:
         """Open a service session and attach it in one step."""
-        return self.attach(self.service.session(spec, config, backend=backend), tenant)
+        return self.attach(self.service.session(spec, config), tenant)
 
     def detach(self, session: WalkSession) -> None:
         """Drain the session's outstanding walkers, flush, and release it.
@@ -488,11 +486,6 @@ class ServiceScheduler:
     def supersteps(self) -> int:
         """Scheduler ticks executed so far (the latency clock)."""
         return self._tick
-
-    @property
-    def exec_seconds(self) -> float:
-        """Wall-clock seconds spent inside :meth:`tick` so far."""
-        return self._exec_seconds
 
     @property
     def quarantined(self) -> tuple["WalkSession", ...]:
@@ -605,7 +598,6 @@ class ServiceScheduler:
                 self._quarantine_group(group, exc)
         self._tick += 1
         elapsed = time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-        self._exec_seconds += elapsed
         if steps:
             # Wall time is shared; attribute it to sessions by their share
             # of this tick's walker-steps (informational, like a solo

@@ -283,7 +283,6 @@ class WalkService:
             "graph_version": self.graph_version,
             "device": self.fleet.device.name,
             "num_devices": self.fleet.count,
-            "backends": list(self._capabilities.backends),
             "compiled_workloads": len(self._compiled),
             "profiled_workloads": len(self._profiles),
             "max_cached_workloads": self.max_cached_workloads,
@@ -493,9 +492,6 @@ class WalkService:
         self,
         spec: WalkSpec,
         config: FlexiWalkerConfig | None = None,
-        backend: str | None = None,
-        selector: SamplerSelector | None = None,
-        engine: WalkEngine | None = None,
     ) -> WalkSession:
         """Open a walk session: compile, negotiate a plan, bind an engine.
 
@@ -508,23 +504,8 @@ class WalkService:
             device count).  Defaults to the paper's setup on this
             service's fleet device.  The config's ``device`` must be the
             fleet's device — the service owns the hardware; configure the
-            fleet instead of the session to change it.
-        backend:
-            Explicit backend request (see :data:`repro.service.BACKENDS`);
-            by default the backend is negotiated from the config.
-        selector:
-            Pre-built runtime selector to reuse instead of constructing one
-            from the config.  Stateful selectors (the ``random`` policy's
-            shared generator) carry their state across the sessions that
-            share them — this is how the legacy facade keeps repeated
-            ``run()`` calls drawing fresh selection coin flips.
-        engine:
-            Pre-built :class:`~repro.runtime.engine.WalkEngine` to execute
-            on instead of constructing one from the plan.  Used by the
-            legacy facade so engine-level knobs its callers mutate in place
-            (``step_overhead``, ``use_transition_cache``, ``scheduling``)
-            keep affecting subsequent runs; the engine must target this
-            service's graph and fleet device.
+            fleet instead of the session to change it.  The backend
+            follows from its device count (see :data:`repro.service.BACKENDS`).
         """
         if config is None:
             config = FlexiWalkerConfig(device=self.fleet.device)
@@ -545,7 +526,6 @@ class WalkService:
             self._capabilities,
             config,
             compiled,
-            backend=backend,
             graph_footprint_bytes=self.graph.memory_footprint_bytes(config.weight_bytes),
         )
 
@@ -556,40 +536,29 @@ class WalkService:
             else config.device.random_to_coalesced_ratio
         )
         cost_model = CostModel(edge_cost_ratio=max(ratio, 1e-6))
-        if engine is not None:
-            if engine.graph is not self.graph:
-                raise ServiceError("a reused engine must target the service's graph")
-            if engine.device != self.fleet.device:
-                raise ServiceError(
-                    f"a reused engine must target the fleet device "
-                    f"{self.fleet.device.name!r}, not {engine.device.name!r}"
-                )
-            selector = engine.selector
-        else:
-            if selector is None:
-                selector = build_selector(config, cost_model, compiled)
-            engine = WalkEngine(
-                graph=self.graph,
-                spec=spec,
-                device=self.fleet.device,
-                selector=selector,
-                compiled=compiled,
-                seed=config.seed,
-                warp_width=config.warp_width,
-                weight_bytes=config.weight_bytes,
-                scheduling=plan.scheduling,
-                selection_overhead=config.selection_overhead and config.selection == "cost_model",
-                warp_switch_overhead=config.warp_switch_overhead,
-                num_devices=plan.num_devices,
-                partition_policy=plan.partition_policy,
-                graph_placement=plan.graph_placement,
-                shard_policy=plan.shard_policy or config.shard_policy,
-                ghost_cache_bytes=plan.ghost_cache_bytes,
-                use_transition_cache=plan.use_transition_cache,
-                caches=self.engine_caches(spec),
-                checkpoint_interval=plan.checkpoint_interval,
-                fault_plan=config.fault_plan,
-            )
+        selector = build_selector(config, cost_model, compiled)
+        engine = WalkEngine(
+            graph=self.graph,
+            spec=spec,
+            device=self.fleet.device,
+            selector=selector,
+            compiled=compiled,
+            seed=config.seed,
+            warp_width=config.warp_width,
+            weight_bytes=config.weight_bytes,
+            scheduling=plan.scheduling,
+            selection_overhead=config.selection_overhead and config.selection == "cost_model",
+            warp_switch_overhead=config.warp_switch_overhead,
+            num_devices=plan.num_devices,
+            partition_policy=plan.partition_policy,
+            graph_placement=plan.graph_placement,
+            shard_policy=plan.shard_policy or config.shard_policy,
+            ghost_cache_bytes=plan.ghost_cache_bytes,
+            use_transition_cache=plan.use_transition_cache,
+            caches=self.engine_caches(spec),
+            checkpoint_interval=plan.checkpoint_interval,
+            fault_plan=config.fault_plan,
+        )
         self._sessions_created += 1
         session = WalkSession(
             service=self,
@@ -618,7 +587,6 @@ class WalkService:
         self,
         spec: WalkSpec,
         config: FlexiWalkerConfig | None = None,
-        backend: str | None = None,
     ) -> ExecutionPlan:
         """Negotiate (without opening a session) the plan a session would get."""
         if config is None:
@@ -627,7 +595,6 @@ class WalkService:
             self._capabilities,
             config,
             self.compile(spec),
-            backend=backend,
             graph_footprint_bytes=self.graph.memory_footprint_bytes(config.weight_bytes),
         )
 

@@ -84,3 +84,39 @@ class TestScheduling:
         result = KernelExecutor(small_device).execute(times, queue_atomic_ns=0.0)
         assert result.load_imbalance > 1.5
         assert result.utilization < 1.0
+
+
+def _reference_dynamic_lanes(per_query_ns: np.ndarray, lanes: int, atomic_ns: float) -> np.ndarray:
+    """Brute-force global queue: each query goes to the earliest-free lane
+    (``argmin``, so the lowest lane wins a tie)."""
+    lane_times = np.zeros(lanes, dtype=np.float64)
+    for t in per_query_ns:
+        lane = int(np.argmin(lane_times))
+        lane_times[lane] = lane_times[lane] + (float(t) + atomic_ns)
+    return lane_times
+
+
+class TestDynamicScheduleReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_byte_for_byte(self, seed):
+        rng = np.random.default_rng(seed)
+        lanes = int(rng.integers(2, 9))
+        atomic_ns = float(rng.choice([0.0, 0.7, 3.0]))
+        device = dataclasses.replace(A6000, parallel_lanes=lanes, atomic_ns=atomic_ns)
+        num_queries = int(rng.integers(lanes + 1, 12 * lanes))
+        times = rng.exponential(50.0, num_queries)
+        # Repeated values force ties between lanes.
+        times[rng.random(num_queries) < 0.4] = 25.0
+        result = KernelExecutor(device).execute(times, scheduling="dynamic")
+        reference = _reference_dynamic_lanes(times, lanes, atomic_ns)
+        assert result.lane_times_ns.tobytes() == reference.tobytes()
+        assert result.time_ns == float(reference.max())
+
+    def test_equal_times_fill_lanes_in_order(self):
+        device = dataclasses.replace(A6000, parallel_lanes=3, atomic_ns=1.0)
+        times = np.full(10, 4.0)
+        result = KernelExecutor(device).execute(times, scheduling="dynamic")
+        reference = _reference_dynamic_lanes(times, 3, 1.0)
+        assert result.lane_times_ns.tobytes() == reference.tobytes()
+        # Lane 0 takes queries 0, 3, 6 and 9; lanes 1 and 2 take three each.
+        assert result.lane_times_ns.tolist() == [20.0, 15.0, 15.0]

@@ -1,4 +1,4 @@
-"""Tests for multi-GPU partitioning and execution."""
+"""Tests for multi-GPU partitioning and the per-device makespan model."""
 
 from __future__ import annotations
 
@@ -9,7 +9,19 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gpusim.device import A6000
-from repro.gpusim.multigpu import MultiGPUExecutor, partition_queries
+from repro.gpusim.executor import KernelExecutor
+from repro.gpusim.multigpu import occupied_load_imbalance, partition_queries
+
+
+def partition_kernels(device, per_query_ns, start_nodes, gpus, policy="hash"):
+    """Partition the queries and run each partition on its own device."""
+    parts = partition_queries(start_nodes, gpus, policy, costs=per_query_ns)
+    executor = KernelExecutor(device)
+    return [executor.execute(per_query_ns[p], scheduling="dynamic") for p in parts]
+
+
+def makespan(kernels) -> float:
+    return max((k.time_ns for k in kernels), default=0.0)
 
 
 @pytest.fixture
@@ -90,36 +102,27 @@ class TestPartitioning:
             assert sum(p.size == 0 for p in parts) >= 5
 
 
-class TestMultiGPUExecutor:
+class TestPartitionedMakespan:
     def test_more_gpus_never_slower(self, device):
         per_query = np.random.default_rng(0).uniform(5, 15, size=200)
         starts = np.arange(200)
-        times = []
-        for gpus in (1, 2, 4):
-            result = MultiGPUExecutor(device, gpus).execute(per_query, starts)
-            times.append(result.time_ns)
+        times = [makespan(partition_kernels(device, per_query, starts, gpus)) for gpus in (1, 2, 4)]
         assert times[1] <= times[0]
         assert times[2] <= times[1]
 
     def test_speedup_roughly_linear_for_uniform_work(self, device):
         per_query = np.full(512, 10.0)
         starts = np.arange(512)
-        single = MultiGPUExecutor(device, 1).execute(per_query, starts)
-        quad = MultiGPUExecutor(device, 4).execute(per_query, starts)
-        assert quad.speedup_over(single.time_ns) > 2.5
+        single = makespan(partition_kernels(device, per_query, starts, 1))
+        quad = makespan(partition_kernels(device, per_query, starts, 4))
+        assert single / quad > 2.5
 
-    def test_mismatched_arrays_rejected(self, device):
-        with pytest.raises(SimulationError):
-            MultiGPUExecutor(device, 2).execute(np.ones(5), np.arange(4))
-
-    def test_per_gpu_results_exposed(self, device):
-        result = MultiGPUExecutor(device, 3).execute(np.ones(30), np.arange(30))
-        assert len(result.per_gpu) == 3
+    def test_one_kernel_per_gpu(self, device):
+        assert len(partition_kernels(device, np.ones(30), np.arange(30), 3)) == 3
 
     def test_load_imbalance_reported(self, device):
-        per_query = np.ones(64)
-        result = MultiGPUExecutor(device, 4).execute(per_query, np.arange(64))
-        assert result.load_imbalance >= 1.0
+        kernels = partition_kernels(device, np.ones(64), np.arange(64), 4)
+        assert occupied_load_imbalance(kernels) >= 1.0
 
     def test_load_imbalance_ignores_idle_devices(self, device):
         """Empty partitions must not inflate the imbalance statistic.
@@ -128,28 +131,20 @@ class TestMultiGPUExecutor:
         perfectly balanced, so the imbalance is 1.0 even though six devices
         idle (the old all-device mean reported 4.0 here).
         """
-        result = MultiGPUExecutor(device, 8).execute(
-            np.ones(2), np.arange(2), policy="range"
-        )
-        occupied = [r for r in result.per_gpu if r.num_queries > 0]
+        kernels = partition_kernels(device, np.ones(2), np.arange(2), 8, policy="range")
+        occupied = [k for k in kernels if k.num_queries > 0]
         assert len(occupied) == 2
-        assert result.load_imbalance == pytest.approx(1.0)
+        assert occupied_load_imbalance(kernels) == pytest.approx(1.0)
 
     def test_load_imbalance_all_idle_is_unity(self, device):
-        result = MultiGPUExecutor(device, 4).execute(
-            np.zeros(0), np.zeros(0, dtype=np.int64)
-        )
-        assert result.load_imbalance == 1.0
-        assert result.time_ns == 0.0
+        kernels = partition_kernels(device, np.zeros(0), np.zeros(0, dtype=np.int64), 4)
+        assert occupied_load_imbalance(kernels) == 1.0
+        assert makespan(kernels) == 0.0
 
     def test_balanced_policy_packs_measured_times(self, device):
-        """The cost-array path gives 'balanced' the real per-query times."""
+        """Given the real per-query times, 'balanced' beats 'range'."""
         per_query = np.array([100.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        balanced = MultiGPUExecutor(device, 2).execute(
-            per_query, np.arange(6), policy="balanced"
-        )
-        range_result = MultiGPUExecutor(device, 2).execute(
-            per_query, np.arange(6), policy="range"
-        )
-        assert balanced.time_ns <= range_result.time_ns
-        assert balanced.load_imbalance <= range_result.load_imbalance
+        balanced = partition_kernels(device, per_query, np.arange(6), 2, policy="balanced")
+        range_kernels = partition_kernels(device, per_query, np.arange(6), 2, policy="range")
+        assert makespan(balanced) <= makespan(range_kernels)
+        assert occupied_load_imbalance(balanced) <= occupied_load_imbalance(range_kernels)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.labels import random_edge_labels
 from repro.graph.weights import uniform_weights
@@ -36,6 +35,7 @@ from repro.sampling.ervs import EnhancedReservoirSampler
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
+from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import Node2VecSpec, UnweightedNode2VecSpec
@@ -191,27 +191,28 @@ class TestHooksAndOverheadParity:
         assert_parity(scalar, batched)
 
 
-class TestFacadeParity:
-    # Exercises the deprecated one-shot facade on purpose (legacy-shim test).
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+class TestSessionParity:
     @pytest.mark.parametrize("selection", ["cost_model", "ervs_only", "erjs_only", "degree"])
-    def test_flexiwalker_modes_agree(self, selection):
-        """The facade (a batched session) against the scalar oracle engine."""
+    def test_session_modes_agree(self, selection):
+        """A submit/collect session against the scalar oracle engine."""
         graph = labeled_graph(60, seed=21)
         config = FlexiWalkerConfig(
             device=DEVICE, selection=selection, degree_threshold=5, seed=1,
         )
-        walker = FlexiWalker(graph, Node2VecSpec(), config)
-        batched = walker.run(walk_length=5, num_queries=30)
-        oracle = walker.engine.with_devices(1)
-        oracle.execution = "scalar"
+        session = WalkService(graph, fleet=DeviceFleet(DEVICE)).session(Node2VecSpec(), config)
         queries = make_queries(graph.num_nodes, walk_length=5, num_queries=30, seed=1)
+        session.submit(queries)
+        batched = session.collect()
+        oracle = session.engine.with_devices(1)
+        oracle.execution = "scalar"
         assert_parity(oracle.run(queries), batched)
 
-    def test_describe_reports_execution_mode(self):
+    def test_session_engine_is_batched(self):
         graph = labeled_graph(30, seed=22)
-        walker = FlexiWalker(graph, Node2VecSpec(), FlexiWalkerConfig(device=DEVICE))
-        assert walker.describe()["execution"] == "batched"
+        session = WalkService(graph, fleet=DeviceFleet(DEVICE)).session(
+            Node2VecSpec(), FlexiWalkerConfig(device=DEVICE)
+        )
+        assert session.engine.execution == "batched"
 
 
 class TestPropertyBasedParity:

@@ -19,15 +19,15 @@ import pytest
 
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.errors import SimulationError
 from repro.gpusim.device import A6000
-from repro.gpusim.multigpu import PARTITION_POLICIES, MultiGPUExecutor
+from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.runtime.engine import WalkEngine
 from repro.runtime.frontier import run_multi_device_serial
 from repro.runtime.selector import CostModelSelector
+from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
 from repro.walks.state import make_queries
@@ -145,19 +145,18 @@ class TestMakespanSemantics:
         assert result.device_times_ns.shape == (1,)
 
 
-class TestMultiGPUExecutorEnginePath:
-    def test_run_drives_real_engine(self):
+class TestWithDevicesEnginePath:
+    def test_with_devices_drives_real_engine(self):
         graph = weighted_graph(seed=17)
         spec = Node2VecSpec()
         queries = make_queries(graph.num_nodes, walk_length=5, seed=0)
         engine = make_engine(graph, spec, 1, "hash")
         single = engine.run(queries)
-        result = MultiGPUExecutor(DEVICE, 4).run(engine, queries, policy="hash")
-        assert result.run is not None
-        assert result.run.paths == single.paths
-        assert len(result.per_gpu) == 4
-        assert result.time_ns == max(k.time_ns for k in result.per_gpu)
-        assert result.speedup_over(single.kernel.time_ns) >= 1.0
+        result = engine.with_devices(4, partition_policy="hash").run(queries)
+        assert result.paths == single.paths
+        assert len(result.device_kernels) == 4
+        assert result.kernel.time_ns == max(k.time_ns for k in result.device_kernels)
+        assert single.kernel.time_ns / result.kernel.time_ns >= 1.0
         # The source engine itself is left untouched.
         assert engine.num_devices == 1
 
@@ -172,26 +171,27 @@ class TestMultiGPUExecutorEnginePath:
             engine.with_devices(2, partition_policy="round-robin")
 
 
-class TestFacadeMultiDevice:
-    # Exercises the deprecated one-shot facade on purpose (legacy-shim test).
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+class TestSessionMultiDevice:
     @pytest.mark.parametrize("policy", PARTITION_POLICIES)
-    def test_flexiwalker_parity_across_device_counts(self, policy):
+    def test_session_parity_across_device_counts(self, policy):
         graph = weighted_graph(seed=23)
+        service = WalkService(graph, fleet=DeviceFleet(DEVICE, 4))
+        queries = make_queries(graph.num_nodes, walk_length=5, num_queries=30, seed=2)
         results = []
         for num_devices in DEVICE_COUNTS:
             config = FlexiWalkerConfig(
                 device=DEVICE, num_devices=num_devices, partition_policy=policy, seed=2
             )
-            walker = FlexiWalker(graph, Node2VecSpec(), config)
-            results.append(walker.run(walk_length=5, num_queries=30))
+            session = service.session(Node2VecSpec(), config)
+            session.submit(queries)
+            results.append(session.collect())
         for result in results[1:]:
             assert_placement_parity(results[0], result)
 
-    def test_describe_reports_device_configuration(self):
+    def test_plan_reports_device_configuration(self):
         graph = weighted_graph(seed=29)
         config = FlexiWalkerConfig(device=DEVICE, num_devices=4, partition_policy="balanced")
-        walker = FlexiWalker(graph, Node2VecSpec(), config)
-        described = walker.describe()
+        service = WalkService(graph, fleet=DeviceFleet(DEVICE, 4))
+        described = service.session(Node2VecSpec(), config).plan.describe()
         assert described["num_devices"] == 4
         assert described["partition_policy"] == "balanced"

