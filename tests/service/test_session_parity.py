@@ -141,6 +141,20 @@ class TestCollectParity:
         session.submit(queries[15:])
         assert_bit_identical(session.collect(), reference)
 
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_second_session_on_one_service_is_bit_identical(self, service_graph, mode):
+        """Sessions share the service's compile, profile and cache registries;
+        a later session over the same workload must still reproduce the run."""
+        config = make_config(**MODES[mode])
+        queries = make_queries(service_graph.num_nodes, walk_length=6, num_queries=24, seed=3)
+        reference = reference_run(service_graph, Node2VecSpec(), config, queries, mode)
+
+        service = WalkService(service_graph, fleet=DeviceFleet(DEVICE, config.num_devices))
+        for _ in range(2):
+            session = service.session(Node2VecSpec(), config)
+            session.submit(queries)
+            assert_bit_identical(session.collect(), reference)
+
     def test_repeated_collect_covers_later_submissions(self, service_graph):
         config = make_config()
         queries = make_queries(service_graph.num_nodes, walk_length=5, num_queries=20, seed=3)
