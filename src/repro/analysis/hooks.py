@@ -28,8 +28,8 @@ from repro.analysis.diagnostics import Diagnostic, Severity, SourceSpan
 from repro.walks.spec import WalkSpec
 
 #: Behavioural hooks a user spec may override, in analysis order.  ``init``
-#: runs once at construction and ``walk_length`` only resolves an integer,
-#: so neither participates in the per-step purity rules.
+#: runs once at construction, so it does not participate in the per-step
+#: purity rules.
 BEHAVIOR_HOOKS: tuple[str, ...] = (
     "get_weight",
     "transition_weights",

@@ -19,6 +19,19 @@ import numpy as np
 from repro.errors import GraphError
 
 
+def check_edge_weights(weights: np.ndarray, edge_at) -> None:
+    """The edge-weight contract of every graph entry point: finite and
+    non-negative, else a :class:`~repro.errors.GraphError` naming the first
+    bad edge, whose ``(src, dst)`` pair ``edge_at(index)`` returns."""
+    if weights.size and not (weights.min() >= 0 and weights.max() < np.inf):  # NaN fails both
+        j = int(np.argmax(~(np.isfinite(weights) & (weights >= 0))))
+        src, dst = edge_at(j)
+        raise GraphError(
+            f"edge ({int(src)}, {int(dst)}) has weight {weights[j]!r}; "
+            "edge property weights must be finite and non-negative"
+        )
+
+
 @dataclass
 class CSRGraph:
     """A directed graph in CSR form with per-edge property weights.
@@ -72,8 +85,9 @@ class CSRGraph:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != self.indices.shape:
                 raise GraphError("weights must be parallel to indices")
-            if np.any(self.weights < 0):
-                raise GraphError("edge property weights must be non-negative")
+            check_edge_weights(
+                self.weights, lambda j: (np.searchsorted(self.indptr, j, "right") - 1, self.indices[j])
+            )
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != self.indices.shape:

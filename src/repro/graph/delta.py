@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, check_edge_weights
 
 __all__ = ["DeltaCSRGraph", "GraphDelta"]
 
@@ -253,13 +253,7 @@ class DeltaCSRGraph:
         )
         if add_w.shape != (add.shape[0],):
             raise GraphError("delta weights must be parallel to the additions")
-        bad_w = ~(np.isfinite(add_w) & (add_w >= 0))
-        if np.any(bad_w):
-            j = int(np.argmax(bad_w))
-            raise GraphError(
-                f"edge ({int(add[j, 0])}, {int(add[j, 1])}) has weight {add_w[j]!r}; "
-                "edge property weights must be finite and non-negative"
-            )
+        check_edge_weights(add_w, add.__getitem__)
         if self.has_labels:
             if labels is None and add.shape[0]:
                 raise GraphError("labeled graphs need labels for every added edge")

@@ -27,8 +27,9 @@ Every batched run executes a :class:`FrontierRun` through
 :func:`iter_supersteps`, recovering from faults through
 :class:`~repro.runtime.faults.RunRecovery` — under :class:`FrontierDriver`,
 which owns the launch accounting, one per-superstep placement ledger (none,
-:class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`) and the
-result assembly, or under a scheduler fusion group.  ``WalkEngine.run``
+:class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`), the
+result ledger every finished walk settles into, and the result assembly, or
+under a scheduler fusion group.  ``WalkEngine.run``
 launches everything and collects; a ``WalkSession`` launches waves and
 streams their supersteps.  Multi-device runs advance every device's walkers
 in the same shared superstep — the ledger only decides where each walker's
@@ -503,10 +504,11 @@ class ReplicatedRunAccounting:
     Every device holds the whole graph and the queries are partitioned over
     the devices by the engine's policy (Fig. 15).  Each walker's integer
     operation counts — its queue fetch plus every step — accumulate in its
-    own column, so the partition is taken at assembly time over the whole
-    launched batch: a session that launched its queries in several waves
-    gets exactly the partition, per-device counters and per-device
-    schedules of the one-shot run.
+    own column, keyed by its submission ordinal, so the partition is taken
+    at assembly time over every launched walker in submission order: a
+    session that launched its queries in several waves, or whose walkers a
+    scheduler admitted out of order, gets exactly the partition, per-device
+    counters and per-device schedules of the one-shot run.
 
     A permanent device failure (degraded mode) pins the ownership down: the
     counts executed so far settle on the devices that ran them, and the dead
@@ -518,6 +520,7 @@ class ReplicatedRunAccounting:
         self.engine = engine
         self.num_devices = engine.num_devices
         fields = len(CostCounters._COUNT_FIELDS)
+        # Column = submission ordinal; start -1: nothing launched there.
         self._starts = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros((fields, 0), dtype=np.int64)
         # Counts settled on their executing device by a failure, and the
@@ -525,24 +528,24 @@ class ReplicatedRunAccounting:
         self._settled = np.zeros((fields, self.num_devices), dtype=np.int64)
         self._fixed: np.ndarray | None = None
 
-    def _append(self, start_nodes: np.ndarray, counts: np.ndarray) -> None:
-        # Launches and records arrive in launch order, so walker ``offset +
-        # i`` always lands in column ``offset + i``.
-        self._starts = np.concatenate([self._starts, start_nodes])
-        self._counts = np.concatenate([self._counts, counts], axis=1)
+    def launch(self, columns: np.ndarray, start_nodes: np.ndarray) -> None:
+        """Open the walkers' columns with their queue-fetch atomic."""
+        grow = int(columns.max(initial=-1)) + 1 - self._starts.size
+        if grow > 0:
+            self._starts = np.concatenate([self._starts, np.full(grow, -1, dtype=np.int64)])
+            self._counts = np.pad(self._counts, ((0, 0), (0, grow)))
+        self._starts[columns] = start_nodes
+        self._counts[_ATOMIC_ROW, columns] = 1
+
+    def add(self, columns: np.ndarray, counts: np.ndarray) -> None:
+        """Add a ``(fields, walkers)`` count matrix into the walkers' columns."""
+        self._counts[:, columns] += counts
 
     def charge_fetch(
         self, start_nodes: np.ndarray, fetch_ns: np.ndarray, offset: int = 0
     ) -> None:
-        """One queue-fetch atomic per launched walker."""
-        counts = np.zeros((self._counts.shape[0], len(start_nodes)), dtype=np.int64)
-        counts[_ATOMIC_ROW] = 1
-        self._append(start_nodes, counts)
-
-    def record(self, start_nodes: np.ndarray, counts: np.ndarray) -> None:
-        """Per-walker counts of walkers executed elsewhere (the scheduler),
-        as a ``(fields, walkers)`` matrix."""
-        self._append(start_nodes, counts)
+        """One queue-fetch atomic per walker launched from column ``offset``."""
+        self.launch(np.arange(len(start_nodes)) + offset, start_nodes)
 
     def observe(
         self,
@@ -552,20 +555,18 @@ class ReplicatedRunAccounting:
         offset: int = 0,
     ) -> None:
         """Land one superstep's per-walker counts in the walkers' columns."""
-        active = report.active
-        if active.size == 0:
-            return
-        cols = active + offset if offset else active
-        self._counts[:, cols] += report.counters.counts
+        if report.active.size:
+            self.add(report.active + offset, report.counters.counts)
 
-    def owners(self) -> np.ndarray:
-        """The device of every registered walker."""
-        owner = np.empty(self._starts.size, dtype=np.int64)
-        for d, part in enumerate(_partition_for_devices(self.engine, self._starts)):
+    def owners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The launched columns, ascending, and the device of each."""
+        columns = np.flatnonzero(self._starts >= 0)
+        owner = np.empty(columns.size, dtype=np.int64)
+        for d, part in enumerate(_partition_for_devices(self.engine, self._starts[columns])):
             owner[part] = d
         if self._fixed is not None:
             owner[: self._fixed.size] = self._fixed
-        return owner
+        return columns, owner
 
     def take_over(
         self,
@@ -581,26 +582,27 @@ class ReplicatedRunAccounting:
         """
         if not survivors:
             return
-        owner = self.owners()
-        counts = self._counts
+        columns, owner = self.owners()
+        counts = self._counts[:, columns]
         for j in np.flatnonzero(counts.any(axis=1)):
             self._settled[j] += np.bincount(
                 owner, weights=counts[j], minlength=self.num_devices
             ).astype(np.int64)
-        counts[:] = 0
+        self._counts[:] = 0
         reassign_owners(owner, dead, survivors)
         self._fixed = owner
 
     def device_kernels(
         self, scheduling: str, per_query_ns: np.ndarray
     ) -> list[KernelResult]:
-        """One kernel per device over the walkers it owns, in launch order."""
-        owner = self.owners()
+        """One kernel per device over the walkers it owns, in submission
+        order (``per_query_ns`` covers the launched walkers)."""
+        columns, owner = self.owners()
         executor = KernelExecutor(self.engine.device)
         kernels = []
         for d in range(self.num_devices):
             part = np.flatnonzero(owner == d)
-            totals = self._counts[:, part].sum(axis=1) + self._settled[:, d]
+            totals = self._counts[:, columns[part]].sum(axis=1) + self._settled[:, d]
             kernels.append(
                 executor.execute(
                     per_query_ns[part],
@@ -978,12 +980,10 @@ class ShardedRunAccounting:
 class _Launch:
     """One launched batch of queries executing through a single frontier."""
 
-    offset: int  # launch position of the run's first walker
+    offset: int  # submission ordinal (ledger column) of the run's first walker
     run: FrontierRun
     iterator: Iterator
     recovery: RunRecovery | None
-    # Finished walks' paths, filled as they complete (tracking drivers).
-    paths: list
     # Supersteps executed so far == every walker's step index, the
     # canonical migration-batch key of the sharded ledger.
     steps: int = 0
@@ -997,21 +997,28 @@ class FrontierDriver:
     into launches changes nothing) and executing through
     :func:`iter_supersteps`.  The driver owns the launch accounting, one
     placement ledger folded every superstep (none on one device,
-    :class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`) and
-    the result assembly.  Under a fault plan or checkpoint interval each
-    launch carries a :class:`~repro.runtime.faults.RunRecovery`, the same
-    protocol the scheduler's fusion groups use; the plan's superstep
-    ordinals restart per launch, and a failure restores and replays within
-    the :meth:`advance` call that observed it.
+    :class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`), the
+    result ledger and the result assembly.  Under a fault plan or
+    checkpoint interval each launch carries a
+    :class:`~repro.runtime.faults.RunRecovery`, the same protocol the
+    scheduler's fusion groups use; the plan's superstep ordinals restart
+    per launch, and a failure restores and replays within the
+    :meth:`advance` call that observed it.
+
+    The result ledger is keyed by submission ordinal (:meth:`register`;
+    ``ordinals`` maps query ids to ordinals).  :meth:`settle` is the only
+    way a finished or cancelled in-flight walk enters it: from
+    :meth:`advance` or the end of a launch, or from the continuous-batching
+    scheduler, which also charges the walks' work through :meth:`charge`
+    and :meth:`charge_usage`.  ``paths[o]`` is ``None`` until walk ``o``
+    settles; a walk cancelled while queued never does.
 
     :meth:`run` launches everything and collects; a
     :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
     :meth:`advance` per superstep (``track_finished`` provides the
     completions it streams).  Both assemble through :meth:`assemble`, so a
     session that submits everything and then collects *is*
-    ``WalkEngine.run``.  Walks the continuous-batching scheduler finished
-    for a session enter through :meth:`charge`, :meth:`charge_usage` and
-    :meth:`record`.
+    ``WalkEngine.run``.
     """
 
     def __init__(self, engine: WalkEngine, track_finished: bool = False) -> None:
@@ -1031,9 +1038,10 @@ class FrontierDriver:
         self.recovery_ns = 0.0
         self.checkpoints_taken = 0
         self.degraded: list[int] = []
-        self.launched = 0
-        self._paths: list[list[int]] = []
-        self._ns_chunks: list[np.ndarray] = []
+        # The result ledger, by submission ordinal.
+        self.ordinals: dict[int, int] = {}
+        self.paths: list[list[int] | None] = []
+        self._ns: list[float] = []
         self._launch: _Launch | None = None
 
     @property
@@ -1049,6 +1057,23 @@ class FrontierDriver:
         return int(self._launch.run.frontier.active_indices().size)
 
     # ------------------------------------------------------------------ #
+    def register(self, queries: list[WalkQuery]) -> int:
+        """Give ``queries`` the next submission ordinals; returns the first."""
+        first, n = len(self.paths), len(queries)
+        self.ordinals.update(zip([q.query_id for q in queries], range(first, first + n)))
+        self.paths.extend([None] * n)
+        self._ns.extend([0.0] * n)
+        return first
+
+    def settle(
+        self, ordinals: np.ndarray, paths: list[list[int]], per_query_ns: np.ndarray
+    ) -> None:
+        """Enter finished (or cancelled in-flight) walks into the result ledger."""
+        for o, path, ns in zip(ordinals.tolist(), paths, per_query_ns.tolist(), strict=True):
+            self.paths[o] = path
+            self._ns[o] = ns
+
+    # ------------------------------------------------------------------ #
     def run(
         self, queries: list[WalkQuery], profile: ProfileResult | None = None
     ) -> WalkRunResult:
@@ -1060,18 +1085,22 @@ class FrontierDriver:
         return self.assemble(profile)
 
     def launch(self, queries: list[WalkQuery]) -> None:
-        """Start executing a batch of queries (the previous one must be done)."""
+        """Start executing a batch of queries (the previous one must be done).
+
+        The batch holds consecutive submission ordinals (registered here if new).
+        """
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
         if self._launch is not None:
             raise SimulationError("the previous launch is still executing")
         engine = self.engine
+        offset = self.ordinals.get(queries[0].query_id) if queries else None
+        if offset is None:
+            offset = self.register(queries)
         run = FrontierRun(engine)
         fetch_ns = run.admit(queries, engine.seed)
         self.aggregate.merge(
             CostCounters(atomic_ops=len(queries), bytes_per_weight=engine.weight_bytes)
         )
-        offset = self.launched
-        self.launched += len(queries)
         if self.ledger is not None:
             starts = np.array([q.start_node for q in queries], dtype=np.int64)
             self.ledger.charge_fetch(starts, fetch_ns, offset)
@@ -1080,7 +1109,6 @@ class FrontierDriver:
             run,
             iter_supersteps(engine, run, self.aggregate, self.usage, self.track_finished),
             engine._recovery(run, self.aggregate, self.usage),
-            [None] * len(queries) if self.track_finished else [],
         )
         self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
 
@@ -1109,21 +1137,21 @@ class FrontierDriver:
             return None
         self.total_steps += report.steps
         ledger = self.ledger
-        frontier = launch.run.frontier
+        run = launch.run
         if ledger is not None:
-            ledger.observe(report, frontier, launch.steps, launch.offset)
+            ledger.observe(report, run.frontier, launch.steps, launch.offset)
             if recovery is not None and isinstance(ledger, ShardedRunAccounting):
                 src, dst = ledger.migrations_at(launch.steps)
                 recovery.faults.charge_interconnect_drop(
                     launch.steps, src, dst, WALKER_MIGRATION_BYTES
                 )
         launch.steps += 1
+        finished = report.finished
+        if finished.size:
+            paths = run.frontier.paths_of(finished)
+            self.settle(finished + launch.offset, paths, run.per_query_ns[finished])
         if recovery is not None:
             recovery.end(report, None if ledger is None else self._take_over)
-        if self.track_finished and report.finished.size:
-            finished = report.finished
-            for i, path in zip(finished.tolist(), frontier.paths_of(finished), strict=True):
-                launch.paths[i] = path
         return report
 
     def _take_over(self, dead: list[int]) -> None:
@@ -1140,17 +1168,18 @@ class FrontierDriver:
         """The queries and paths of the walks ``report`` completed."""
         launch = self._launch
         queries = launch.run.frontier.queries
+        finished = report.finished.tolist()
         return (
-            [queries[i] for i in report.finished],
-            [launch.paths[i] for i in report.finished],
+            [queries[i] for i in finished],
+            [self.paths[launch.offset + i] for i in finished],
         )
 
     def _finish(self, launch: _Launch) -> None:
-        # A tracking launch saw every walk complete, so its paths are already
-        # materialised (and shared with the caller's per-walk records).
-        paths = launch.paths if self.track_finished else launch.run.frontier.paths()
-        self._paths.extend(paths)
-        self._ns_chunks.append(launch.run.per_query_ns)
+        run = launch.run
+        if not self.track_finished:  # no superstep reported a completion
+            self.settle(
+                np.arange(len(run)) + launch.offset, run.frontier.paths(), run.per_query_ns
+            )
         if launch.recovery is not None:
             faults = launch.recovery.faults
             self.recovery_ns += faults.recovery_ns
@@ -1177,35 +1206,16 @@ class FrontierDriver:
         """Attribute ``steps`` executed outside :meth:`advance` to a kernel."""
         self.usage[sampler] = self.usage.get(sampler, 0) + steps
 
-    def record(
-        self,
-        queries: list[WalkQuery],
-        paths: list[list[int]],
-        per_query_ns: np.ndarray,
-        counts: np.ndarray | None = None,
-    ) -> None:
-        """Append finished walks executed outside :meth:`advance`.
-
-        ``counts`` — per-walker integer counts as a ``(fields, walkers)``
-        matrix, needed by a replicated multi-device ledger — must cover the
-        same walkers in the same order.
-        """
-        self.launched += len(queries)
-        self._paths.extend(paths)
-        self._ns_chunks.append(per_query_ns)
-        if isinstance(self.ledger, ReplicatedRunAccounting):
-            starts = np.array([q.start_node for q in queries], dtype=np.int64)
-            self.ledger.record(starts, counts)
-
     # ------------------------------------------------------------------ #
     def assemble(self, profile: ProfileResult | None = None) -> WalkRunResult:
-        """The :class:`~repro.runtime.engine.WalkRunResult` of everything
-        launched or recorded so far (the ledgers are only read, so this may
-        be called repeatedly)."""
+        """The :class:`~repro.runtime.engine.WalkRunResult` of every walk
+        settled so far, in submission order (the ledgers are only read, so
+        this may be called repeatedly)."""
         from repro.runtime.engine import WalkRunResult
 
         engine = self.engine
-        per_query_ns = np.concatenate(self._ns_chunks)
+        settled = [o for o, path in enumerate(self.paths) if path is not None]
+        per_query_ns = np.array([self._ns[o] for o in settled], dtype=np.float64)
         aggregate = self.aggregate.copy()
         num_queries = int(per_query_ns.size)
         ledger = self.ledger
@@ -1242,7 +1252,7 @@ class FrontierDriver:
             )
         compiled = engine.compiled
         return WalkRunResult(
-            paths=[list(p) for p in self._paths],
+            paths=[list(self.paths[o]) for o in settled],
             per_query_ns=per_query_ns,
             counters=aggregate,
             kernel=kernel,

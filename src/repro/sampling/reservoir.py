@@ -39,10 +39,16 @@ def parallel_reservoir_choice(weights: np.ndarray, uniforms: np.ndarray, prefix:
     candidate is simply the largest such ``i``.  Returns ``None`` when no
     neighbour qualifies (only possible if every weight is zero).
     """
-    qualified = np.nonzero(uniforms * prefix < weights)[0]
+    qualified = np.nonzero(_replaces(weights, uniforms, prefix))[0]
     if qualified.size == 0:
         return None
     return int(qualified[-1])
+
+
+def _replaces(weights: np.ndarray, uniforms: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """``u_i * W_i < w̃_i`` per neighbour.  A positive weight after only zeros
+    (``W_i == w̃_i``) replaces surely, also where a subnormal product rounds up."""
+    return (uniforms * prefix < weights) | ((prefix == weights) & (weights > 0))
 
 
 class ReservoirSampler(Sampler):
@@ -103,7 +109,7 @@ class ReservoirSampler(Sampler):
 
         flat_mask = batch.edge_mask(live)
         live_lengths = degrees[live]
-        qualified = uniforms * prefix[flat_mask] < weights[flat_mask]
+        qualified = _replaces(weights[flat_mask], uniforms, prefix[flat_mask])
         pos = local_positions(live_lengths)
         # Replacements are ordered, so the survivor is simply the largest
         # qualified position per segment (-1 when none qualified).

@@ -66,7 +66,6 @@ class ServiceCapabilities:
 
     max_devices: int
     partition_policies: tuple[str, ...]
-    device_name: str
     #: Memory capacity of one fleet device — the budget the graph footprint
     #: is negotiated against.  0 means "unknown" (no footprint negotiation).
     device_memory_bytes: int = 0
@@ -440,7 +439,6 @@ def declare_capabilities(
     return ServiceCapabilities(
         max_devices=fleet.count,
         partition_policies=PARTITION_POLICIES,
-        device_name=fleet.device.name,
         device_memory_bytes=fleet.device.memory_bytes,
         graph_placements=tuple(placements),
         shard_policies=SHARD_POLICIES,

@@ -42,14 +42,20 @@ ledgers are keyed by private wave-local step ordinals).  The
 from bit-exactness: its selector flips coins from a shared sequential
 generator, so fused execution interleaves the draws.
 
+Results live in one place, each session's
+:class:`~repro.runtime.frontier.FrontierDriver` result ledger, keyed by
+submission ordinal: a fused position remembers its walker's ordinal, and
+the superstep that finishes the walk (or a cancellation in flight) settles
+it there at once, so walkers admitted out of submission order still
+assemble in submission order.
+
 The scheduler's state stays bounded over a long service lifetime: at every
 admission boundary a fusion group's fused frontier drops its finished
 walkers (random streams are keyed by query id, so moving a walker to a new
-position cannot change its walk), each finished walker's per-query time and
-counts are settled into its session's ledger as soon as the walk is
-emitted, and a group retires when its last attached session detaches
-(its fault tallies fold into scheduler-level totals first).  A superstep
-skips idle groups without touching their frontiers.
+position cannot change its walk), and a group retires when its last
+attached session detaches (its fault tallies fold into scheduler-level
+totals first).  A superstep skips idle groups without touching their
+frontiers.
 """
 
 from __future__ import annotations
@@ -66,13 +72,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import QueueFull, ServiceError
-from repro.gpusim.counters import COUNT_ROWS, CostCounters
-from repro.runtime.frontier import (
-    FrontierRun,
-    ReplicatedRunAccounting,
-    fold_counters_by_owner,
-    iter_supersteps,
-)
+from repro.gpusim.counters import CostCounters
+from repro.runtime.frontier import FrontierRun, fold_counters_by_owner, iter_supersteps
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,26 +169,21 @@ class _Pending:
         self.entry = entry
         self.tenant = tenant
         self.query = query
-        self.sub_ord = sub_ord  # index into the session's _submitted list
+        self.sub_ord = sub_ord  # submission ordinal: the walker's ledger column
         self.enqueue_tick = enqueue_tick
         self.deadline_steps = deadline_steps
 
 
 class _SessionEntry:
-    """Scheduler-side ledger of one attached session.
+    """Scheduler-side state of one attached session: its tenant, fusion
+    group, walker tallies and the chunks its stream has not yet taken.
 
-    Covers every walker admitted since the session's last flush, in
-    admission order: its query, submission ordinal and — filled when the
-    walk finishes or is cancelled — its per-query simulated time and (for
-    replicated multi-device plans) its per-walker count column.  Finished
-    walkers are settled here when :meth:`ServiceScheduler._fold` emits
-    them, so a flush never reads the fused frontier, whose positions move
-    when finished walkers are compacted away.
+    The session's results live in its driver's result ledger, where the
+    scheduler settles each walk as it finishes or is cancelled in flight.
     """
 
-    __slots__ = ("session", "tenant", "group", "gidx", "attached", "queries",
-                 "sub_ords", "ns", "counts", "queued", "inflight", "chunks",
-                 "quarantined")
+    __slots__ = ("session", "tenant", "group", "gidx", "attached", "queued",
+                 "inflight", "chunks", "quarantined")
 
     def __init__(self, session, tenant: _TenantState, group: _Group) -> None:
         self.session = session
@@ -195,10 +191,6 @@ class _SessionEntry:
         self.group = group
         self.gidx = len(group.sessions)  # this entry's index within the group
         self.attached = True
-        self.queries: list[WalkQuery] = []
-        self.sub_ords: list[int] = []
-        self.ns: list[float] = []
-        self.counts: list[np.ndarray | None] = []
         self.queued = 0
         self.inflight = 0
         self.chunks: deque["WalkChunk"] = deque()
@@ -209,17 +201,16 @@ class _Group:
     """One fusion group: sessions compatible enough to share a frontier.
 
     Per fused frontier position it keeps the owning session (``owner``, an
-    index into ``sessions``), that walker's slot in the owner's ledger
-    (``slot``) and its tenant; ``counts`` holds the per-walker count columns
-    of replicated multi-device plans.  All four are compacted together with
-    the frontier when finished walkers are dropped.
+    index into ``sessions``), that walker's submission ordinal in the
+    owner's result ledger (``ords``) and its tenant.  All three are
+    compacted together with the frontier when finished walkers are dropped.
     """
 
     __slots__ = ("key", "seq", "engine", "run", "gen", "recovery",
-                 "sessions", "attached", "inflight", "owner", "slot", "tenants",
-                 "aggregate", "usage", "track_counts", "counts")
+                 "sessions", "attached", "inflight", "owner", "ords", "tenants",
+                 "aggregate", "usage")
 
-    def __init__(self, key, seq: int, engine, track_counts: bool) -> None:
+    def __init__(self, key, seq: int, engine) -> None:
         self.key = key
         self.seq = seq  # creation order (fault tallies sum in this order)
         self.engine = engine
@@ -229,15 +220,13 @@ class _Group:
         self.attached = 0   # sessions still attached
         self.inflight = 0   # admitted walkers that have not finished
         self.owner = np.zeros(0, dtype=np.int64)     # fused pos -> gidx
-        self.slot = np.zeros(0, dtype=np.int64)      # fused pos -> ledger slot
+        self.ords = np.zeros(0, dtype=np.int64)      # fused pos -> ordinal
         self.tenants: list[_TenantState] = []        # fused pos -> tenant
         # Fused-level sinks required by iter_supersteps; the per-session
         # attribution happens in the scheduler's fold, these are only kept
         # for group-level introspection.
         self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
         self.usage: dict[str, int] = {}
-        self.track_counts = track_counts
-        self.counts = np.zeros((len(COUNT_ROWS), 0), dtype=np.int64)
         # The fault-recovery protocol (None on the fault-free fast path);
         # its superstep ordinal is the group's fault-plan clock.
         self.recovery = engine._recovery(self.run, self.aggregate, self.usage)
@@ -264,9 +253,9 @@ class ServiceScheduler:
     superstep of every fusion group that has walkers in flight.
 
     State is bounded by what is live: admission compacts finished walkers
-    out of a group's fused frontier, finished walks are settled into their
-    session's ledger when emitted, and a group retires when its last
-    attached session detaches.
+    out of a group's fused frontier (their results already sit in their
+    sessions' result ledgers), and a group retires when its last attached
+    session detaches.
     """
 
     def __init__(
@@ -371,7 +360,7 @@ class ServiceScheduler:
                 if session._scheduler is self
                 else "session is attached to a different scheduler"
             )
-        if session.pending or session._driver.busy or session._driver.launched:
+        if session._driver.ordinals:
             raise ServiceError(
                 "attach before submitting: the session already has queued, "
                 "in-flight or executed work of its own"
@@ -409,7 +398,7 @@ class ServiceScheduler:
         return self.attach(self.service.session(spec, config), tenant)
 
     def detach(self, session: WalkSession) -> None:
-        """Drain the session's outstanding walkers, flush, and release it.
+        """Drain the session's outstanding walkers and release it.
 
         The session returns to standalone execution; its accumulated
         results stay collectible.
@@ -420,7 +409,7 @@ class ServiceScheduler:
         self._check_quarantined(entry)
         while entry.queued + entry.inflight:
             self._checked_tick(entry)
-        self._flush(entry)
+        self._check_quarantined(entry)
         session._scheduler = None
         entry.tenant.sessions -= 1
         del self._entries[id(session)]
@@ -458,8 +447,7 @@ class ServiceScheduler:
         )
         group = self._groups.get(key)
         if group is None:
-            counts = isinstance(session._driver.ledger, ReplicatedRunAccounting)
-            group = _Group(key, self._group_seq, session.engine, track_counts=counts)
+            group = _Group(key, self._group_seq, session.engine)
             self._group_seq += 1
             self._groups[key] = group
         return group
@@ -622,9 +610,9 @@ class ServiceScheduler:
 
     def _checked_tick(self, entry: _SessionEntry) -> int:
         """Tick with a no-progress guard for drain loops."""
-        before = (self._queued, self._inflight, len(entry.session._path_by_qid))
+        before = (self._queued, self._inflight)
         steps = self.tick()
-        after = (self._queued, self._inflight, len(entry.session._path_by_qid))
+        after = (self._queued, self._inflight)
         if steps == 0 and before == after and entry.queued + entry.inflight:
             raise ServiceError(
                 "scheduler made no progress while the session still has "
@@ -636,8 +624,8 @@ class ServiceScheduler:
         """Drive the shared loop, yielding this session's chunks.
 
         Other sessions' completions buffer on their own entries (their
-        streams pick them up).  Returns — after flushing the session's
-        finalised accounting — when the session has no pending work.
+        streams pick them up).  Returns when the session has no pending
+        work.
 
         Dropping the iterator mid-stream (breaking out of the only
         reference to it) abandons the session's remaining walkers: they
@@ -657,7 +645,7 @@ class ServiceScheduler:
         except GeneratorExit:
             self._abandon(entry)
             raise
-        self._flush(entry)
+        self._check_quarantined(entry)
 
     def _session_pending(self, session: WalkSession) -> int:
         entry = self._entries[id(session)]
@@ -689,48 +677,37 @@ class ServiceScheduler:
         in-flight budget and tenant quota headroom are released now.
         """
         session = entry.session
-        if qid in session._path_by_qid or qid in session._cancelled_ids:
+        driver = session._driver
+        ordinal = driver.ordinals[qid]
+        if driver.paths[ordinal] is not None or qid in session._cancelled_ids:
             return False
-        if qid not in session._claimed_ids:
-            pending = self._pop_pending(entry, qid)
-            if pending is None:  # pragma: no cover - defensive
-                return False
-            self._drop_pending(pending, reason)
-            return True
+        if qid not in session._start_step_by_qid:  # still queued
+            for lane in [self._slo, *(t.queue for t in self._tenants.values())]:
+                for p in lane:
+                    if p.entry is entry and p.query.query_id == qid:
+                        lane.remove(p)
+                        self._drop_pending(p, reason)
+                        return True
+            return False  # pragma: no cover - defensive
         group = entry.group
-        frontier = group.run.frontier
-        for pos in np.flatnonzero(group.owner == entry.gidx).tolist():
-            if frontier.queries[pos].query_id == qid:
-                break
-        else:  # pragma: no cover - claimed ids are in flight in the group
-            return False
-        frontier.terminate(np.array([pos], dtype=np.int64))
-        session._path_by_qid[qid] = list(frontier.path(pos))
+        mine = (group.owner == entry.gidx) & (group.ords == ordinal)
+        pos = np.flatnonzero(mine)  # claimed ids are in flight in the group
+        run = group.run
+        run.frontier.terminate(pos)
         session._cancelled_ids[qid] = reason
-        self._settle(group, np.array([pos], dtype=np.int64))
+        driver.settle(group.ords[pos], run.frontier.paths_of(pos), run.per_query_ns[pos])
         # A restore from a pre-cancellation checkpoint would resurrect the
         # terminated walker; rebase the group's restore point on the
         # post-cancellation state instead.
         if group.recovery is not None:
             group.recovery.invalidate()
-        tenant = group.tenants[pos]
+        tenant = group.tenants[int(pos[0])]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
         entry.inflight -= 1
         group.inflight -= 1
         self._inflight -= 1
         return True
-
-    def _pop_pending(self, entry: _SessionEntry, qid: int) -> _Pending | None:
-        """Remove one queued walker from whichever admission lane holds it."""
-        lanes = [self._slo]
-        lanes.extend(t.queue for t in self._tenants.values())
-        for lane in lanes:
-            for p in lane:
-                if p.entry is entry and p.query.query_id == qid:
-                    lane.remove(p)
-                    return p
-        return None
 
     def _expire_deadlines(self) -> None:
         """Cancel walkers whose hard ``deadline_ticks`` has passed."""
@@ -748,19 +725,21 @@ class ServiceScheduler:
         """
         if self.shed_after_ticks is None or not self._queued:
             return
-        self._slo = self._shed_lane(self._slo)
-        for tenant in self._tenants.values():
-            if tenant.queue:
-                tenant.queue = self._shed_lane(tenant.queue)
+        oldest = self._tick - self.shed_after_ticks
+        self._drop_queued(lambda p: p.enqueue_tick <= oldest, reason="shed")
 
-    def _shed_lane(self, lane: deque) -> deque:
-        keep: deque[_Pending] = deque()
-        for p in lane:
-            if self._tick - p.enqueue_tick >= self.shed_after_ticks:
-                self._drop_pending(p, reason="shed")
-            else:
-                keep.append(p)
-        return keep
+    def _drop_queued(self, doomed, reason: str) -> None:
+        """Dead-letter the queued walkers ``doomed`` picks, in every lane."""
+        for lane in [self._slo, *(t.queue for t in self._tenants.values())]:
+            keep: list[_Pending] = []
+            for p in lane:
+                if doomed(p):
+                    self._drop_pending(p, reason)
+                else:
+                    keep.append(p)
+            if len(keep) < len(lane):
+                lane.clear()
+                lane.extend(keep)
 
     def _check_quarantined(self, entry: _SessionEntry) -> None:
         if entry.quarantined is not None:
@@ -781,23 +760,17 @@ class ServiceScheduler:
         """
         self._groups.pop(group.key, None)
         message = f"{type(exc).__name__}: {exc}"
-        for entry in group.sessions:
-            if entry.quarantined is not None:
-                continue
-            self._slo = self._drop_entry_pendings(self._slo, entry)
-            for tenant in self._tenants.values():
-                if tenant.queue:
-                    tenant.queue = self._drop_entry_pendings(tenant.queue, entry)
-        # Every walker still in the fused frontier that has not finished
-        # was in flight (compaction only ever drops finished walkers).
-        owner = group.owner.tolist()
+        live = {entry for entry in group.sessions if entry.quarantined is None}
+        self._drop_queued(lambda p: p.entry in live, reason="quarantined")
+        # Every walker still in the fused frontier whose result has not
+        # settled (a finished or cancelled walk settles at once) was in
+        # flight; compaction only ever drops settled walkers.
+        owner, ords = group.owner.tolist(), group.ords.tolist()
         for pos, query in enumerate(group.run.frontier.queries):
             entry = group.sessions[owner[pos]]
-            session = entry.session
-            qid = query.query_id
-            if qid in session._path_by_qid or qid in session._cancelled_ids:
+            if entry.session._driver.paths[ords[pos]] is not None:
                 continue
-            session._cancelled_ids[qid] = "quarantined"
+            entry.session._cancelled_ids[query.query_id] = "quarantined"
             tenant = group.tenants[pos]
             tenant.outstanding -= 1
             tenant.dead_letters += 1
@@ -809,27 +782,11 @@ class ServiceScheduler:
                 entry.quarantined = message
                 self._quarantined.append(entry)
 
-    def _drop_entry_pendings(self, lane: deque, entry: _SessionEntry) -> deque:
-        keep: deque[_Pending] = deque()
-        for p in lane:
-            if p.entry is entry:
-                self._drop_pending(p, reason="quarantined")
-            else:
-                keep.append(p)
-        return keep
-
     def _abandon(self, entry: _SessionEntry) -> None:
         """Release an abandoned session's outstanding walkers (dropped stream)."""
         if entry.quarantined is not None:
             return
-        session = entry.session
-        unfinished = [
-            q.query_id
-            for q in session._submitted
-            if q.query_id not in session._path_by_qid
-            and q.query_id not in session._cancelled_ids
-        ]
-        for qid in unfinished:
+        for qid in entry.session._driver.ordinals:  # finished walks are skipped
             self._cancel_query(entry, qid, reason="abandoned")
 
     # ------------------------------------------------------------------ #
@@ -906,7 +863,7 @@ class ServiceScheduler:
         """Stage validated queries into the admission queues."""
         entry = self._entries[id(session)]
         tenant = self._submit_tenant(entry, options)
-        base = len(session._submitted) - len(queries)
+        base = session._driver.ordinals[queries[0].query_id]
         for i, query in enumerate(queries):
             session._enqueue_step_by_qid[query.query_id] = self._tick
             pending = _Pending(
@@ -1056,8 +1013,8 @@ class ServiceScheduler:
 
         An admission boundary is the only time fused positions may move:
         the group's finished walkers are compacted away first (their
-        results already sit in their sessions' ledgers), then the new
-        walkers are appended.
+        results already sit in their sessions' result ledgers), then the
+        new walkers are appended.
         """
         run = group.run
         if len(run) > group.inflight or group.attached < len(group.sessions):
@@ -1065,40 +1022,34 @@ class ServiceScheduler:
         run.admit([p.query for p in batch], group.engine.seed)
         k = len(batch)
         tick = self._tick
-        slots: list[int] = []
-        per_entry: dict[_SessionEntry, int] = {}
+        per_entry: dict[_SessionEntry, list[_Pending]] = {}
         for p in batch:
             entry = p.entry
-            slots.append(len(entry.queries))
-            entry.queries.append(p.query)
-            entry.sub_ords.append(p.sub_ord)
-            entry.ns.append(0.0)
-            entry.counts.append(None)
             entry.queued -= 1
             entry.inflight += 1
-            session = entry.session
-            session._claimed_ids.add(p.query.query_id)
-            session._start_step_by_qid[p.query.query_id] = tick
+            entry.session._start_step_by_qid[p.query.query_id] = tick
             p.tenant.admitted += 1
-            per_entry[entry] = per_entry.get(entry, 0) + 1
+            per_entry.setdefault(entry, []).append(p)
         group.owner = np.concatenate(
             [group.owner, np.array([p.entry.gidx for p in batch], dtype=np.int64)]
         )
-        group.slot = np.concatenate([group.slot, np.array(slots, dtype=np.int64)])
+        group.ords = np.concatenate(
+            [group.ords, np.array([p.sub_ord for p in batch], dtype=np.int64)]
+        )
         group.tenants.extend([p.tenant for p in batch])
-        if group.track_counts:
-            fresh = np.zeros((len(COUNT_ROWS), k), dtype=np.int64)
-            fresh[COUNT_ROWS["atomic_ops"]] = 1
-            group.counts = np.concatenate([group.counts, fresh], axis=1)
 
         # Per-session fetch accounting: one queue atomic per admitted
         # walker, exactly as a solo wave launch charges it (lane pricing is
         # per-slot, so splitting a launch across admissions changes nothing).
         weight_bytes = group.engine.weight_bytes
-        for entry, count in per_entry.items():
-            entry.session._driver.charge(
-                CostCounters(atomic_ops=count, bytes_per_weight=weight_bytes)
-            )
+        for entry, mine in per_entry.items():
+            driver = entry.session._driver
+            driver.charge(CostCounters(atomic_ops=len(mine), bytes_per_weight=weight_bytes))
+            if driver.ledger is not None:  # replicated: open the count columns
+                driver.ledger.launch(
+                    np.array([p.sub_ord for p in mine], dtype=np.int64),
+                    np.array([p.query.start_node for p in mine], dtype=np.int64),
+                )
         group.inflight += k
         self._queued -= k
         self._inflight += k
@@ -1113,7 +1064,7 @@ class ServiceScheduler:
         """Drop a group's finished walkers and detached sessions.
 
         Every walker that is not active has finished or was cancelled, and
-        its results were settled into its session's ledger then.  The
+        its result was settled into its session's result ledger then.  The
         survivors keep their relative order; random streams are keyed by
         query id, so renumbering them cannot change any walk.  A detached
         session owned no live walker (detaching drains it), so the attached
@@ -1122,10 +1073,8 @@ class ServiceScheduler:
         keep = group.run.frontier.active_indices()
         group.run.compact(keep)
         group.owner = group.owner[keep]
-        group.slot = group.slot[keep]
+        group.ords = group.ords[keep]
         group.tenants = [group.tenants[i] for i in keep.tolist()]
-        if group.track_counts:
-            group.counts = group.counts[:, keep]
         if group.attached < len(group.sessions):
             renumber = np.zeros(len(group.sessions), dtype=np.int64)
             group.sessions = [e for e in group.sessions if e.attached]
@@ -1173,8 +1122,10 @@ class ServiceScheduler:
         Integer counts fold exactly under any grouping (per-owner sums of
         per-walker integers); per-walker float times accumulate in each
         walker's own slot in walk order, identical to a solo run — which is
-        why the per-session results stay bit-identical.  Finished walkers
-        are settled into their sessions' ledgers and emitted as chunks.
+        why the per-session results stay bit-identical.  Replicated plans'
+        per-walker counts land straight in the owning session's ledger
+        columns.  Finished walkers are settled into their sessions' result
+        ledgers at their submission ordinals and emitted as chunks.
         """
         sessions = group.sessions
         steps_by: list[int] = []
@@ -1182,8 +1133,6 @@ class ServiceScheduler:
         active = report.active
         if active.size:
             counters = report.counters
-            if group.track_counts:
-                group.counts[:, active] += counters.counts
             owners = group.owner[active]
             n = len(sessions)
             counts = np.bincount(owners, minlength=n)
@@ -1202,7 +1151,11 @@ class ServiceScheduler:
             for gidx, totals in zip(present, folded, strict=True):
                 entry = sessions[gidx]
                 steps = steps_by[gidx]
-                entry.session._driver.charge(totals, steps=steps)
+                driver = entry.session._driver
+                driver.charge(totals, steps=steps)
+                if driver.ledger is not None:
+                    mine = np.flatnonzero(owners == gidx) if len(present) > 1 else slice(None)
+                    driver.ledger.add(group.ords[active[mine]], counters.counts[:, mine])
                 entry.tenant.steps += steps
                 entry.tenant.lane_ns += lane_ns[gidx]
                 tick_counters[gidx] = totals
@@ -1220,29 +1173,28 @@ class ServiceScheduler:
         finished = report.finished
         if finished.size == 0:
             return
-        self._settle(group, finished)
-        frontier = group.run.frontier
+        run = group.run
+        queries = run.frontier.queries
         fused = finished.tolist()
         owner = group.owner[finished].tolist()
-        walks = frontier.paths_of(finished)
+        ords = group.ords[finished]
+        walks = run.frontier.paths_of(finished)
+        ns = run.per_query_ns[finished]
         by_entry: dict[int, list[int]] = {}
         for j, gidx in enumerate(owner):
             by_entry.setdefault(gidx, []).append(j)
         for gidx, picks in by_entry.items():
             entry = sessions[gidx]
             session = entry.session
-            paths = tuple([tuple(walks[j]) for j in picks])
-            query_ids = tuple([frontier.queries[fused[j]].query_id for j in picks])
-            for qid, path in zip(query_ids, paths, strict=True):
-                session._path_by_qid[qid] = list(path)
+            session._driver.settle(ords[picks], [walks[j] for j in picks], ns[picks])
             for j in picks:
                 tenant = group.tenants[fused[j]]
                 tenant.outstanding -= 1
                 tenant.completed += 1
             entry.inflight -= len(picks)
             chunk = session._emit(
-                query_ids,
-                paths,
+                tuple([queries[fused[j]].query_id for j in picks]),
+                tuple([tuple(walks[j]) for j in picks]),
                 steps=steps_by[gidx] if steps_by else 0,
                 counters=tick_counters.get(gidx)
                 or CostCounters(bytes_per_weight=group.engine.weight_bytes),
@@ -1251,57 +1203,6 @@ class ServiceScheduler:
             entry.chunks.append(chunk)
         group.inflight -= len(fused)
         self._inflight -= len(fused)
-
-    @staticmethod
-    def _settle(group: _Group, positions: np.ndarray) -> None:
-        """Move finished walkers' per-query times (and, when tracked, their
-        count columns) from the fused frontier into their sessions' ledgers."""
-        ns = group.run.per_query_ns[positions].tolist()
-        owner = group.owner[positions].tolist()
-        slot = group.slot[positions].tolist()
-        sessions = group.sessions
-        for j, gidx in enumerate(owner):
-            sessions[gidx].ns[slot[j]] = ns[j]
-        if group.track_counts:
-            columns = group.counts[:, positions].T
-            for j, gidx in enumerate(owner):
-                sessions[gidx].counts[slot[j]] = columns[j]
-
-    # ------------------------------------------------------------------ #
-    # Finalisation
-    # ------------------------------------------------------------------ #
-    def _flush(self, entry: _SessionEntry) -> None:
-        """Hand an idle session's finished walks to its driver.
-
-        Records one submission-ordered batch covering every walker admitted
-        since the previous flush — paths, per-query times and (for
-        replicated multi-device plans) per-walker counts, all read from the
-        session's own ledger — through
-        :meth:`~repro.runtime.frontier.FrontierDriver.record`, so
-        ``collect()`` assembles it exactly like a solo wave, and empties the
-        ledger.  Only legal when the session has nothing queued or in
-        flight (its admitted-so-far set is then exactly its
-        submitted-so-far set, so submission order is recoverable).
-        """
-        self._check_quarantined(entry)
-        if not entry.queries:
-            return
-        if entry.queued + entry.inflight:  # pragma: no cover - defensive
-            raise ServiceError("cannot flush a session with pending walkers")
-        session = entry.session
-        order = sorted(range(len(entry.queries)), key=entry.sub_ords.__getitem__)
-        queries = [entry.queries[i] for i in order]
-        session._driver.record(
-            queries,
-            [session._path_by_qid[q.query_id] for q in queries],
-            np.array([entry.ns[i] for i in order], dtype=np.float64),
-            counts=(
-                np.stack([entry.counts[i] for i in order], axis=1)
-                if entry.group.track_counts
-                else None
-            ),
-        )
-        entry.queries, entry.sub_ords, entry.ns, entry.counts = [], [], [], []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,7 +10,10 @@ session — only the per-tenant run state: a
 batched :class:`~repro.runtime.frontier.FrontierDriver` that executes the
 claimed waves and assembles the exact
 :class:`~repro.runtime.engine.WalkRunResult` at :meth:`~WalkSession.collect`
-time.
+time.  The driver also holds the session's one result ledger, keyed by
+submission ordinal: each finished walk — run by the session's own waves or
+by a continuous-batching scheduler it is attached to — settles there once,
+and tickets, ``completed`` and ``collect()`` all read it.
 
 **Exactness.**  A session that submits everything and then collects runs
 exactly the computation of ``WalkEngine.run`` — same driver, same ledger,
@@ -187,10 +190,9 @@ class QueryTicket:
         """
         if any(q in self._session._cancelled_ids for q in self.query_ids):
             return "cancelled"
-        done = sum(1 for q in self.query_ids if q in self._session._path_by_qid)
-        if done == len(self.query_ids):
+        if None not in self._settled_paths():
             return "done"
-        claimed = self._session._claimed_ids
+        claimed = self._session._start_step_by_qid
         if any(q in claimed for q in self.query_ids):
             return "running"
         return "queued"
@@ -247,7 +249,14 @@ class QueryTicket:
                 f"ticket {self.ticket_id} is {self.status}; "
                 "drain stream() or call collect() before reading its paths"
             )
-        return [list(self._session._path_by_qid[q]) for q in self.query_ids]
+        return [list(path) for path in self._settled_paths()]
+
+    def _settled_paths(self) -> list:
+        """This ticket's slice of the session's result ledger (``None``: not
+        settled); one submit call holds consecutive submission ordinals."""
+        driver = self._session._driver
+        first = driver.ordinals[self.query_ids[0]]
+        return driver.paths[first : first + len(self.query_ids)]
 
 
 class WalkSession:
@@ -299,27 +308,24 @@ class WalkSession:
         self._unpin_finalizer = None
 
         self._queue = DynamicQueryQueue()
-        self._submitted: list[WalkQuery] = []
-        self._seen_ids: set[int] = set()
-        self._claimed_ids: set[int] = set()
         self._tickets: list[QueryTicket] = []
-        self._path_by_qid: dict[int, list[int]] = {}
         # Walks dropped before completing, qid -> reason ("cancelled",
         # "deadline", "shed", "abandoned" or "quarantined").  Only the
         # scheduler cancels; a standalone session never populates this.
         self._cancelled_ids: dict[int, str] = {}
 
-        # Execution and finished accounting live on the batched driver: it
-        # runs the session's waves (or, while a scheduler is attached,
-        # receives the walks the fused loop finished for this session) and
-        # assembles the exact result at collect time.
+        # Execution and the result ledger live on the batched driver: it
+        # runs the session's waves (while a scheduler is attached, the fused
+        # loop settles this session's walks into it) and assembles the
+        # exact result at collect time.
         self._driver = FrontierDriver(engine, track_finished=True)
         self._supersteps = 0
         self._chunks_emitted = 0
 
         # Queue-delay bookkeeping surfaced through WalkChunk: the superstep
-        # ordinal each query was submitted at and first claimed at.  On a
-        # scheduler-attached session these hold scheduler tick ordinals.
+        # ordinal each query was submitted at and first claimed (launched
+        # or admitted) at.  On a scheduler-attached session these hold
+        # scheduler tick ordinals.
         self._enqueue_step_by_qid: dict[int, int] = {}
         self._start_step_by_qid: dict[int, int] = {}
         # Set by ServiceScheduler.attach(); while attached, submit routes
@@ -359,7 +365,8 @@ class WalkSession:
         if not queries:
             raise ServiceError("no walk queries to submit")
         validate_queries(queries, self.service.graph.num_nodes)
-        clashes = [q.query_id for q in queries if q.query_id in self._seen_ids]
+        ordinals = self._driver.ordinals
+        clashes = [q.query_id for q in queries if q.query_id in ordinals]
         if clashes:
             raise ServiceError(
                 f"query ids {clashes[:5]} were already submitted to this session; "
@@ -369,8 +376,7 @@ class WalkSession:
             # Backpressure before any session state mutates: a QueueFull
             # submission must leave the session exactly as it was.
             self._scheduler._reserve_capacity(self, len(queries), options)
-        self._seen_ids.update(q.query_id for q in queries)
-        self._submitted.extend(queries)
+        self._driver.register(queries)
         ticket = QueryTicket(
             ticket_id=len(self._tickets),
             query_ids=tuple(q.query_id for q in queries),
@@ -416,8 +422,9 @@ class WalkSession:
 
     @property
     def completed(self) -> int:
-        """Walks that have finished."""
-        return len(self._path_by_qid)
+        """Walks that have finished (or were cancelled in flight)."""
+        paths = self._driver.paths
+        return len(paths) - paths.count(None)
 
     @property
     def tickets(self) -> tuple[QueryTicket, ...]:
@@ -435,7 +442,7 @@ class WalkSession:
             "device": self.engine.device.name,
             "graph_version": self.graph_version,
             "plan": self.plan.describe(),
-            "submitted": len(self._submitted),
+            "submitted": len(self._driver.ordinals),
             "completed": self.completed,
             "pending": self.pending,
         }
@@ -469,7 +476,6 @@ class WalkSession:
                 # Claim every queued query into one wave.
                 queries = self._queue.fetch_batch(remaining)
                 for q in queries:
-                    self._claimed_ids.add(q.query_id)
                     self._start_step_by_qid[q.query_id] = self._supersteps
                 driver.launch(queries)
             report = driver.advance()
@@ -480,7 +486,6 @@ class WalkSession:
                 continue
             finished, paths = driver.finished_walks(report)
             query_ids = tuple([q.query_id for q in finished])
-            self._path_by_qid.update(zip(query_ids, paths, strict=True))
             yield self._emit(
                 query_ids,
                 tuple(map(tuple, paths)),
@@ -505,7 +510,7 @@ class WalkSession:
         """
         for _ in self.stream():
             pass
-        if self._driver.launched == 0:
+        if not self.completed:
             raise ServiceError("no walk queries were submitted to this session")
         return self._driver.assemble(self.profile)
 

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import WalkSpecError
 from repro.graph.csr import CSRGraph
 from repro.walks.state import WalkerFrontier, WalkerState
 
@@ -234,13 +233,6 @@ class WalkSpec(ABC):
         step, not once per neighbour.
         """
         return 0
-
-    def walk_length(self, requested: int | None = None) -> int:
-        """Resolve the walk length (requested value or the workload default)."""
-        length = self.default_walk_length if requested is None else int(requested)
-        if length < 1:
-            raise WalkSpecError("walk length must be at least 1")
-        return length
 
     def describe(self) -> dict[str, object]:
         """Human-readable hyperparameter dump (used in experiment logs)."""

@@ -307,10 +307,6 @@ class WalkerFrontier:
             state.advance(int(self.path_buf[index, state.step + 1]))
         return state
 
-    def path(self, index: int) -> list[int]:
-        """Walker ``index``'s walk so far."""
-        return self.paths_of([int(index)])[0]
-
     def paths_of(self, indices) -> list[list[int]]:
         """The walks of walkers ``indices`` so far: one gather, one ``tolist``
         (the single source of the path-buffer slice convention)."""

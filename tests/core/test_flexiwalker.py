@@ -36,7 +36,7 @@ def run(session, walk_length=None, num_queries=None):
     """
     queries = make_queries(
         session.engine.graph.num_nodes,
-        walk_length=session.spec.walk_length(walk_length),
+        walk_length=session.spec.default_walk_length if walk_length is None else walk_length,
         num_queries=num_queries,
         seed=session.config.seed,
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.graph.builders import from_edge_list
 from repro.graph.csr import CSRGraph
 
 
@@ -59,6 +60,27 @@ class TestConstruction:
     def test_rejects_mismatched_label_length(self):
         with pytest.raises(GraphError):
             CSRGraph(indptr=np.array([0, 1]), indices=np.array([0]), labels=np.array([1, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+class TestWeightContract:
+    """The base graph rejects every weight a graph delta rejects."""
+
+    def test_csr_constructor_names_the_first_bad_edge(self, bad):
+        with pytest.raises(GraphError, match=r"edge \(1, 2\) has weight .*finite and non-negative"):
+            CSRGraph(
+                indptr=np.array([0, 2, 3, 3]),
+                indices=np.array([1, 2, 2]),
+                weights=np.array([1.0, 2.0, bad]),
+            )
+
+    def test_edge_list_builder_names_the_first_bad_edge(self, bad):
+        with pytest.raises(GraphError, match=r"edge \(1, 2\) has weight"):
+            from_edge_list([(0, 1), (1, 2)], weights=[1.0, bad])
+
+    def test_later_bad_edges_are_not_named(self, bad):
+        with pytest.raises(GraphError, match=r"edge \(0, 2\)"):
+            from_edge_list([(0, 1), (0, 2), (2, 0)], weights=[1.0, bad, bad])
 
 
 class TestAccessors:

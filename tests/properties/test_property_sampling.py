@@ -55,6 +55,8 @@ def _context_for_weights(weights, seed=0, bound=None):
 
 @settings(max_examples=40, deadline=None)
 @given(weights=weight_vectors, name=st.sampled_from(SAMPLER_NAMES), seed=st.integers(0, 1000))
+# A subnormal weight: RVS's ``u * W < w`` test can round up to ``w``.
+@example(weights=[5e-324], name="RVS", seed=1)
 def test_samplers_only_choose_positive_weight_neighbors(weights, name, seed):
     graph, ctx = _context_for_weights(weights, seed=seed, bound=max(weights) if max(weights) > 0 else None)
     chosen = make_sampler(name).sample(ctx)

@@ -168,6 +168,28 @@ class TestBaselineReservoir:
         weights = np.zeros(3)
         assert parallel_reservoir_choice(weights, np.full(3, 0.5), np.cumsum(weights)) is None
 
+    def test_first_positive_subnormal_weight_always_qualifies(self):
+        # u * W rounds up to the subnormal weight w when u > 0.5.
+        weights = np.array([0.0, 5e-324, 0.0])
+        choice = parallel_reservoir_choice(weights, np.full(3, 0.9), np.cumsum(weights))
+        assert choice == 1
+
+    def test_subnormal_walks_run_to_length_batched_like_scalar(self):
+        from repro.runtime.engine import WalkEngine
+        from repro.runtime.selector import FixedSelector
+        from repro.walks.state import WalkQuery
+
+        edges = [(0, 1), (0, 2), (1, 0), (2, 0)]
+        graph = from_edge_list(edges, weights=[5e-324, 0.0, 5e-324, 5e-324])
+        queries = [WalkQuery(i, i % 3, 6) for i in range(12)]
+        runs = [
+            WalkEngine(graph=graph, spec=UniformWalkSpec(), selector=FixedSelector(ReservoirSampler()),
+                       seed=3, execution=execution).run(queries)
+            for execution in ("scalar", "batched")
+        ]
+        assert runs[0].paths == runs[1].paths
+        assert all(len(path) == 7 for path in runs[1].paths)
+
     def test_charges_two_passes_and_one_rng_per_neighbor(self, tiny_graph):
         ctx = make_ctx(tiny_graph, UniformWalkSpec(), node=0)
         ReservoirSampler().sample(ctx)

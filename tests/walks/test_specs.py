@@ -188,9 +188,3 @@ class TestRegistry:
         assert not WORKLOADS["node2vec_unweighted"].weighted
         assert WORKLOADS["node2vec"].weighted
 
-    def test_walk_length_resolution(self):
-        spec = make_workload("node2vec")
-        assert spec.walk_length() == 80
-        assert spec.walk_length(12) == 12
-        with pytest.raises(WalkSpecError):
-            spec.walk_length(0)
