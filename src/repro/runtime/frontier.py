@@ -23,17 +23,21 @@ construction, not by accident:
 The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
-Every batched run executes a :class:`FrontierRun` through
-:func:`iter_supersteps`, recovering from faults through
-:class:`~repro.runtime.faults.RunRecovery` — under :class:`FrontierDriver`,
-which owns the launch accounting, one per-superstep placement ledger (none,
-:class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`), the
-result ledger every finished walk settles into, and the result assembly, or
-under a scheduler fusion group.  ``WalkEngine.run``
-launches everything and collects; a ``WalkSession`` launches waves and
-streams their supersteps.  Multi-device runs advance every device's walkers
-in the same shared superstep — the ledger only decides where each walker's
-work lands — so a D-device run costs one Python loop instead of D.  The
+Every batched run is one :class:`FrontierLaunch`: a :class:`FrontierRun`
+executed through :func:`iter_supersteps`, recovering from faults through
+:class:`~repro.runtime.faults.RunRecovery`, whose
+:meth:`~FrontierLaunch.advance` folds each superstep into the
+:class:`FrontierDriver` every walker belongs to.  A driver owns the launch
+accounting, one placement ledger (none, :class:`ReplicatedRunAccounting` or
+:class:`ShardedRunAccounting`), the result ledger every finished walk
+settles into, and the result assembly.  A driver's own launch holds only
+its walkers; a scheduler fusion group's launch holds several sessions'
+walkers and folds each superstep into each of their drivers.
+``WalkEngine.run`` launches everything and collects; a ``WalkSession``
+launches waves and streams their supersteps.  Multi-device runs advance
+every device's walkers in the same shared superstep — the ledger only
+decides where each walker's work lands — so a D-device run costs one
+Python loop instead of D.  The
 serial per-device composition is kept as :func:`run_multi_device_serial`,
 the executable specification the replicated ledger is property-tested
 against.
@@ -44,7 +48,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -52,7 +56,7 @@ from repro.errors import SimulationError
 from repro.gpusim.counters import COUNT_ROWS, CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.rng.streams import AdoptedStreamPool
-from repro.runtime.faults import RunRecovery, reassign_owners
+from repro.runtime.faults import reassign_owners
 from repro.runtime.scheduler import validate_queries
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
@@ -176,9 +180,9 @@ class SuperstepReport:
         selector's partition order (empty for dead-end-only reports).
     assignment:
         ``assignment[j]`` is the index into ``sampler_names`` of the kernel
-        walker ``active[j]`` executed — what lets the continuous-batching
-        scheduler split the fused ``sampler_usage`` back out per session
-        exactly.  ``None`` for dead-end-only reports.
+        walker ``active[j]`` executed — what lets a fused launch split its
+        ``sampler_usage`` back out per owner exactly.  ``None`` for
+        dead-end-only reports.
     totals:
         ``counters.totals()``, as already merged into ``aggregate``
         (``None`` for dead-end-only reports).
@@ -235,9 +239,9 @@ class FrontierRun:
 
     :func:`iter_supersteps` re-reads all three at the top of every
     superstep, so an :meth:`admit` between two ``next()`` calls takes effect
-    on the very next superstep.  :class:`FrontierDriver` admits each launch
-    into a fresh run; a scheduler fusion group keeps one run and admits into
-    it at superstep boundaries.  Streams live in an
+    on the very next superstep.  Each :class:`FrontierLaunch` holds one: a
+    driver's launch admits once, a scheduler fusion group's admits at
+    superstep boundaries.  Streams live in an
     :class:`~repro.rng.streams.AdoptedStreamPool`, one slot per walker keyed
     by its query id.
 
@@ -302,10 +306,9 @@ def iter_supersteps(
     per-walker accounting in ``run.per_query_ns`` (indexed by frontier
     position) and ``aggregate``, and yields a :class:`SuperstepReport`
     describing what happened — which walkers stepped, what they charged,
-    and whose walks completed.  :class:`FrontierDriver` drives it for
-    ``WalkEngine.run`` and for the streaming session layer, which turns the
-    reports into per-superstep :class:`~repro.service.WalkChunk`s; the
-    continuous-batching scheduler drives one per fusion group.
+    and whose walks completed.  :meth:`FrontierLaunch.advance` drives it,
+    for a :class:`FrontierDriver`'s launches and for a continuous-batching
+    fusion group alike; the fault-recovery replay is its only other caller.
 
     Because every walker owns a counter-based random stream keyed by its
     query id and every walker's counts land in its own slot, suspending the
@@ -319,9 +322,10 @@ def iter_supersteps(
     The run's frontier, streams and per-query times are re-read at the top
     of every superstep, so walkers admitted between ``next()`` calls join
     the very next superstep and a checkpoint restore rewinds the loop in
-    place.  The generator returns when no walker is active — the scheduler
-    recreates it after the next admission (all state lives on the run and
-    the shared engine caches, so recreation is cheap).
+    place.  The generator returns when a ``next()`` finds no walker
+    active; a suspended one resumes cleanly after an admission, and an
+    exhausted one is simply recreated (all state lives on the run and the
+    shared engine caches, so recreation is cheap).
     """
     graph, spec, device = engine.graph, engine.spec, engine.device
 
@@ -359,7 +363,7 @@ def iter_supersteps(
                     nodes=active,
                     step_ns=np.zeros(0, dtype=np.float64),
                 )
-                return
+                continue  # walkers admitted meanwhile step next
         k = active.size
         # The nodes the steps execute on, captured before the frontier
         # advances (fancy indexing copies, so the later in-place advance
@@ -469,21 +473,6 @@ def iter_supersteps(
         )
 
 
-def fold_counters_by_owner(
-    owners: np.ndarray, counters: CounterBatch, num_owners: int
-) -> np.ndarray:
-    """One superstep's per-walker counts summed per owner.
-
-    ``owners[j]`` names the owner charged with slot ``j`` of ``counters``;
-    the result is a ``(fields, num_owners)`` int64 matrix, rows in
-    :attr:`~repro.gpusim.counters.CostCounters._COUNT_FIELDS` order.  One
-    integer product of the count matrix with the owners' one-hot matrix:
-    exact under any grouping of supersteps, the property the scheduler's
-    per-session fold relies on for wave-composition invariance.
-    """
-    return counters.counts @ (owners[:, None] == np.arange(num_owners))
-
-
 def _partition_for_devices(engine: WalkEngine, starts: np.ndarray) -> list[np.ndarray]:
     """Partition walkers (by start node) with the engine's policy."""
     from repro.gpusim.multigpu import partition_queries
@@ -528,7 +517,9 @@ class ReplicatedRunAccounting:
         self._settled = np.zeros((fields, self.num_devices), dtype=np.int64)
         self._fixed: np.ndarray | None = None
 
-    def launch(self, columns: np.ndarray, start_nodes: np.ndarray) -> None:
+    def charge_fetch(
+        self, columns: np.ndarray, start_nodes: np.ndarray, fetch_ns: np.ndarray
+    ) -> None:
         """Open the walkers' columns with their queue-fetch atomic."""
         grow = int(columns.max(initial=-1)) + 1 - self._starts.size
         if grow > 0:
@@ -541,22 +532,16 @@ class ReplicatedRunAccounting:
         """Add a ``(fields, walkers)`` count matrix into the walkers' columns."""
         self._counts[:, columns] += counts
 
-    def charge_fetch(
-        self, start_nodes: np.ndarray, fetch_ns: np.ndarray, offset: int = 0
-    ) -> None:
-        """One queue-fetch atomic per walker launched from column ``offset``."""
-        self.launch(np.arange(len(start_nodes)) + offset, start_nodes)
-
     def observe(
         self,
         report: SuperstepReport,
         frontier: WalkerFrontier,
         step_ordinal: int,
-        offset: int = 0,
+        columns: np.ndarray,
     ) -> None:
-        """Land one superstep's per-walker counts in the walkers' columns."""
-        if report.active.size:
-            self.add(report.active + offset, report.counters.counts)
+        """Land one superstep's per-walker counts in the walkers' columns
+        (``columns[j]`` is walker ``report.active[j]``'s)."""
+        self.add(columns, report.counters.counts)
 
     def owners(self) -> tuple[np.ndarray, np.ndarray]:
         """The launched columns, ascending, and the device of each."""
@@ -572,8 +557,8 @@ class ReplicatedRunAccounting:
         self,
         dead: list[int],
         survivors: list[int],
-        frontier: WalkerFrontier | None = None,
-        offset: int = 0,
+        frontier: WalkerFrontier,
+        columns: np.ndarray,
     ) -> None:
         """Degraded mode: settle counts so far, move the dead devices' walkers.
 
@@ -710,9 +695,8 @@ class ShardedRunAccounting:
         self._mig_queries: list[np.ndarray] = []
         self._mig_src: list[np.ndarray] = []
         self._mig_dst: list[np.ndarray] = []
-        # Per-wave hosting device of each walker (wave offset -> array
-        # indexed by wave-local frontier position).
-        self._hosts: dict[int, np.ndarray] = {}
+        # Hosting device of each walker, by ledger column.
+        self._hosts = np.zeros(0, dtype=np.int64)
         self.remote_steps = 0
         self.ghost_hits = 0
         self._comm_cache: _CommSummary | None = None
@@ -729,11 +713,16 @@ class ShardedRunAccounting:
         times[:, :capacity] = self._res_times
         seen = np.zeros((self.num_shards, new), dtype=bool)
         seen[:, :capacity] = self._res_seen
+        hosts = np.zeros(new, dtype=np.int64)
+        hosts[:capacity] = self._hosts
         self._res_times = times
         self._res_seen = seen
+        self._hosts = hosts
 
     # ------------------------------------------------------------------ #
-    def charge_fetch(self, start_nodes: np.ndarray, fetch_ns: np.ndarray, offset: int = 0) -> None:
+    def charge_fetch(
+        self, columns: np.ndarray, start_nodes: np.ndarray, fetch_ns: np.ndarray
+    ) -> None:
         """Attribute each query's queue-fetch atomic to its start node's owner.
 
         Queries are submitted straight to the device owning their start
@@ -742,13 +731,11 @@ class ShardedRunAccounting:
         (ordinal -1), in submission order — exactly where the one-shot loop
         prices them.
         """
-        starts = np.asarray(start_nodes, dtype=np.int64)
-        owners = self._owner[starts]
-        self._hosts[offset] = owners.copy()
-        self._ensure_capacity(offset + owners.size)
-        cols = np.arange(owners.size, dtype=np.int64) + offset
-        self._res_times[owners, cols] += fetch_ns
-        self._res_seen[owners, cols] = True
+        owners = self._owner[start_nodes]
+        self._ensure_capacity(int(columns.max(initial=-1)) + 1)
+        self._hosts[columns] = owners
+        self._res_times[owners, columns] += fetch_ns
+        self._res_seen[owners, columns] = True
         self._counter_sums[_ATOMIC_ROW] += np.bincount(owners, minlength=self.num_shards)
 
     def observe(
@@ -756,9 +743,10 @@ class ShardedRunAccounting:
         report: SuperstepReport,
         frontier: WalkerFrontier,
         step_ordinal: int,
-        offset: int = 0,
+        columns: np.ndarray,
     ) -> None:
-        """Fold one superstep into the per-device ledgers.
+        """Fold one superstep into the per-device ledgers (``columns[j]`` is
+        walker ``report.active[j]``'s ledger column).
 
         Each active walker's step executes on its hosting device (without a
         ghost cache the host is always the owner of ``report.nodes``).  A
@@ -771,8 +759,7 @@ class ShardedRunAccounting:
         active = report.active
         if active.size == 0:
             return
-        hosts = self._hosts[offset]
-        current = hosts[active]
+        current = self._hosts[columns]
         counts = report.counters.counts
         fields, k = self._counter_sums.shape
         # One bincount over (field, device) keys covers the whole count
@@ -781,9 +768,8 @@ class ShardedRunAccounting:
         self._counter_sums += np.bincount(
             keys.ravel(), weights=counts.ravel(), minlength=fields * k
         ).reshape(fields, k)
-        cols = active + offset if offset else active
-        self._res_times[current, cols] += report.step_ns
-        self._res_seen[current, cols] = True
+        self._res_times[current, columns] += report.step_ns
+        self._res_seen[current, columns] = True
 
         destinations = frontier.current[active]
         dest_owner = self._owner[destinations]
@@ -806,13 +792,13 @@ class ShardedRunAccounting:
                     return
         count = int(idx.size)
         self.remote_steps += count
-        movers = active[idx]
+        movers = columns[idx]
         dest = dest_owner[idx]
         self._mig_steps.append(np.full(count, step_ordinal, dtype=np.int64))
-        self._mig_queries.append(movers + offset if offset else movers)
+        self._mig_queries.append(movers)
         self._mig_src.append(current[idx])
         self._mig_dst.append(dest)
-        hosts[movers] = dest
+        self._hosts[movers] = dest
         self._comm_cache = None
 
     def migrations_at(self, step_ordinal: int) -> tuple[np.ndarray, np.ndarray]:
@@ -832,17 +818,17 @@ class ShardedRunAccounting:
         dead: list[int],
         survivors: list[int],
         frontier: WalkerFrontier,
-        offset: int = 0,
+        columns: np.ndarray,
     ) -> None:
         """Degraded-mode shard takeover after permanent device failures.
 
         The dead devices' node ranges are re-owned round-robin by the
         survivors (on a private copy — the shared
         :class:`~repro.graph.sharded.ShardedCSRGraph` decomposition is never
-        mutated), and every walker of the wave launched at ``offset`` (the
-        one ``frontier`` executes) hosted on a dead device re-hosts onto the
-        new owner of its current node; walkers of earlier waves have all
-        finished and take no further steps.  With no survivors the
+        mutated), and every walker ``frontier`` executes (position ``j`` at
+        ledger column ``columns[j]``) hosted on a dead device re-hosts onto
+        the new owner of its current node; walkers of earlier launches have
+        all finished and take no further steps.  With no survivors the
         replacement-device policy applies: ownership stays with the standby
         that inherits the dead device's identity.
 
@@ -859,10 +845,10 @@ class ShardedRunAccounting:
             if nodes.size:
                 owner[nodes] = pool[np.arange(nodes.size) % pool.size]
         self._owner = owner
-        hosts = self._hosts[offset]
+        hosts = self._hosts[columns]
         stale = np.flatnonzero(np.isin(hosts, np.asarray(dead, dtype=np.int64)))
         if stale.size:
-            hosts[stale] = owner[frontier.current[stale]]
+            self._hosts[columns[stale]] = owner[frontier.current[stale]]
         self._comm_cache = None
 
     # ------------------------------------------------------------------ #
@@ -976,42 +962,217 @@ class ShardedRunAccounting:
         return kernels
 
 
-@dataclass(eq=False)
-class _Launch:
-    """One launched batch of queries executing through a single frontier."""
+class OwnerStep(NamedTuple):
+    """One owner's part of a superstep: the walker-steps and counts its
+    walkers executed, and its walks that completed (ledger ordinals, query
+    ids and paths; all empty when none did)."""
 
-    offset: int  # submission ordinal (ledger column) of the run's first walker
-    run: FrontierRun
-    iterator: Iterator
-    recovery: RunRecovery | None
-    # Supersteps executed so far == every walker's step index, the
-    # canonical migration-batch key of the sharded ledger.
-    steps: int = 0
+    owner: FrontierDriver
+    steps: int
+    counters: CostCounters
+    ordinals: tuple[int, ...] = ()
+    query_ids: tuple[int, ...] = ()
+    paths: tuple[tuple[int, ...], ...] = ()
+
+
+class FrontierLaunch:
+    """An executing :class:`FrontierRun` and the result ledgers it feeds.
+
+    A :class:`FrontierDriver` starts one per launched batch; a scheduler
+    fusion group keeps one for its whole life and admits into it at
+    superstep boundaries.  Walker ``j`` belongs to ``owners[owner[j]]`` —
+    the driver whose result ledger it settles into — at submission ordinal
+    ``ords[j]``.  :meth:`advance` runs one superstep and folds it into every
+    owner it held: counters and steps, sampler usage, the placement ledger
+    and the settled walks.  The fold is exact: integer counts sum per owner
+    and each walker's float times stay in its own slot, so an owner's
+    figures do not depend on who else shared the superstep.
+
+    ``aggregate`` and ``usage`` are the run's own sinks, which a failure's
+    restore rewinds; owners are charged once per superstep, never for its
+    replay.  ``on_failure(dead)`` (when set) runs before that restore: a
+    driver re-partitions its placement ledger there, while a fusion group's
+    failures stay the group's.
+    """
+
+    __slots__ = ("run", "aggregate", "usage", "recovery", "iterator", "track_finished",
+                 "on_failure", "owners", "owner", "ords", "steps")
+
+    def __init__(self, engine: WalkEngine, track_finished: bool = True, on_failure=None) -> None:
+        self.run = FrontierRun(engine)
+        self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
+        self.usage: dict[str, int] = {}
+        # The fault-recovery protocol (None on the fault-free fast path);
+        # its superstep ordinal is the launch's fault-plan clock.
+        self.recovery = engine._recovery(self.run, self.aggregate, self.usage)
+        self.iterator: Iterator[SuperstepReport] | None = None
+        self.track_finished = track_finished
+        self.on_failure = on_failure
+        self.owners: list[FrontierDriver] = []
+        self.owner = np.zeros(0, dtype=np.int64)
+        self.ords = np.zeros(0, dtype=np.int64)
+        # Supersteps run so far: within a driver's launch, every walker's
+        # step index — the sharded ledger's migration-batch key.
+        self.steps = 0
+
+    def admit(
+        self, owners: list[FrontierDriver], held: np.ndarray, queries: list[WalkQuery],
+        ordinals: np.ndarray,
+    ) -> None:
+        """Admit ``queries``: walker ``j`` belongs to ``owners[held[j]]`` at
+        submission ordinal ``ordinals[j]``.  Each owner is charged its
+        walkers' queue-fetch atomics (a placement ledger opens their
+        columns), and the stale restore point is dropped."""
+        run = self.run
+        fetch_ns = run.admit(queries, run.engine.seed)
+        starts = run.frontier.current[len(run) - len(queries) :]
+        self.owners += [o for o in owners if o not in self.owners]
+        index = np.array([self.owners.index(o) for o in owners], dtype=np.int64)
+        self.owner = np.concatenate([self.owner, index[held]])
+        self.ords = np.concatenate([self.ords, ordinals])
+        for j, owner in enumerate(owners):
+            mine = (held == j).nonzero()[0]
+            owner.charge(CostCounters(atomic_ops=mine.size, bytes_per_weight=run.engine.weight_bytes))
+            if owner.ledger is not None:
+                owner.ledger.charge_fetch(ordinals[mine], starts[mine], fetch_ns[mine])
+        if self.recovery is not None:
+            self.recovery.invalidate()
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only the walkers at the ascending positions ``keep``
+        (:meth:`FrontierRun.compact`); owners left without one drop out."""
+        self.run.compact(keep)
+        owner, self.ords = self.owner[keep], self.ords[keep]
+        live = np.bincount(owner, minlength=len(self.owners)) > 0
+        if not live.all():
+            self.owners = [o for o, alive in zip(self.owners, live.tolist(), strict=True) if alive]
+            owner = (np.cumsum(live) - 1)[owner]
+        self.owner = owner
+
+    def cancel(self, owner: FrontierDriver, ordinal: int) -> int:
+        """Terminate ``owner``'s in-flight walker ``ordinal``, settle the
+        prefix it walked and return its position.  A restore from an older
+        checkpoint would resurrect it, so the restore point is dropped."""
+        pos = ((self.owner == self.owners.index(owner)) & (self.ords == ordinal)).nonzero()[0]
+        run = self.run
+        run.frontier.terminate(pos)
+        owner.settle(self.ords[pos], run.frontier.paths_of(pos), run.per_query_ns[pos])
+        if self.recovery is not None:
+            self.recovery.invalidate()
+        return int(pos[0])
+
+    def advance(self) -> tuple[SuperstepReport, list[OwnerStep]] | None:
+        """Run one superstep and fold it into its owners.
+
+        Returns the report and an :class:`OwnerStep` per owner it held, or
+        ``None`` when no walker was active.  A device failure restores and
+        replays before this returns; replayed supersteps are neither
+        folded nor reported (their first execution was).
+        """
+        recovery = self.recovery
+        if recovery is not None:
+            # The launch's start or an admission boundary: a cost-free snapshot.
+            recovery.begin()
+        if self.iterator is None:
+            self.iterator = iter_supersteps(
+                self.run.engine, self.run, self.aggregate, self.usage, self.track_finished
+            )
+        try:
+            report = next(self.iterator)
+        except StopIteration:
+            self.iterator = None
+            return None
+        parts = self._fold(report)
+        self.steps += 1
+        if recovery is not None:
+            recovery.end(report, self.on_failure)
+        return report, parts
+
+    def _fold(self, report: SuperstepReport) -> list[OwnerStep]:
+        owners, run, active, finished = self.owners, self.run, report.active, report.finished
+        weight_bytes = run.engine.weight_bytes
+        n, names = len(owners), report.sampler_names
+        held = self.owner[active]
+        counts = np.bincount(held, minlength=n)
+        present = counts.nonzero()[0]
+        if present.size == 1:  # the whole superstep is one owner's
+            folded = [report.totals]
+        elif present.size:
+            # One integer product with the walkers' one-hot owner matrix:
+            # exact however the walkers are grouped.
+            sums = report.counters.counts @ (held[:, None] == present)
+            folded = [CostCounters(*c, bytes_per_weight=weight_bytes) for c in sums.T.tolist()]
+        if present.size:
+            used = np.bincount(report.assignment * n + held, minlength=len(names) * n).tolist()
+        done: dict[int, list[int]] = {}  # owner -> its finished walks' indices in `finished`
+        if finished.size:
+            for j, i in enumerate(self.owner[finished].tolist()):
+                done.setdefault(i, []).append(j)
+        parts, charged = [], {}
+        for j, i in enumerate(present.tolist()):
+            owner, steps = owners[i], int(counts[i])
+            owner.charge(folded[j], steps=steps)
+            for k, name in enumerate(names):
+                if used[k * n + i]:  # the key set of a solo run: kernels this owner ran
+                    owner.usage[name] = owner.usage.get(name, 0) + used[k * n + i]
+            ledger = owner.ledger
+            if ledger is not None and present.size > 1:
+                # Replicated: sharded placements never share a launch.
+                mine = (held == i).nonzero()[0]
+                ledger.add(self.ords[active[mine]], report.counters.counts[:, mine])
+            elif ledger is not None:
+                ledger.observe(report, run.frontier, self.steps, self.ords[active])
+                if self.recovery is not None and isinstance(ledger, ShardedRunAccounting):
+                    src, dst = ledger.migrations_at(self.steps)
+                    self.recovery.faults.charge_interconnect_drop(
+                        self.steps, src, dst, WALKER_MIGRATION_BYTES
+                    )
+            if i in done:
+                charged[i] = (steps, folded[j])
+            else:
+                parts.append(OwnerStep(owner, steps, folded[j]))
+        if done:
+            walks = run.frontier.paths_of(finished)
+            queries = run.frontier.queries
+            for i, picks in done.items():
+                mine = finished[picks]
+                ords = self.ords[mine]
+                owners[i].settle(ords, [walks[j] for j in picks], run.per_query_ns[mine])
+                steps, totals = charged.get(i) or (0, CostCounters(bytes_per_weight=weight_bytes))
+                parts.append(OwnerStep(
+                    owners[i], steps, totals, tuple(ords.tolist()),
+                    tuple([queries[k].query_id for k in mine.tolist()]),
+                    tuple([tuple(walks[j]) for j in picks]),
+                ))
+        return parts
 
 
 class FrontierDriver:
     """The one batched walk driver behind ``WalkEngine.run`` and sessions.
 
-    Each launch is a fresh :class:`FrontierRun` admitting the batch (one
+    Each launch is a fresh :class:`FrontierLaunch` admitting the batch (one
     queue-fetch atomic per query, priced per slot, so splitting a batch
-    into launches changes nothing) and executing through
-    :func:`iter_supersteps`.  The driver owns the launch accounting, one
-    placement ledger folded every superstep (none on one device,
-    :class:`ReplicatedRunAccounting` or :class:`ShardedRunAccounting`), the
-    result ledger and the result assembly.  Under a fault plan or
-    checkpoint interval each launch carries a
-    :class:`~repro.runtime.faults.RunRecovery`, the same protocol the
-    scheduler's fusion groups use; the plan's superstep ordinals restart
-    per launch, and a failure restores and replays within the
-    :meth:`advance` call that observed it.
+    into launches changes nothing) with this driver as its only owner.  The
+    driver owns the launch accounting, one placement ledger (none on one
+    device, :class:`ReplicatedRunAccounting` or
+    :class:`ShardedRunAccounting`), the result ledger and the result
+    assembly.  Under a fault plan or checkpoint interval each launch
+    carries a fresh :class:`~repro.runtime.faults.RunRecovery`: the plan's
+    superstep ordinals restart per launch, a failure re-partitions the
+    placement ledger and restores and replays within the :meth:`advance`
+    call that observed it, and the launch's fault tallies land here when it
+    ends.
 
     The result ledger is keyed by submission ordinal (:meth:`register`;
     ``ordinals`` maps query ids to ordinals).  :meth:`settle` is the only
-    way a finished or cancelled in-flight walk enters it: from
-    :meth:`advance` or the end of a launch, or from the continuous-batching
-    scheduler, which also charges the walks' work through :meth:`charge`
-    and :meth:`charge_usage`.  ``paths[o]`` is ``None`` until walk ``o``
-    settles; a walk cancelled while queued never does.
+    way a finished or cancelled in-flight walk enters it, always from a
+    :class:`FrontierLaunch` — this driver's own, or a scheduler fusion
+    group's that holds some of its walkers — or from the end of a launch.
+    ``paths[o]`` is ``None`` until walk ``o`` settles; a walk cancelled
+    while queued never does.  Two more columns hold the queue-delay clock:
+    the superstep walk ``o`` was submitted at (``enqueue_step[o]``) and the
+    one it was first claimed for execution at (``start_step[o]``, ``-1``
+    while it has not been).
 
     :meth:`run` launches everything and collects; a
     :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
@@ -1042,7 +1203,9 @@ class FrontierDriver:
         self.ordinals: dict[int, int] = {}
         self.paths: list[list[int] | None] = []
         self._ns: list[float] = []
-        self._launch: _Launch | None = None
+        self.enqueue_step: list[int] = []
+        self.start_step: list[int] = []
+        self._launch: FrontierLaunch | None = None
 
     @property
     def busy(self) -> bool:
@@ -1063,6 +1226,8 @@ class FrontierDriver:
         self.ordinals.update(zip([q.query_id for q in queries], range(first, first + n)))
         self.paths.extend([None] * n)
         self._ns.extend([0.0] * n)
+        self.enqueue_step.extend([-1] * n)
+        self.start_step.extend([-1] * n)
         return first
 
     def settle(
@@ -1092,94 +1257,44 @@ class FrontierDriver:
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
         if self._launch is not None:
             raise SimulationError("the previous launch is still executing")
-        engine = self.engine
         offset = self.ordinals.get(queries[0].query_id) if queries else None
         if offset is None:
             offset = self.register(queries)
-        run = FrontierRun(engine)
-        fetch_ns = run.admit(queries, engine.seed)
-        self.aggregate.merge(
-            CostCounters(atomic_ops=len(queries), bytes_per_weight=engine.weight_bytes)
+        n = len(queries)
+        self._launch = FrontierLaunch(
+            self.engine, self.track_finished, None if self.ledger is None else self._take_over
         )
-        if self.ledger is not None:
-            starts = np.array([q.start_node for q in queries], dtype=np.int64)
-            self.ledger.charge_fetch(starts, fetch_ns, offset)
-        self._launch = _Launch(
-            offset,
-            run,
-            iter_supersteps(engine, run, self.aggregate, self.usage, self.track_finished),
-            engine._recovery(run, self.aggregate, self.usage),
+        self._launch.admit(
+            [self], np.zeros(n, dtype=np.int64), queries, np.arange(offset, offset + n)
         )
         self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
 
-    def advance(self) -> SuperstepReport | None:
+    def advance(self) -> tuple[SuperstepReport, list[OwnerStep]] | None:
         """Run one superstep of the executing batch.
 
-        Returns its report, or ``None`` when the batch just finished.  A
-        device failure restores and replays before this returns; replayed
-        supersteps are never reported (their first execution was).
+        Returns :meth:`FrontierLaunch.advance`'s report and this driver's
+        :class:`OwnerStep`, or ``None`` when the batch just finished.
         """
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        try:
-            return self._advance()
-        finally:
-            self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-
-    def _advance(self) -> SuperstepReport | None:
         launch = self._launch
-        recovery = launch.recovery
-        if recovery is not None:
-            recovery.begin()
-        try:
-            report = next(launch.iterator)
-        except StopIteration:
+        step = launch.advance()
+        if step is None:
             self._finish(launch)
-            return None
-        self.total_steps += report.steps
-        ledger = self.ledger
-        run = launch.run
-        if ledger is not None:
-            ledger.observe(report, run.frontier, launch.steps, launch.offset)
-            if recovery is not None and isinstance(ledger, ShardedRunAccounting):
-                src, dst = ledger.migrations_at(launch.steps)
-                recovery.faults.charge_interconnect_drop(
-                    launch.steps, src, dst, WALKER_MIGRATION_BYTES
-                )
-        launch.steps += 1
-        finished = report.finished
-        if finished.size:
-            paths = run.frontier.paths_of(finished)
-            self.settle(finished + launch.offset, paths, run.per_query_ns[finished])
-        if recovery is not None:
-            recovery.end(report, None if ledger is None else self._take_over)
-        return report
+        self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
+        return step
 
     def _take_over(self, dead: list[int]) -> None:
         """Degraded mode: counts folded before the failure stay where the
         work executed; only future supersteps move."""
         launch = self._launch
         self.ledger.take_over(
-            dead, launch.recovery.faults.survivors(), launch.run.frontier, launch.offset
+            dead, launch.recovery.faults.survivors(), launch.run.frontier, launch.ords
         )
 
-    def finished_walks(
-        self, report: SuperstepReport
-    ) -> tuple[list[WalkQuery], list[list[int]]]:
-        """The queries and paths of the walks ``report`` completed."""
-        launch = self._launch
-        queries = launch.run.frontier.queries
-        finished = report.finished.tolist()
-        return (
-            [queries[i] for i in finished],
-            [self.paths[launch.offset + i] for i in finished],
-        )
-
-    def _finish(self, launch: _Launch) -> None:
+    def _finish(self, launch: FrontierLaunch) -> None:
         run = launch.run
         if not self.track_finished:  # no superstep reported a completion
-            self.settle(
-                np.arange(len(run)) + launch.offset, run.frontier.paths(), run.per_query_ns
-            )
+            self.settle(launch.ords, run.frontier.paths(), run.per_query_ns)
         if launch.recovery is not None:
             faults = launch.recovery.faults
             self.recovery_ns += faults.recovery_ns
@@ -1196,15 +1311,11 @@ class FrontierDriver:
         steps: int = 0,
         wall_clock_s: float = 0.0,
     ) -> None:
-        """Add work executed outside :meth:`advance` to the totals."""
+        """Add executed work (or the wall time it took) to the totals."""
         if counters is not None:
             self.aggregate.merge(counters)
         self.total_steps += steps
         self.wall_clock_s += wall_clock_s
-
-    def charge_usage(self, sampler: str, steps: int) -> None:
-        """Attribute ``steps`` executed outside :meth:`advance` to a kernel."""
-        self.usage[sampler] = self.usage.get(sampler, 0) + steps
 
     # ------------------------------------------------------------------ #
     def assemble(self, profile: ProfileResult | None = None) -> WalkRunResult:

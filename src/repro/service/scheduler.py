@@ -14,18 +14,22 @@ multi-tenant execution loop:
   compatible workload (a *fusion group*: same spec, config and plan);
 * newly submitted queries are admitted at superstep boundaries — a fresh
   submission joins the very next superstep instead of waiting for the
-  current wave to drain (mid-flight injection via
-  :class:`~repro.runtime.frontier.FrontierRun`);
-* the fused counters, kernel times and sampler usage are split back out per
-  session and tenant exactly, using the per-walker slots and the
-  :class:`~repro.runtime.frontier.SuperstepReport` sampler attribution —
-  every session's ``collect()`` stays bit-identical to running it alone.
+  current wave to drain (mid-flight injection);
+* each fused superstep runs on the one superstep path every batched run
+  takes, a :class:`~repro.runtime.frontier.FrontierLaunch`: its
+  ``advance`` folds the work of every session's walkers into that
+  session's own driver exactly, as a standalone launch folds its walkers
+  into its one driver — every session's ``collect()`` stays bit-identical
+  to running it alone.
 
-A fusion group runs on the same state and protocol as a standalone run: a
-:class:`~repro.runtime.frontier.FrontierRun` it admits into, and under a
-fault plan a :class:`~repro.runtime.faults.RunRecovery`, which replays a
-failure's lost supersteps inside the tick that observed it.  Admission and
-cancellation invalidate its restore point.
+The scheduler is the admission layer over that path: fairness, the
+in-flight budget, deadlines, shedding, quarantine and per-tenant stats.  A
+fusion group is its key, its sessions, each fused walker's tenant and one
+launch that lives as long as the group — so under a fault plan its
+:class:`~repro.runtime.faults.RunRecovery` clock keeps running through
+idle periods, and a failure replays its lost supersteps inside the tick
+that observed it without re-partitioning any session's ledger.  Admission
+and cancellation invalidate the restore point.
 
 Fairness is weighted round-robin (virtual-time weighted fair queuing) over
 per-tenant admission queues, with an SLO lane that is admitted first:
@@ -44,17 +48,17 @@ generator, so fused execution interleaves the draws.
 
 Results live in one place, each session's
 :class:`~repro.runtime.frontier.FrontierDriver` result ledger, keyed by
-submission ordinal: a fused position remembers its walker's ordinal, and
-the superstep that finishes the walk (or a cancellation in flight) settles
-it there at once, so walkers admitted out of submission order still
-assemble in submission order.
+submission ordinal: the launch remembers each fused walker's owner and
+ordinal, and the superstep that finishes the walk (or a cancellation in
+flight) settles it there at once, so walkers admitted out of submission
+order still assemble in submission order.
 
 The scheduler's state stays bounded over a long service lifetime: at every
 admission boundary a fusion group's fused frontier drops its finished
 walkers (random streams are keyed by query id, so moving a walker to a new
 position cannot change its walk), and a group retires when its last
-attached session detaches (its fault tallies fold into scheduler-level
-totals first).  A superstep skips idle groups without touching their
+attached session detaches (its fault tallies stay in the scheduler-level
+totals).  A superstep skips idle groups without touching their
 frontiers.
 """
 
@@ -72,8 +76,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import QueueFull, ServiceError
-from repro.gpusim.counters import CostCounters
-from repro.runtime.frontier import FrontierRun, fold_counters_by_owner, iter_supersteps
+from repro.runtime.frontier import FrontierDriver, FrontierLaunch
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,7 +111,9 @@ class TenantStats:
     """Accounting snapshot of one tenant, split out of the fused execution.
 
     ``steps`` and ``lane_time_ns`` are exact per-walker attributions (the
-    walker slots of the fused supersteps, folded by owner); the admission
+    walker slots of the fused supersteps, folded by each walker's own
+    tenant — a submission's ``SubmitOptions(tenant=...)`` when given, the
+    session's attach tenant otherwise); the admission
     counters describe the tenant's traffic through the fairness machinery.
     ``dead_letters`` counts walkers dropped before completing — explicit
     cancellation, ``deadline_ticks`` expiry, load shedding, stream
@@ -134,13 +139,14 @@ class _TenantState:
     """Mutable per-tenant admission queue + accounting."""
 
     __slots__ = (
-        "name", "weight", "quota", "queue", "vtime", "has_deadlines",
+        "name", "slot", "weight", "quota", "queue", "vtime", "has_deadlines",
         "sessions", "outstanding", "submitted", "admitted", "completed",
         "slo_admitted", "steps", "lane_ns", "dead_letters",
     )
 
-    def __init__(self, name: str, weight: float, quota: int | None) -> None:
+    def __init__(self, name: str, slot: int, weight: float, quota: int | None) -> None:
         self.name = name
+        self.slot = slot  # registration order: the tenant's fused-position index
         self.weight = weight
         self.quota = quota
         self.queue: deque[_Pending] = deque()
@@ -175,22 +181,21 @@ class _Pending:
 
 
 class _SessionEntry:
-    """Scheduler-side state of one attached session: its tenant, fusion
-    group, walker tallies and the chunks its stream has not yet taken.
+    """Scheduler-side state of one attached session: its attach tenant,
+    fusion group, walker tallies and the chunks its stream has not yet
+    taken.
 
-    The session's results live in its driver's result ledger, where the
-    scheduler settles each walk as it finishes or is cancelled in flight.
+    The session's results and work live in its driver, which the group's
+    launch folds each superstep into.
     """
 
-    __slots__ = ("session", "tenant", "group", "gidx", "attached", "queued",
-                 "inflight", "chunks", "quarantined")
+    __slots__ = ("session", "tenant", "group", "queued", "inflight", "chunks",
+                 "quarantined")
 
     def __init__(self, session, tenant: _TenantState, group: _Group) -> None:
         self.session = session
         self.tenant = tenant
         self.group = group
-        self.gidx = len(group.sessions)  # this entry's index within the group
-        self.attached = True
         self.queued = 0
         self.inflight = 0
         self.chunks: deque["WalkChunk"] = deque()
@@ -200,36 +205,21 @@ class _SessionEntry:
 class _Group:
     """One fusion group: sessions compatible enough to share a frontier.
 
-    Per fused frontier position it keeps the owning session (``owner``, an
-    index into ``sessions``), that walker's submission ordinal in the
-    owner's result ledger (``ords``) and its tenant.  All three are
-    compacted together with the frontier when finished walkers are dropped.
+    ``launch`` executes the fused walkers and knows each one's owning
+    driver and submission ordinal; it lives as long as the group, so its
+    fault-plan clock keeps running through idle periods.  The group adds
+    its attached sessions (by driver) and each fused position's tenant
+    slot (``tenant``), compacted together with the launch.
     """
 
-    __slots__ = ("key", "seq", "engine", "run", "gen", "recovery",
-                 "sessions", "attached", "inflight", "owner", "ords", "tenants",
-                 "aggregate", "usage")
+    __slots__ = ("key", "launch", "sessions", "inflight", "tenant")
 
-    def __init__(self, key, seq: int, engine) -> None:
+    def __init__(self, key, engine) -> None:
         self.key = key
-        self.seq = seq  # creation order (fault tallies sum in this order)
-        self.engine = engine
-        self.run = FrontierRun(engine)
-        self.gen = None  # the run's superstep loop (None while idle)
-        self.sessions: list[_SessionEntry] = []
-        self.attached = 0   # sessions still attached
+        self.launch = FrontierLaunch(engine)
+        self.sessions: dict[FrontierDriver, _SessionEntry] = {}
         self.inflight = 0   # admitted walkers that have not finished
-        self.owner = np.zeros(0, dtype=np.int64)     # fused pos -> gidx
-        self.ords = np.zeros(0, dtype=np.int64)      # fused pos -> ordinal
-        self.tenants: list[_TenantState] = []        # fused pos -> tenant
-        # Fused-level sinks required by iter_supersteps; the per-session
-        # attribution happens in the scheduler's fold, these are only kept
-        # for group-level introspection.
-        self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-        self.usage: dict[str, int] = {}
-        # The fault-recovery protocol (None on the fault-free fast path);
-        # its superstep ordinal is the group's fault-plan clock.
-        self.recovery = engine._recovery(self.run, self.aggregate, self.usage)
+        self.tenant = np.zeros(0, dtype=np.int64)  # fused pos -> tenant slot
 
 
 class ServiceScheduler:
@@ -290,6 +280,7 @@ class ServiceScheduler:
         self.record_admissions = record_admissions
         self.admissions: list[tuple[int, str]] = []
         self._tenants: dict[str, _TenantState] = {}
+        self._tenant_slots: list[_TenantState] = []  # by _TenantState.slot
         for name, quota in tenant_quotas:
             self.register_tenant(name, quota=quota)
         self._entries: dict[int, _SessionEntry] = {}  # id(session) -> entry
@@ -299,13 +290,10 @@ class ServiceScheduler:
         # a heap popped at every tick boundary.
         self._deadlines: list[tuple[int, int, _SessionEntry, int]] = []
         self._quarantined: list[_SessionEntry] = []
-        # Fault tallies of retired groups: recovery time by group creation
-        # order (so sums keep the order of live groups), checkpoints taken,
-        # devices lost.
-        self._group_seq = 0
-        self._retired_recovery: dict[int, float] = {}
-        self._retired_checkpoints = 0
-        self._retired_degraded: set[int] = set()
+        # The fault tallies of every group ever created under a fault plan,
+        # live or retired, in creation order (recovery time sums in it);
+        # a quarantined group's are dropped.
+        self._faults: list = []
         self._seq = 0
         self._tick = 0
         self._vclock = 0.0
@@ -332,7 +320,9 @@ class ServiceScheduler:
             raise ServiceError("tenant quota must be at least 1 (or None)")
         state = self._tenants.get(name)
         if state is None:
-            self._tenants[name] = _TenantState(name, float(weight), quota)
+            state = _TenantState(name, len(self._tenant_slots), float(weight), quota)
+            self._tenants[name] = state
+            self._tenant_slots.append(state)
         else:
             state.weight = float(weight)
             state.quota = quota
@@ -380,8 +370,7 @@ class ServiceScheduler:
         tstate = self._tenant_state(tenant if tenant is not None else self.default_tenant)
         group = self._group_for(session)
         entry = _SessionEntry(session, tstate, group)
-        group.sessions.append(entry)
-        group.attached += 1
+        group.sessions[session._driver] = entry
         self._entries[id(session)] = entry
         session._scheduler = self
         tstate.sessions += 1
@@ -413,22 +402,10 @@ class ServiceScheduler:
         session._scheduler = None
         entry.tenant.sessions -= 1
         del self._entries[id(session)]
-        entry.attached = False
         group = entry.group
-        group.attached -= 1
-        if group.attached == 0:
-            self._retire_group(group)
-
-    def _retire_group(self, group: _Group) -> None:
-        """Drop a group no session is attached to, keeping its fault tallies."""
-        if self._groups.get(group.key) is group:
-            del self._groups[group.key]
-        if group.recovery is not None:
-            faults = group.recovery.faults
-            if faults.recovery_ns:
-                self._retired_recovery[group.seq] = faults.recovery_ns
-            self._retired_checkpoints += faults.checkpoints_taken
-            self._retired_degraded.update(faults.degraded)
+        del group.sessions[session._driver]
+        if not group.sessions and self._groups.get(group.key) is group:
+            del self._groups[group.key]  # retired; its fault tallies stay
 
     def _group_for(self, session: WalkSession) -> _Group:
         from repro.service.service import WalkService
@@ -447,9 +424,9 @@ class ServiceScheduler:
         )
         group = self._groups.get(key)
         if group is None:
-            group = _Group(key, self._group_seq, session.engine)
-            self._group_seq += 1
-            self._groups[key] = group
+            group = self._groups[key] = _Group(key, session.engine)
+            if group.launch.recovery is not None:
+                self._faults.append(group.launch.recovery.faults)
         return group
 
     # ------------------------------------------------------------------ #
@@ -495,29 +472,17 @@ class ServiceScheduler:
     def recovery_time_ns(self) -> float:
         """Simulated recovery time accumulated by every fusion group
         (retired ones included; quarantined ones are gone)."""
-        by_seq = dict(self._retired_recovery)
-        for g in self._groups.values():
-            if g.recovery is not None:
-                by_seq[g.seq] = g.recovery.faults.recovery_ns
-        return sum(by_seq[seq] for seq in sorted(by_seq))
+        return sum(faults.recovery_ns for faults in self._faults)
 
     @property
     def checkpoints_taken(self) -> int:
         """Explicit (charged) checkpoints taken across every fusion group."""
-        return self._retired_checkpoints + sum(
-            g.recovery.faults.checkpoints_taken
-            for g in self._groups.values()
-            if g.recovery is not None
-        )
+        return sum(faults.checkpoints_taken for faults in self._faults)
 
     @property
     def degraded_devices(self) -> tuple[int, ...]:
         """Devices lost to permanent failures, across every fusion group."""
-        dead = set(self._retired_degraded)
-        for g in self._groups.values():
-            if g.recovery is not None:
-                dead.update(g.recovery.faults.degraded)
-        return tuple(sorted(dead))
+        return tuple(sorted({d for faults in self._faults for d in faults.degraded}))
 
     def tenant_stats(self) -> dict[str, TenantStats]:
         """Exact per-tenant accounting, split out of the fused execution."""
@@ -553,7 +518,7 @@ class ServiceScheduler:
             "tenants": sorted(self._tenants),
             "sessions": len(self._entries),
             "fusion_groups": len(self._groups),
-            "fused_positions": sum(len(g.run) for g in self._groups.values()),
+            "fused_positions": sum(len(g.launch.run) for g in self._groups.values()),
             "supersteps": self._tick,
             "queued": self._queued,
             "inflight": self._inflight,
@@ -580,8 +545,14 @@ class ServiceScheduler:
         steps = 0
         participants: list[tuple[_SessionEntry, int]] = []
         for group in list(self._groups.values()):
+            if not group.inflight:
+                continue  # idle: its launch would find no walker to step
             try:
-                steps += self._advance_group(group, participants)
+                # A failure replays within this tick: admissions only land
+                # at tick boundaries, so no new walker can join mid-replay.
+                step = group.launch.advance()
+                if step is not None:
+                    steps += self._fold(group, *step, participants)
             except Exception as exc:  # noqa: BLE001 - quarantine, don't wedge
                 self._quarantine_group(group, exc)
         self._tick += 1
@@ -681,7 +652,7 @@ class ServiceScheduler:
         ordinal = driver.ordinals[qid]
         if driver.paths[ordinal] is not None or qid in session._cancelled_ids:
             return False
-        if qid not in session._start_step_by_qid:  # still queued
+        if driver.start_step[ordinal] < 0:  # still queued
             for lane in [self._slo, *(t.queue for t in self._tenants.values())]:
                 for p in lane:
                     if p.entry is entry and p.query.query_id == qid:
@@ -690,18 +661,9 @@ class ServiceScheduler:
                         return True
             return False  # pragma: no cover - defensive
         group = entry.group
-        mine = (group.owner == entry.gidx) & (group.ords == ordinal)
-        pos = np.flatnonzero(mine)  # claimed ids are in flight in the group
-        run = group.run
-        run.frontier.terminate(pos)
+        pos = group.launch.cancel(driver, ordinal)  # claimed: in flight in the group
         session._cancelled_ids[qid] = reason
-        driver.settle(group.ords[pos], run.frontier.paths_of(pos), run.per_query_ns[pos])
-        # A restore from a pre-cancellation checkpoint would resurrect the
-        # terminated walker; rebase the group's restore point on the
-        # post-cancellation state instead.
-        if group.recovery is not None:
-            group.recovery.invalidate()
-        tenant = group.tenants[int(pos[0])]
+        tenant = self._tenant_slots[int(group.tenant[pos])]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
         entry.inflight -= 1
@@ -759,25 +721,30 @@ class ServiceScheduler:
         Sessions in *other* groups are untouched.
         """
         self._groups.pop(group.key, None)
+        if group.launch.recovery is not None:
+            self._faults = [f for f in self._faults if f is not group.launch.recovery.faults]
         message = f"{type(exc).__name__}: {exc}"
-        live = {entry for entry in group.sessions if entry.quarantined is None}
+        live = {entry for entry in group.sessions.values() if entry.quarantined is None}
         self._drop_queued(lambda p: p.entry in live, reason="quarantined")
         # Every walker still in the fused frontier whose result has not
         # settled (a finished or cancelled walk settles at once) was in
         # flight; compaction only ever drops settled walkers.
-        owner, ords = group.owner.tolist(), group.ords.tolist()
-        for pos, query in enumerate(group.run.frontier.queries):
-            entry = group.sessions[owner[pos]]
-            if entry.session._driver.paths[ords[pos]] is not None:
+        launch = group.launch
+        owner, ords = launch.owner.tolist(), launch.ords.tolist()
+        tenant_of = group.tenant.tolist()
+        for pos, query in enumerate(launch.run.frontier.queries):
+            driver = launch.owners[owner[pos]]
+            if driver.paths[ords[pos]] is not None:
                 continue
+            entry = group.sessions[driver]
             entry.session._cancelled_ids[query.query_id] = "quarantined"
-            tenant = group.tenants[pos]
+            tenant = self._tenant_slots[tenant_of[pos]]
             tenant.outstanding -= 1
             tenant.dead_letters += 1
             entry.inflight -= 1
             self._inflight -= 1
         group.inflight = 0
-        for entry in group.sessions:
+        for entry in group.sessions.values():
             if entry.quarantined is None:
                 entry.quarantined = message
                 self._quarantined.append(entry)
@@ -863,9 +830,10 @@ class ServiceScheduler:
         """Stage validated queries into the admission queues."""
         entry = self._entries[id(session)]
         tenant = self._submit_tenant(entry, options)
-        base = session._driver.ordinals[queries[0].query_id]
+        driver = session._driver
+        base, count = driver.ordinals[queries[0].query_id], len(queries)
+        driver.enqueue_step[base : base + count] = [self._tick] * count
         for i, query in enumerate(queries):
-            session._enqueue_step_by_qid[query.query_id] = self._tick
             pending = _Pending(
                 seq=self._seq,
                 entry=entry,
@@ -888,7 +856,6 @@ class ServiceScheduler:
                 tenant.queue.append(pending)
                 if options.deadline_steps is not None:
                     tenant.has_deadlines = True
-        count = len(queries)
         tenant.submitted += count
         tenant.outstanding += count
         entry.queued += count
@@ -1013,196 +980,74 @@ class ServiceScheduler:
 
         An admission boundary is the only time fused positions may move:
         the group's finished walkers are compacted away first (their
-        results already sit in their sessions' result ledgers), then the
-        new walkers are appended.
+        results already sit in their sessions' result ledgers; streams are
+        keyed by query id, so renumbering cannot change any walk), then the
+        new walkers are appended in admission order.  The launch charges
+        each session its walkers' queue fetches.
         """
-        run = group.run
-        if len(run) > group.inflight or group.attached < len(group.sessions):
-            self._compact(group)
-        run.admit([p.query for p in batch], group.engine.seed)
+        launch = group.launch
+        if len(launch.run) > group.inflight:
+            # Every walker that is not active has finished or was cancelled
+            # and settled then; the survivors keep their relative order.
+            keep = launch.run.frontier.active_indices()
+            launch.compact(keep)
+            group.tenant = group.tenant[keep]
         k = len(batch)
         tick = self._tick
-        per_entry: dict[_SessionEntry, list[_Pending]] = {}
+        drivers: dict[FrontierDriver, int] = {}  # -> its index in the admit call
+        held = []
         for p in batch:
             entry = p.entry
+            driver = entry.session._driver
+            held.append(drivers.setdefault(driver, len(drivers)))
+            driver.start_step[p.sub_ord] = tick
             entry.queued -= 1
             entry.inflight += 1
-            entry.session._start_step_by_qid[p.query.query_id] = tick
             p.tenant.admitted += 1
-            per_entry.setdefault(entry, []).append(p)
-        group.owner = np.concatenate(
-            [group.owner, np.array([p.entry.gidx for p in batch], dtype=np.int64)]
+        launch.admit(
+            list(drivers),
+            np.array(held, dtype=np.int64),
+            [p.query for p in batch],
+            np.array([p.sub_ord for p in batch], dtype=np.int64),
         )
-        group.ords = np.concatenate(
-            [group.ords, np.array([p.sub_ord for p in batch], dtype=np.int64)]
+        group.tenant = np.concatenate(
+            [group.tenant, np.array([p.tenant.slot for p in batch], dtype=np.int64)]
         )
-        group.tenants.extend([p.tenant for p in batch])
-
-        # Per-session fetch accounting: one queue atomic per admitted
-        # walker, exactly as a solo wave launch charges it (lane pricing is
-        # per-slot, so splitting a launch across admissions changes nothing).
-        weight_bytes = group.engine.weight_bytes
-        for entry, mine in per_entry.items():
-            driver = entry.session._driver
-            driver.charge(CostCounters(atomic_ops=len(mine), bytes_per_weight=weight_bytes))
-            if driver.ledger is not None:  # replicated: open the count columns
-                driver.ledger.launch(
-                    np.array([p.sub_ord for p in mine], dtype=np.int64),
-                    np.array([p.query.start_node for p in mine], dtype=np.int64),
-                )
         group.inflight += k
         self._queued -= k
         self._inflight += k
-        # Admission grew the frontier, so the group's restore point no
-        # longer matches its state; a fresh (cost-free) boundary snapshot
-        # is taken before the next superstep runs.
-        if group.recovery is not None:
-            group.recovery.invalidate()
-
-    @staticmethod
-    def _compact(group: _Group) -> None:
-        """Drop a group's finished walkers and detached sessions.
-
-        Every walker that is not active has finished or was cancelled, and
-        its result was settled into its session's result ledger then.  The
-        survivors keep their relative order; random streams are keyed by
-        query id, so renumbering them cannot change any walk.  A detached
-        session owned no live walker (detaching drains it), so the attached
-        sessions are renumbered too.
-        """
-        keep = group.run.frontier.active_indices()
-        group.run.compact(keep)
-        group.owner = group.owner[keep]
-        group.ords = group.ords[keep]
-        group.tenants = [group.tenants[i] for i in keep.tolist()]
-        if group.attached < len(group.sessions):
-            renumber = np.zeros(len(group.sessions), dtype=np.int64)
-            group.sessions = [e for e in group.sessions if e.attached]
-            for gidx, entry in enumerate(group.sessions):
-                renumber[entry.gidx] = gidx
-                entry.gidx = gidx
-            group.owner = renumber[group.owner]
 
     # ------------------------------------------------------------------ #
-    # Superstep execution and exact per-session attribution
+    # Per-tenant and per-session results of a superstep
     # ------------------------------------------------------------------ #
-    def _advance_group(
-        self, group: _Group, participants: list[tuple[_SessionEntry, int]]
-    ) -> int:
-        if not group.inflight:
-            # Idle: a superstep generator would only find an empty frontier.
-            group.gen = None
-            return 0
-        if group.gen is None:
-            group.gen = iter_supersteps(group.engine, group.run, group.aggregate, group.usage)
-        recovery = group.recovery
-        if recovery is not None:
-            # Admission boundary (or group birth): a cost-free snapshot.
-            recovery.begin()
-        try:
-            report = next(group.gen)
-        except StopIteration:
-            group.gen = None
-            return 0
-        self._fold(group, report, participants)
-        if recovery is not None:
-            # A failure replays within this tick: admissions only land at
-            # tick boundaries, so no new walker can join mid-replay.
-            recovery.end(report)
-        return report.steps
-
     def _fold(
-        self,
-        group: _Group,
-        report,
-        participants: list[tuple[_SessionEntry, int]],
-    ) -> None:
-        """Split one fused superstep back out per session and tenant.
-
-        Integer counts fold exactly under any grouping (per-owner sums of
-        per-walker integers); per-walker float times accumulate in each
-        walker's own slot in walk order, identical to a solo run — which is
-        why the per-session results stay bit-identical.  Replicated plans'
-        per-walker counts land straight in the owning session's ledger
-        columns.  Finished walkers are settled into their sessions' result
-        ledgers at their submission ordinals and emitted as chunks.
-        """
-        sessions = group.sessions
-        steps_by: list[int] = []
-        tick_counters: dict[int, CostCounters] = {}
-        active = report.active
-        if active.size:
-            counters = report.counters
-            owners = group.owner[active]
-            n = len(sessions)
-            counts = np.bincount(owners, minlength=n)
-            lane_ns = np.bincount(owners, weights=report.step_ns, minlength=n).tolist()
-            present = counts.nonzero()[0].tolist()
-            steps_by = counts.tolist()
-            if len(present) == 1:
-                folded = [report.totals]
-            else:
-                weight_bytes = group.engine.weight_bytes
-                sums = fold_counters_by_owner(owners, counters, n)
-                folded = [
-                    CostCounters(*column, bytes_per_weight=weight_bytes)
-                    for column in sums[:, present].T.tolist()
-                ]
-            for gidx, totals in zip(present, folded, strict=True):
-                entry = sessions[gidx]
-                steps = steps_by[gidx]
-                driver = entry.session._driver
-                driver.charge(totals, steps=steps)
-                if driver.ledger is not None:
-                    mine = np.flatnonzero(owners == gidx) if len(present) > 1 else slice(None)
-                    driver.ledger.add(group.ords[active[mine]], counters.counts[:, mine])
-                entry.tenant.steps += steps
-                entry.tenant.lane_ns += lane_ns[gidx]
-                tick_counters[gidx] = totals
-                participants.append((entry, steps))
-            # Sampler usage, attributed per session through the report's
-            # kernel assignment (key set matches solo runs: a sampler is
-            # recorded only for sessions whose walkers executed it).
-            if report.assignment is not None:
-                names = report.sampler_names
-                used = np.bincount(report.assignment * n + owners, minlength=len(names) * n)
-                for key, count in zip(used.nonzero()[0].tolist(),
-                                      used[used > 0].tolist(), strict=True):
-                    sessions[key % n].session._driver.charge_usage(names[key // n], count)
-
-        finished = report.finished
-        if finished.size == 0:
-            return
-        run = group.run
-        queries = run.frontier.queries
-        fused = finished.tolist()
-        owner = group.owner[finished].tolist()
-        ords = group.ords[finished]
-        walks = run.frontier.paths_of(finished)
-        ns = run.per_query_ns[finished]
-        by_entry: dict[int, list[int]] = {}
-        for j, gidx in enumerate(owner):
-            by_entry.setdefault(gidx, []).append(j)
-        for gidx, picks in by_entry.items():
-            entry = sessions[gidx]
-            session = entry.session
-            session._driver.settle(ords[picks], [walks[j] for j in picks], ns[picks])
-            for j in picks:
-                tenant = group.tenants[fused[j]]
-                tenant.outstanding -= 1
-                tenant.completed += 1
-            entry.inflight -= len(picks)
-            chunk = session._emit(
-                tuple([queries[fused[j]].query_id for j in picks]),
-                tuple([tuple(walks[j]) for j in picks]),
-                steps=steps_by[gidx] if steps_by else 0,
-                counters=tick_counters.get(gidx)
-                or CostCounters(bytes_per_weight=group.engine.weight_bytes),
-                superstep=self._tick,
-            )
-            entry.chunks.append(chunk)
-        group.inflight -= len(fused)
-        self._inflight -= len(fused)
+        self, group: _Group, report, parts, participants: list[tuple[_SessionEntry, int]]
+    ) -> int:
+        """Tenant stats and session chunks of one fused superstep; returns
+        its steps.  The launch already folded the work into each session's
+        driver: here steps and lane time land on each walker's own tenant,
+        completions release budget and quota, and each session with
+        finished walks gets its chunk."""
+        slots, tenant = self._tenant_slots, group.tenant
+        held = tenant[report.active]
+        lane_ns = np.bincount(held, weights=report.step_ns).tolist()
+        for t, steps in enumerate(np.bincount(held).tolist()):
+            if steps:
+                slots[t].steps += steps
+                slots[t].lane_ns += lane_ns[t]
+        for t in tenant[report.finished].tolist():
+            slots[t].outstanding -= 1
+            slots[t].completed += 1
+        group.inflight -= report.finished.size
+        self._inflight -= report.finished.size
+        for part in parts:
+            entry = group.sessions[part.owner]
+            if part.steps:
+                participants.append((entry, part.steps))
+            if part.query_ids:
+                entry.inflight -= len(part.query_ids)
+                entry.chunks.append(entry.session._emit(part, superstep=self._tick))
+        return report.steps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -6,9 +6,9 @@ compiled workload, hint tables and transition cache live on the parent
 :class:`~repro.service.WalkService` and are shared with every sibling
 session — only the per-tenant run state: a
 :class:`~repro.runtime.scheduler.DynamicQueryQueue` that accepts incremental
-:meth:`~WalkSession.submit` calls, tickets, queue-delay bookkeeping, and the
-batched :class:`~repro.runtime.frontier.FrontierDriver` that executes the
-claimed waves and assembles the exact
+:meth:`~WalkSession.submit` calls, tickets, and the batched
+:class:`~repro.runtime.frontier.FrontierDriver` that executes the claimed
+waves, keeps the queue-delay columns and assembles the exact
 :class:`~repro.runtime.engine.WalkRunResult` at :meth:`~WalkSession.collect`
 time.  The driver also holds the session's one result ledger, keyed by
 submission ordinal: each finished walk — run by the session's own waves or
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 from repro.errors import DeadlineExceeded, ServiceError
 from repro.gpusim.counters import CostCounters
 from repro.runtime.engine import WalkRunResult
-from repro.runtime.frontier import FrontierDriver
+from repro.runtime.frontier import FrontierDriver, OwnerStep
 from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
 from repro.walks.state import WalkQuery
 
@@ -190,10 +190,10 @@ class QueryTicket:
         """
         if any(q in self._session._cancelled_ids for q in self.query_ids):
             return "cancelled"
-        if None not in self._settled_paths():
+        driver = self._session._driver
+        if None not in self._column(driver.paths):
             return "done"
-        claimed = self._session._start_step_by_qid
-        if any(q in claimed for q in self.query_ids):
+        if max(self._column(driver.start_step)) >= 0:
             return "running"
         return "queued"
 
@@ -249,14 +249,14 @@ class QueryTicket:
                 f"ticket {self.ticket_id} is {self.status}; "
                 "drain stream() or call collect() before reading its paths"
             )
-        return [list(path) for path in self._settled_paths()]
+        return [list(path) for path in self._column(session._driver.paths)]
 
-    def _settled_paths(self) -> list:
-        """This ticket's slice of the session's result ledger (``None``: not
-        settled); one submit call holds consecutive submission ordinals."""
-        driver = self._session._driver
-        first = driver.ordinals[self.query_ids[0]]
-        return driver.paths[first : first + len(self.query_ids)]
+    def _column(self, column: list) -> list:
+        """This ticket's entries of a result-ledger column (``paths`` holds
+        ``None`` until a walk settles, ``start_step`` -1 until it is
+        claimed); one submit call holds consecutive submission ordinals."""
+        first = self._session._driver.ordinals[self.query_ids[0]]
+        return column[first : first + len(self.query_ids)]
 
 
 class WalkSession:
@@ -317,17 +317,12 @@ class WalkSession:
         # Execution and the result ledger live on the batched driver: it
         # runs the session's waves (while a scheduler is attached, the fused
         # loop settles this session's walks into it) and assembles the
-        # exact result at collect time.
+        # exact result at collect time.  Its queue-delay columns hold the
+        # superstep each query was submitted at and first claimed (launched
+        # or admitted) at — scheduler ticks on a scheduler-attached session.
         self._driver = FrontierDriver(engine, track_finished=True)
         self._supersteps = 0
         self._chunks_emitted = 0
-
-        # Queue-delay bookkeeping surfaced through WalkChunk: the superstep
-        # ordinal each query was submitted at and first claimed (launched
-        # or admitted) at.  On a scheduler-attached session these hold
-        # scheduler tick ordinals.
-        self._enqueue_step_by_qid: dict[int, int] = {}
-        self._start_step_by_qid: dict[int, int] = {}
         # Set by ServiceScheduler.attach(); while attached, submit routes
         # through the scheduler's admission queues and stream()/collect()
         # drive the shared continuous-batching loop.
@@ -376,7 +371,7 @@ class WalkSession:
             # Backpressure before any session state mutates: a QueueFull
             # submission must leave the session exactly as it was.
             self._scheduler._reserve_capacity(self, len(queries), options)
-        self._driver.register(queries)
+        first = self._driver.register(queries)
         ticket = QueryTicket(
             ticket_id=len(self._tickets),
             query_ids=tuple(q.query_id for q in queries),
@@ -386,9 +381,7 @@ class WalkSession:
         if self._scheduler is not None:
             self._scheduler._enqueue(self, queries, options)
         else:
-            enqueue_step = self._supersteps
-            for q in queries:
-                self._enqueue_step_by_qid[q.query_id] = enqueue_step
+            self._driver.enqueue_step[first : first + len(queries)] = [self._supersteps] * len(queries)
             self._queue.extend(queries)
         return ticket
 
@@ -473,25 +466,18 @@ class WalkSession:
                 remaining = self._queue.remaining
                 if remaining == 0:
                     return
-                # Claim every queued query into one wave.
+                # Claim every queued query (consecutive ordinals) into one wave.
                 queries = self._queue.fetch_batch(remaining)
-                for q in queries:
-                    self._start_step_by_qid[q.query_id] = self._supersteps
+                first, n = driver.ordinals[queries[0].query_id], len(queries)
+                driver.start_step[first : first + n] = [self._supersteps] * n
                 driver.launch(queries)
-            report = driver.advance()
-            if report is None:
+            step = driver.advance()
+            if step is None:
                 continue
             self._supersteps += 1
-            if report.finished.size == 0:
-                continue
-            finished, paths = driver.finished_walks(report)
-            query_ids = tuple([q.query_id for q in finished])
-            yield self._emit(
-                query_ids,
-                tuple(map(tuple, paths)),
-                steps=report.steps,
-                counters=report.counters.totals(),
-            )
+            for part in step[1]:  # the one owner: this session's driver
+                if part.query_ids:
+                    yield self._emit(part)
 
     def collect(self) -> WalkRunResult:
         """Drain all pending work and return the exact aggregate result.
@@ -517,26 +503,19 @@ class WalkSession:
     # ------------------------------------------------------------------ #
     # Chunk emission
     # ------------------------------------------------------------------ #
-    def _emit(
-        self,
-        query_ids,
-        paths,
-        steps: int,
-        counters: CostCounters,
-        superstep: int | None = None,
-    ) -> WalkChunk:
+    def _emit(self, part: OwnerStep, superstep: int | None = None) -> WalkChunk:
+        """The chunk of this session's part of one superstep."""
+        driver = self._driver
         chunk = WalkChunk(
             sequence=self._chunks_emitted,
             superstep=self._supersteps - 1 if superstep is None else superstep,
-            query_ids=query_ids,
-            paths=paths,
-            steps=steps,
-            counters=counters,
+            query_ids=part.query_ids,
+            paths=part.paths,
+            steps=part.steps,
+            counters=part.counters,
             pending=self.pending,
-            enqueue_steps=tuple(self._enqueue_step_by_qid.get(q, 0) for q in query_ids),
-            first_scheduled_steps=tuple(
-                self._start_step_by_qid.get(q, 0) for q in query_ids
-            ),
+            enqueue_steps=tuple([driver.enqueue_step[o] for o in part.ordinals]),
+            first_scheduled_steps=tuple([driver.start_step[o] for o in part.ordinals]),
         )
         self._chunks_emitted += 1
         return chunk

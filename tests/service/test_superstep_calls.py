@@ -21,8 +21,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 #: Ceiling on Python-level calls into ``src/repro`` per tick on this pass.
 #: Measured 106.5 with complete hint tables, the matrix-backed CounterBatch
-#: and retiring, compacting fusion groups; 134.3 before them.
-PROGRAM_CALLS_PER_TICK_CEILING = 112.0
+#: and retiring, compacting fusion groups; 134.3 before them.  104.6 on the
+#: 300-request pass (102.9 on this one) once fusion groups advance through
+#: the driver's ``FrontierLaunch``; the ceiling keeps a ~5% margin over it.
+PROGRAM_CALLS_PER_TICK_CEILING = 110.0
 
 
 @pytest.fixture(scope="module")
