@@ -11,10 +11,16 @@ with ``sys.setprofile`` (no timers): Python-level calls, C-level calls
 (builtins and numpy functions and methods) and the top call sites.  Unlike
 CPU time, the counts are free of host noise.
 
+``--wave A B`` counts a standalone wave instead (:func:`wave_calls`: one
+``submit`` of every walker, ``stream``, ``collect``) at ``A`` and at ``B``
+walkers and prints the calls each extra walker adds: the per-walker Python
+work on the batch path.
+
 Usage::
 
     PYTHONPATH=src python scripts/superstep_calls.py                 # 1,000 requests
     PYTHONPATH=src python scripts/superstep_calls.py --requests 120 --top 30
+    PYTHONPATH=src python scripts/superstep_calls.py --wave 1000 4000
 """
 
 from __future__ import annotations
@@ -158,6 +164,52 @@ def closed_loop_pass(requests: int = 1000, seed: int = 4, tick_ms: float = 0.6) 
     return counts
 
 
+def wave_calls(walkers: int, seed: int = 4, nodes: int = 5_000, length: int = 20) -> CallCounts:
+    """Calls of one standalone wave of ``walkers`` DeepWalk walks.
+
+    The graph is a weighted ``nodes``-node BA graph; a 100-walker wave warms
+    the service first, so the counted wave (``submit`` of every walker,
+    ``stream``, ``collect``) pays no one-off set-up.  ``ticks`` counts the
+    streamed chunks.  Walkers up to the device's lane count (4,032) keep the
+    executor's schedule an identity, so the difference between two walker
+    counts is the per-walker host work.
+    """
+    import numpy as np
+
+    from repro import DeepWalkSpec, FlexiWalkerConfig, WalkService
+    from repro.graph.generators import barabasi_albert_graph
+    from repro.graph.weights import uniform_weights
+
+    graph = barabasi_albert_graph(nodes, 4, seed=seed)
+    service = WalkService(graph.with_weights(uniform_weights(graph, seed=seed)))
+    config = FlexiWalkerConfig(seed=seed)
+    starts = np.random.default_rng(seed).integers(0, nodes, walkers + 100).tolist()
+    warm = service.session(DeepWalkSpec(), config)
+    warm.submit([WalkQuery(i, s, length) for i, s in enumerate(starts[walkers:])])
+    warm.collect()
+    warm.close()
+
+    session = service.session(DeepWalkSpec(), config)
+    queries = [WalkQuery(i, s, length) for i, s in enumerate(starts[:walkers])]
+    counts = CallCounts()
+    profiler = _Profiler(counts)
+    sys.setprofile(profiler)
+    try:
+        session.submit(queries)
+        for _ in session.stream():
+            counts.ticks += 1
+        result = session.collect()
+    finally:
+        sys.setprofile(None)
+    session.close()
+    counts.steps = result.total_steps
+    counts.sim_ms = result.kernel.total_work_ns / 1e6
+    counts.digest = hashlib.sha256(
+        result.paths.matrix.tobytes() + result.paths.lengths.tobytes()
+    ).hexdigest()
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=1000)
@@ -165,7 +217,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tick-ms", type=float, default=0.6,
                         help="simulated clock advance per tick (closed loop)")
     parser.add_argument("--top", type=int, default=25, help="call sites to list")
+    parser.add_argument("--wave", type=int, nargs=2, metavar=("A", "B"),
+                        help="count standalone waves of A and B walkers instead")
     args = parser.parse_args(argv)
+
+    if args.wave:
+        low, high = (wave_calls(walkers) for walkers in args.wave)
+        extra = args.wave[1] - args.wave[0]
+        for name in ("python", "program", "c"):
+            a, b = getattr(low, name), getattr(high, name)
+            print(f"{name:>8} calls: {a} at {args.wave[0]}, {b} at {args.wave[1]} walkers; "
+                  f"{(b - a) / extra:.4f} per walker")
+        print(f"\ntop {args.top} call sites (extra calls per walker):")
+        growth = high.sites.copy()
+        growth.subtract(low.sites)
+        for site, calls in growth.most_common(args.top):
+            print(f"  {calls / extra:8.4f}  {site}")
+        return 0
 
     counts = closed_loop_pass(args.requests, args.seed, args.tick_ms)
     for name, value in counts.summary().items():

@@ -38,6 +38,7 @@ from repro.runtime.faults import (
     TransientFault,
 )
 from repro.runtime.frontier import SuperstepReport
+from repro.walks.paths import PathTable
 
 __all__ = [
     "DEFAULT_CHECKPOINT_INTERVAL",
@@ -46,6 +47,7 @@ __all__ = [
     "FaultPlan",
     "GRAPH_PLACEMENTS",
     "InterconnectDrop",
+    "PathTable",
     "SuperstepReport",
     "TransientFault",
     "CostModel",

@@ -34,6 +34,7 @@ from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
 from repro.runtime.selector import FixedSelector, SamplerSelector
 from repro.sampling.base import Sampler, StepContext, is_dead_end
 from repro.sampling.ervs import EnhancedReservoirSampler
+from repro.walks.paths import PathTable
 from repro.walks.spec import WalkSpec
 from repro.walks.state import WalkerState, WalkQuery
 
@@ -130,9 +131,13 @@ class WalkRunResult:
     the placement-invariant base times in ``per_query_ns``),
     ``comm_time_ns`` (total interconnect time) and ``remote_steps`` (steps
     whose sampled destination was owned by another shard).
+
+    ``paths`` holds the walks in submission order as a read-only
+    :class:`~repro.walks.paths.PathTable`: iterate or index it for lists,
+    or read ``paths.matrix`` / ``paths.lengths`` as arrays.
     """
 
-    paths: list[list[int]]
+    paths: PathTable
     per_query_ns: np.ndarray
     counters: CostCounters
     kernel: KernelResult
@@ -240,7 +245,7 @@ class WalkRunResult:
 
     @property
     def start_nodes(self) -> np.ndarray:
-        return np.array([path[0] for path in self.paths], dtype=np.int64)
+        return self.paths.matrix[:, 0].copy()
 
     def selection_ratio(self) -> dict[str, float]:
         """Fraction of steps handled by each kernel (the Fig. 14 metric)."""
@@ -252,7 +257,7 @@ class WalkRunResult:
     def average_walk_length(self) -> float:
         if not self.paths:
             return 0.0
-        return float(np.mean([len(p) - 1 for p in self.paths]))
+        return float(np.mean(self.paths.lengths - 1))
 
     def summary(self) -> dict[str, object]:
         """Condense the run into the quantities reported in the paper's tables.
@@ -261,7 +266,7 @@ class WalkRunResult:
         the simulated execution time, the profiling/preprocessing overhead,
         walk statistics and the kernel-selection ratio.
         """
-        lengths = np.array([len(path) - 1 for path in self.paths], dtype=np.int64)
+        lengths = self.paths.lengths - 1
         return {
             "num_queries": len(self.paths),
             "total_steps": self.total_steps,
@@ -699,7 +704,7 @@ class WalkEngine:
         executor = KernelExecutor(self.device)
         kernel = executor.execute(per_query_ns, counters=aggregate, scheduling=self.scheduling)
         return WalkRunResult(
-            paths=paths,
+            paths=PathTable.from_lists(paths),
             per_query_ns=per_query_ns,
             counters=aggregate,
             kernel=kernel,

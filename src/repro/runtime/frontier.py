@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from repro.rng.streams import AdoptedStreamPool
 from repro.runtime.faults import reassign_owners
 from repro.runtime.scheduler import validate_queries
 from repro.sampling.batch import BatchStepContext, BufferArena
+from repro.walks.paths import PathTable
 from repro.walks.state import WalkerFrontier, WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports frontier
@@ -962,17 +963,30 @@ class ShardedRunAccounting:
         return kernels
 
 
-class OwnerStep(NamedTuple):
-    """One owner's part of a superstep: the walker-steps and counts its
-    walkers executed, and its walks that completed (ledger ordinals, query
-    ids and paths; all empty when none did)."""
+#: The completions of an owner none of whose walks finished in a superstep.
+_NO_ORDINALS = np.zeros(0, dtype=np.int64)
+_NO_PATHS = PathTable(np.zeros((0, 1), dtype=np.int64), _NO_ORDINALS)
 
-    owner: FrontierDriver
-    steps: int
-    counters: CostCounters
-    ordinals: tuple[int, ...] = ()
-    query_ids: tuple[int, ...] = ()
-    paths: tuple[tuple[int, ...], ...] = ()
+
+class OwnerStep:
+    """One owner's part of a superstep: the walker-steps and counts its
+    walkers executed, and its walks that completed (ledger ordinals as an
+    array, query ids as a tuple and paths as a :class:`PathTable`; all empty
+    when none did)."""
+
+    __slots__ = ("owner", "steps", "counters", "ordinals", "query_ids", "paths")
+
+    def __init__(
+        self, owner: FrontierDriver, steps: int, counters: CostCounters,
+        ordinals: np.ndarray = _NO_ORDINALS, query_ids: tuple[int, ...] = (),
+        paths: PathTable = _NO_PATHS,
+    ) -> None:
+        self.owner = owner
+        self.steps = steps
+        self.counters = counters
+        self.ordinals = ordinals
+        self.query_ids = query_ids
+        self.paths = paths
 
 
 class FrontierLaunch:
@@ -1054,9 +1068,10 @@ class FrontierLaunch:
         prefix it walked and return its position.  A restore from an older
         checkpoint would resurrect it, so the restore point is dropped."""
         pos = ((self.owner == self.owners.index(owner)) & (self.ords == ordinal)).nonzero()[0]
-        run = self.run
-        run.frontier.terminate(pos)
-        owner.settle(self.ords[pos], run.frontier.paths_of(pos), run.per_query_ns[pos])
+        run, frontier = self.run, self.run.frontier
+        frontier.terminate(pos)
+        owner.settle(self.ords[pos], frontier.path_buf[pos], frontier.path_len[pos],
+                     run.per_query_ns[pos])
         if self.recovery is not None:
             self.recovery.invalidate()
         return int(pos[0])
@@ -1104,14 +1119,22 @@ class FrontierLaunch:
             folded = [CostCounters(*c, bytes_per_weight=weight_bytes) for c in sums.T.tolist()]
         if present.size:
             used = np.bincount(report.assignment * n + held, minlength=len(names) * n).tolist()
-        done: dict[int, list[int]] = {}  # owner -> its finished walks' indices in `finished`
+        # owner -> its finished walkers, as indices into `finished`
+        done: dict[int, slice | np.ndarray] = {}
         if finished.size:
-            for j, i in enumerate(self.owner[finished].tolist()):
-                done.setdefault(i, []).append(j)
+            held_done = self.owner[finished]
+            first = int(held_done[0])
+            if n == 1 or (held_done == first).all():
+                done[first] = slice(None)
+            else:
+                order = np.argsort(held_done, kind="stable")
+                cuts = np.flatnonzero(np.diff(held_done[order])) + 1
+                done = {int(held_done[p[0]]): p for p in np.split(order, cuts)}
         parts, charged = [], {}
         for j, i in enumerate(present.tolist()):
             owner, steps = owners[i], int(counts[i])
-            owner.charge(folded[j], steps=steps)
+            owner.aggregate.merge(folded[j])
+            owner.total_steps += steps
             for k, name in enumerate(names):
                 if used[k * n + i]:  # the key set of a solo run: kernels this owner ran
                     owner.usage[name] = owner.usage.get(name, 0) + used[k * n + i]
@@ -1132,17 +1155,18 @@ class FrontierLaunch:
             else:
                 parts.append(OwnerStep(owner, steps, folded[j]))
         if done:
-            walks = run.frontier.paths_of(finished)
-            queries = run.frontier.queries
+            frontier = run.frontier
+            rows, lengths = frontier.path_buf[finished], frontier.path_len[finished]
+            ns, queries = run.per_query_ns[finished], frontier.queries
             for i, picks in done.items():
                 mine = finished[picks]
-                ords = self.ords[mine]
-                owners[i].settle(ords, [walks[j] for j in picks], run.per_query_ns[mine])
+                ords, own_rows, own_lengths = self.ords[mine], rows[picks], lengths[picks]
+                owners[i].settle(ords, own_rows, own_lengths, ns[picks])
                 steps, totals = charged.get(i) or (0, CostCounters(bytes_per_weight=weight_bytes))
                 parts.append(OwnerStep(
-                    owners[i], steps, totals, tuple(ords.tolist()),
+                    owners[i], steps, totals, ords,
                     tuple([queries[k].query_id for k in mine.tolist()]),
-                    tuple([tuple(walks[j]) for j in picks]),
+                    PathTable(own_rows, own_lengths),
                 ))
         return parts
 
@@ -1163,16 +1187,20 @@ class FrontierDriver:
     call that observed it, and the launch's fault tallies land here when it
     ends.
 
-    The result ledger is keyed by submission ordinal (:meth:`register`;
-    ``ordinals`` maps query ids to ordinals).  :meth:`settle` is the only
-    way a finished or cancelled in-flight walk enters it, always from a
-    :class:`FrontierLaunch` — this driver's own, or a scheduler fusion
-    group's that holds some of its walkers — or from the end of a launch.
-    ``paths[o]`` is ``None`` until walk ``o`` settles; a walk cancelled
-    while queued never does.  Two more columns hold the queue-delay clock:
-    the superstep walk ``o`` was submitted at (``enqueue_step[o]``) and the
-    one it was first claimed for execution at (``start_step[o]``, ``-1``
-    while it has not been).
+    The result ledger is a set of columns indexed by submission ordinal
+    (:meth:`register`; ``ordinals`` maps query ids to ordinals): walk ``o``
+    is ``rows[o, :lengths[o]]`` and took ``ns[o]`` simulated nanoseconds.
+    :meth:`settle` is the only way a finished or cancelled in-flight walk
+    enters it, always from a :class:`FrontierLaunch` — this driver's own,
+    or a scheduler fusion group's that holds some of its walkers — or from
+    the end of a launch.  ``lengths[o]`` is 0 until walk ``o`` settles; a
+    walk cancelled while queued never does.  Two more columns hold the
+    queue-delay clock: the superstep walk ``o`` was submitted at
+    (``enqueue_step[o]``) and the one it was first claimed for execution at
+    (``start_step[o]``, ``-1`` while it has not been).  The columns'
+    capacity doubles as walks register, so they run past the last ordinal
+    (unsettled, unclaimed); ``rows`` is as wide as the longest registered
+    walk.
 
     :meth:`run` launches everything and collects; a
     :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
@@ -1201,10 +1229,11 @@ class FrontierDriver:
         self.degraded: list[int] = []
         # The result ledger, by submission ordinal.
         self.ordinals: dict[int, int] = {}
-        self.paths: list[list[int] | None] = []
-        self._ns: list[float] = []
-        self.enqueue_step: list[int] = []
-        self.start_step: list[int] = []
+        self.rows = np.full((0, 1), -1, dtype=np.int64)
+        self.lengths = np.zeros(0, dtype=np.int64)
+        self.ns = np.zeros(0, dtype=np.float64)
+        self.enqueue_step = np.zeros(0, dtype=np.int64)
+        self.start_step = np.zeros(0, dtype=np.int64)
         self._launch: FrontierLaunch | None = None
 
     @property
@@ -1220,23 +1249,35 @@ class FrontierDriver:
         return int(self._launch.run.frontier.active_indices().size)
 
     # ------------------------------------------------------------------ #
-    def register(self, queries: list[WalkQuery]) -> int:
-        """Give ``queries`` the next submission ordinals; returns the first."""
-        first, n = len(self.paths), len(queries)
-        self.ordinals.update(zip([q.query_id for q in queries], range(first, first + n)))
-        self.paths.extend([None] * n)
-        self._ns.extend([0.0] * n)
-        self.enqueue_step.extend([-1] * n)
-        self.start_step.extend([-1] * n)
+    def register(self, query_ids: list[int], max_length: int) -> int:
+        """Give the queries ``query_ids`` (walks of at most ``max_length``
+        steps) the next submission ordinals; returns the first."""
+        first = len(self.ordinals)
+        end = first + len(query_ids)
+        self.ordinals.update(zip(query_ids, range(first, end)))
+        capacity, width = self.lengths.size, self.rows.shape[1]
+        if end > capacity:
+            capacity = max(end, 2 * capacity)
+            self.lengths = _grown(self.lengths, capacity, 0)
+            self.ns = _grown(self.ns, capacity, 0.0)
+            self.enqueue_step = _grown(self.enqueue_step, capacity, -1)
+            self.start_step = _grown(self.start_step, capacity, -1)
+        if capacity > len(self.rows) or max_length >= width:
+            rows = np.full((capacity, max(width, max_length + 1)), -1, dtype=np.int64)
+            rows[: len(self.rows), :width] = self.rows
+            self.rows = rows
         return first
 
     def settle(
-        self, ordinals: np.ndarray, paths: list[list[int]], per_query_ns: np.ndarray
+        self, ordinals: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+        per_query_ns: np.ndarray,
     ) -> None:
-        """Enter finished (or cancelled in-flight) walks into the result ledger."""
-        for o, path, ns in zip(ordinals.tolist(), paths, per_query_ns.tolist(), strict=True):
-            self.paths[o] = path
-            self._ns[o] = ns
+        """Enter finished (or cancelled in-flight) walks into the result
+        ledger: walk ``ordinals[j]`` is ``rows[j, :lengths[j]]``."""
+        width = min(rows.shape[1], self.rows.shape[1])
+        self.rows[ordinals, :width] = rows[:, :width]
+        self.lengths[ordinals] = lengths
+        self.ns[ordinals] = per_query_ns
 
     # ------------------------------------------------------------------ #
     def run(
@@ -1259,7 +1300,9 @@ class FrontierDriver:
             raise SimulationError("the previous launch is still executing")
         offset = self.ordinals.get(queries[0].query_id) if queries else None
         if offset is None:
-            offset = self.register(queries)
+            offset = self.register(
+                [q.query_id for q in queries], max([q.max_length for q in queries], default=0)
+            )
         n = len(queries)
         self._launch = FrontierLaunch(
             self.engine, self.track_finished, None if self.ledger is None else self._take_over
@@ -1294,7 +1337,8 @@ class FrontierDriver:
     def _finish(self, launch: FrontierLaunch) -> None:
         run = launch.run
         if not self.track_finished:  # no superstep reported a completion
-            self.settle(launch.ords, run.frontier.paths(), run.per_query_ns)
+            walks = run.frontier.paths()
+            self.settle(launch.ords, walks.matrix, walks.lengths, run.per_query_ns)
         if launch.recovery is not None:
             faults = launch.recovery.faults
             self.recovery_ns += faults.recovery_ns
@@ -1325,8 +1369,8 @@ class FrontierDriver:
         from repro.runtime.engine import WalkRunResult
 
         engine = self.engine
-        settled = [o for o, path in enumerate(self.paths) if path is not None]
-        per_query_ns = np.array([self._ns[o] for o in settled], dtype=np.float64)
+        settled = self.lengths.nonzero()[0]
+        per_query_ns = self.ns[settled]
         aggregate = self.aggregate.copy()
         num_queries = int(per_query_ns.size)
         ledger = self.ledger
@@ -1363,7 +1407,7 @@ class FrontierDriver:
             )
         compiled = engine.compiled
         return WalkRunResult(
-            paths=[list(self.paths[o]) for o in settled],
+            paths=PathTable(self.rows[settled], self.lengths[settled]),
             per_query_ns=per_query_ns,
             counters=aggregate,
             kernel=kernel,
@@ -1412,20 +1456,21 @@ def run_multi_device_serial(
     runs = [FrontierDriver(single).run(sub) for sub in split_for_devices(queries, partitions)]
 
     n = len(queries)
-    paths: list[list[int]] = [[] for _ in range(n)]
+    rows = np.full((n, max(sub.paths.matrix.shape[1] for sub in runs)), -1, dtype=np.int64)
+    lengths = np.zeros(n, dtype=np.int64)
     per_query_ns = np.zeros(n, dtype=np.float64)
     aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
     usage: dict[str, int] = {}
     for part, sub in zip(partitions, runs, strict=True):
         per_query_ns[part] = sub.per_query_ns
-        for index, path in zip(part, sub.paths, strict=True):
-            paths[int(index)] = path
+        rows[part, : sub.paths.matrix.shape[1]] = sub.paths.matrix
+        lengths[part] = sub.paths.lengths
         aggregate.merge(sub.counters)
         for name, count in sub.sampler_usage.items():
             usage[name] = usage.get(name, 0) + count
     device_kernels = [sub.kernel for sub in runs]
     return WalkRunResult(
-        paths=paths,
+        paths=PathTable(rows, lengths),
         per_query_ns=per_query_ns,
         counters=aggregate,
         kernel=_merge_device_kernels(engine, device_kernels, aggregate, n),
@@ -1437,6 +1482,13 @@ def run_multi_device_serial(
         partition_policy=engine.partition_policy,
         device_kernels=device_kernels,
     )
+
+
+def _grown(column: np.ndarray, capacity: int, fill) -> np.ndarray:
+    """``column`` extended to ``capacity`` entries of ``fill``."""
+    out = np.full(capacity, fill, dtype=column.dtype)
+    out[: column.size] = column
+    return out
 
 
 def _merge_device_kernels(

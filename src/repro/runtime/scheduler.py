@@ -130,41 +130,39 @@ def split_for_devices(
     return [[queries[int(i)] for i in part] for part in partitions]
 
 
-def validate_queries(queries: list[WalkQuery], num_nodes: int) -> None:
-    """Sanity-check a query batch against the target graph.
+def validate_queries(queries: list[WalkQuery], num_nodes: int) -> list[int]:
+    """Sanity-check a query batch against the target graph; returns its
+    query ids, in order.
 
     Query ids must be unique within a batch: each id owns one random stream,
     and two walks sharing a stream would consume it in execution-order —
     making the result depend on scheduling instead of only on the seed (and
     silently breaking the scalar/batched parity guarantee).
 
-    Runs on every submit and every engine run, so both checks are
-    vectorised (a single pass to extract the fields, then numpy for the
-    range test and the sort-based duplicate detection) — the per-query
-    Python loop with a growing ``set`` dominated large-batch submit cost.
-    Error behaviour is unchanged: the reported query is the first one, in
-    submission order, that fails either check (range checked before
-    duplication at the same index, exactly like the old loop).
+    Runs on every submit and every engine run, so the passing case is two
+    field extractions, ``min``/``max`` and one ``set``: no per-query Python
+    call.  Only a failing batch is searched for its first offender — the
+    first query, in submission order, that fails either check (range
+    checked before duplication at the same index).
     """
-    n = len(queries)
-    if n == 0:
-        return
-    starts = np.fromiter((q.start_node for q in queries), dtype=np.int64, count=n)
-    out_of_range = (starts < 0) | (starts >= num_nodes)
+    starts = [q.start_node for q in queries]
+    ids = [q.query_id for q in queries]
+    if not ids or (min(starts) >= 0 and max(starts) < num_nodes and len(set(ids)) == len(ids)):
+        return ids
+    n = len(ids)
+    starts_array = np.array(starts, dtype=np.int64)
+    out_of_range = (starts_array < 0) | (starts_array >= num_nodes)
     first_bad = int(np.argmax(out_of_range)) if out_of_range.any() else n
 
-    ids = np.fromiter((q.query_id for q in queries), dtype=np.int64, count=n)
+    id_array = np.array(ids, dtype=np.int64)
     first_dup = n
-    sorted_ids = np.sort(ids)
-    if (sorted_ids[1:] == sorted_ids[:-1]).any():
-        # Duplicates exist (np.unique-style sorted-neighbour test); locate
-        # the offender only on this error path.  A stable sort keeps equal
-        # ids in submission order, so every element equal to its sorted
-        # predecessor is a *repeat* of an earlier query; the earliest such
-        # submission index is where the old loop raised.
-        order = np.argsort(ids, kind="stable")
-        by_order = ids[order]
-        repeats = order[1:][by_order[1:] == by_order[:-1]]
+    # A stable sort keeps equal ids in submission order, so every element
+    # equal to its sorted predecessor is a *repeat* of an earlier query; the
+    # earliest such submission index is the first duplicate.
+    order = np.argsort(id_array, kind="stable")
+    by_order = id_array[order]
+    repeats = order[1:][by_order[1:] == by_order[:-1]]
+    if repeats.size:
         first_dup = int(repeats.min())
 
     if first_bad <= first_dup and first_bad < n:
@@ -179,3 +177,4 @@ def validate_queries(queries: list[WalkQuery], num_nodes: int) -> None:
             f"duplicate query_id {query.query_id}: ids must be unique within "
             "a batch (each id owns one random stream)"
         )
+    return ids

@@ -650,7 +650,7 @@ class ServiceScheduler:
         session = entry.session
         driver = session._driver
         ordinal = driver.ordinals[qid]
-        if driver.paths[ordinal] is not None or qid in session._cancelled_ids:
+        if driver.lengths[ordinal] or qid in session._cancelled_ids:
             return False
         if driver.start_step[ordinal] < 0:  # still queued
             for lane in [self._slo, *(t.queue for t in self._tenants.values())]:
@@ -734,7 +734,7 @@ class ServiceScheduler:
         tenant_of = group.tenant.tolist()
         for pos, query in enumerate(launch.run.frontier.queries):
             driver = launch.owners[owner[pos]]
-            if driver.paths[ords[pos]] is not None:
+            if driver.lengths[ords[pos]]:
                 continue
             entry = group.sessions[driver]
             entry.session._cancelled_ids[query.query_id] = "quarantined"
@@ -832,7 +832,7 @@ class ServiceScheduler:
         tenant = self._submit_tenant(entry, options)
         driver = session._driver
         base, count = driver.ordinals[queries[0].query_id], len(queries)
-        driver.enqueue_step[base : base + count] = [self._tick] * count
+        driver.enqueue_step[base : base + count] = self._tick
         for i, query in enumerate(queries):
             pending = _Pending(
                 seq=self._seq,

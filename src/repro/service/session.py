@@ -10,10 +10,10 @@ session — only the per-tenant run state: a
 :class:`~repro.runtime.frontier.FrontierDriver` that executes the claimed
 waves, keeps the queue-delay columns and assembles the exact
 :class:`~repro.runtime.engine.WalkRunResult` at :meth:`~WalkSession.collect`
-time.  The driver also holds the session's one result ledger, keyed by
-submission ordinal: each finished walk — run by the session's own waves or
-by a continuous-batching scheduler it is attached to — settles there once,
-and tickets, ``completed`` and ``collect()`` all read it.
+time.  The driver also holds the session's one result ledger, columns
+keyed by submission ordinal: each finished walk — run by the session's own
+waves or by a continuous-batching scheduler it is attached to — settles
+there once, and tickets, ``completed`` and ``collect()`` all read it.
 
 **Exactness.**  A session that submits everything and then collects runs
 exactly the computation of ``WalkEngine.run`` — same driver, same ledger,
@@ -40,11 +40,14 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import DeadlineExceeded, ServiceError
 from repro.gpusim.counters import CostCounters
 from repro.runtime.engine import WalkRunResult
 from repro.runtime.frontier import FrontierDriver, OwnerStep
 from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
+from repro.walks.paths import PathTable
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - service imports session
@@ -134,7 +137,10 @@ class WalkChunk:
     superstep:
         Session-wide ordinal of the superstep that produced the chunk.
     query_ids / paths:
-        The completed walks, paired index-by-index.
+        The completed walks, paired index-by-index: ``query_ids`` is a
+        tuple, ``paths`` a read-only :class:`~repro.walks.paths.PathTable`
+        (iterate or index it for lists, or read ``paths.matrix`` /
+        ``paths.lengths`` as arrays).
     steps:
         Walker-steps charged by the producing superstep.
     counters:
@@ -155,7 +161,7 @@ class WalkChunk:
     sequence: int
     superstep: int
     query_ids: tuple[int, ...]
-    paths: tuple[tuple[int, ...], ...]
+    paths: PathTable
     steps: int
     counters: CostCounters
     pending: int
@@ -188,12 +194,13 @@ class QueryTicket:
         ``deadline_ticks``, load shedding, stream abandonment or a
         quarantined fusion group).
         """
-        if any(q in self._session._cancelled_ids for q in self.query_ids):
+        cancelled = self._session._cancelled_ids
+        if cancelled and any(q in cancelled for q in self.query_ids):
             return "cancelled"
         driver = self._session._driver
-        if None not in self._column(driver.paths):
+        if np.count_nonzero(self._column(driver.lengths)) == len(self.query_ids):
             return "done"
-        if max(self._column(driver.start_step)) >= 0:
+        if np.count_nonzero(self._column(driver.start_step) >= 0):
             return "running"
         return "queued"
 
@@ -223,8 +230,10 @@ class QueryTicket:
             self._session, self.query_ids, reason="cancelled"
         )
 
-    def paths(self) -> list[list[int]]:
-        """The completed walks of this ticket, in submission order.
+    def paths(self) -> PathTable:
+        """The completed walks of this ticket, in submission order, as a
+        read-only :class:`~repro.walks.paths.PathTable` over the session's
+        result ledger (``list(ticket.paths())`` for mutable lists).
 
         Raises :class:`~repro.errors.DeadlineExceeded` if any of the
         ticket's walks was dropped by a ``deadline_ticks`` expiry or by
@@ -249,12 +258,13 @@ class QueryTicket:
                 f"ticket {self.ticket_id} is {self.status}; "
                 "drain stream() or call collect() before reading its paths"
             )
-        return [list(path) for path in self._column(session._driver.paths)]
+        driver = session._driver
+        return PathTable(self._column(driver.rows), self._column(driver.lengths))
 
-    def _column(self, column: list) -> list:
-        """This ticket's entries of a result-ledger column (``paths`` holds
-        ``None`` until a walk settles, ``start_step`` -1 until it is
-        claimed); one submit call holds consecutive submission ordinals."""
+    def _column(self, column: np.ndarray) -> np.ndarray:
+        """This ticket's entries of a result-ledger column (``lengths`` holds
+        0 until a walk settles, ``start_step`` -1 until it is claimed); one
+        submit call holds consecutive submission ordinals."""
         first = self._session._driver.ordinals[self.query_ids[0]]
         return column[first : first + len(self.query_ids)]
 
@@ -359,9 +369,9 @@ class WalkSession:
         queries = list(queries)
         if not queries:
             raise ServiceError("no walk queries to submit")
-        validate_queries(queries, self.service.graph.num_nodes)
+        ids = validate_queries(queries, self.service.graph.num_nodes)
         ordinals = self._driver.ordinals
-        clashes = [q.query_id for q in queries if q.query_id in ordinals]
+        clashes = [i for i in ids if i in ordinals]
         if clashes:
             raise ServiceError(
                 f"query ids {clashes[:5]} were already submitted to this session; "
@@ -371,17 +381,13 @@ class WalkSession:
             # Backpressure before any session state mutates: a QueueFull
             # submission must leave the session exactly as it was.
             self._scheduler._reserve_capacity(self, len(queries), options)
-        first = self._driver.register(queries)
-        ticket = QueryTicket(
-            ticket_id=len(self._tickets),
-            query_ids=tuple(q.query_id for q in queries),
-            _session=self,
-        )
+        first = self._driver.register(ids, max([q.max_length for q in queries]))
+        ticket = QueryTicket(ticket_id=len(self._tickets), query_ids=tuple(ids), _session=self)
         self._tickets.append(ticket)
         if self._scheduler is not None:
             self._scheduler._enqueue(self, queries, options)
         else:
-            self._driver.enqueue_step[first : first + len(queries)] = [self._supersteps] * len(queries)
+            self._driver.enqueue_step[first : first + len(queries)] = self._supersteps
             self._queue.extend(queries)
         return ticket
 
@@ -396,9 +402,13 @@ class WalkSession:
         tickets, so *when* that fires is the cyclic collector's business.
         Call ``close()`` to make the service's eviction (and delta
         migration) eligibility deterministic.  The session object stays
-        usable — its engine holds every cache it needs directly — but its
-        shared registry entries may be evicted or migrated from under the
-        service afterwards.
+        usable — its engine holds every cache it needs directly and its
+        result ledger every finished walk — but its shared registry entries
+        may be evicted or migrated from under the service afterwards.  A
+        collected result owns its paths (a :class:`~repro.walks.paths.PathTable`
+        over its own copy of the ledger rows), so it holds neither the
+        ledger nor any cache once the session is closed and dropped; a
+        ticket's ``paths()`` is a view of the ledger and keeps it alive.
         """
         if self._unpin_finalizer is not None:
             self._unpin_finalizer()
@@ -416,8 +426,7 @@ class WalkSession:
     @property
     def completed(self) -> int:
         """Walks that have finished (or were cancelled in flight)."""
-        paths = self._driver.paths
-        return len(paths) - paths.count(None)
+        return int(np.count_nonzero(self._driver.lengths))
 
     @property
     def tickets(self) -> tuple[QueryTicket, ...]:
@@ -469,7 +478,7 @@ class WalkSession:
                 # Claim every queued query (consecutive ordinals) into one wave.
                 queries = self._queue.fetch_batch(remaining)
                 first, n = driver.ordinals[queries[0].query_id], len(queries)
-                driver.start_step[first : first + n] = [self._supersteps] * n
+                driver.start_step[first : first + n] = self._supersteps
                 driver.launch(queries)
             step = driver.advance()
             if step is None:
@@ -514,8 +523,8 @@ class WalkSession:
             steps=part.steps,
             counters=part.counters,
             pending=self.pending,
-            enqueue_steps=tuple([driver.enqueue_step[o] for o in part.ordinals]),
-            first_scheduled_steps=tuple([driver.start_step[o] for o in part.ordinals]),
+            enqueue_steps=tuple(driver.enqueue_step[part.ordinals].tolist()),
+            first_scheduled_steps=tuple(driver.start_step[part.ordinals].tolist()),
         )
         self._chunks_emitted += 1
         return chunk

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import WalkSpecError
+from repro.walks.paths import PathTable
 
 
 @dataclass(frozen=True)
@@ -307,20 +308,11 @@ class WalkerFrontier:
             state.advance(int(self.path_buf[index, state.step + 1]))
         return state
 
-    def paths_of(self, indices) -> list[list[int]]:
-        """The walks of walkers ``indices`` so far: one gather, one ``tolist``
-        (the single source of the path-buffer slice convention)."""
-        rows = self.path_buf[indices].tolist()
-        lengths = self.path_len[indices]
-        # Only walks shorter than the buffer need trimming.
-        short = np.flatnonzero(lengths < self.path_buf.shape[1])
-        for j, n in zip(short.tolist(), lengths[short].tolist(), strict=True):
-            rows[j] = rows[j][:n]
-        return rows
-
-    def paths(self) -> list[list[int]]:
-        """The walks, one python list per query in submission order."""
-        return self.paths_of(np.arange(len(self.queries)))
+    def paths(self) -> PathTable:
+        """The walks so far, in submission order: a read-only view of the
+        path buffer (``path_buf[i, :path_len[i]]``) that follows the walkers
+        until the next :meth:`extend` or :meth:`compact`."""
+        return PathTable(self.path_buf, self.path_len)
 
 
 def make_queries(

@@ -48,7 +48,7 @@ def _digest(chunks) -> str:
         fields = (
             c.superstep,
             c.query_ids,
-            c.paths,
+            tuple(map(tuple, c.paths)),
             c.steps,
             sorted(c.counters.as_dict().items()),
             c.pending,

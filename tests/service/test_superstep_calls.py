@@ -1,12 +1,17 @@
-"""A deterministic budget for the fixed cost of one scheduler superstep.
+"""Deterministic budgets for the host work of supersteps and waves.
 
-Runs a shrunken version of ``scripts/superstep_calls.py``: the closed-loop
-``serve-churn`` pass (perfbench's inputs and set-up, a fixed clock advance
-per tick) over 70 requests — about 700 ticks, one graph delta — counting the
-calls made inside ``scheduler.tick()`` with ``sys.setprofile``.  Call counts
-are free of host noise, so the ceiling can be tight: it guards the
-per-superstep constant cost (hint lookups, counter folds, idle groups,
-admission) against creeping back.
+Runs shrunken versions of ``scripts/superstep_calls.py``, counting calls
+with ``sys.setprofile``.  Call counts are free of host noise, so the
+ceilings can be tight:
+
+* the closed-loop ``serve-churn`` pass (perfbench's inputs and set-up, a
+  fixed clock advance per tick) over 70 requests — about 700 ticks, one
+  graph delta — counting the calls made inside ``scheduler.tick()``: it
+  guards the per-superstep constant cost (hint lookups, counter folds, idle
+  groups, admission) against creeping back;
+* two standalone waves, of 1,000 and 4,000 walkers: the calls each extra
+  walker adds guard the batch path (submit, settle, chunks, assembly)
+  against per-walk Python work.
 """
 
 from __future__ import annotations
@@ -23,12 +28,28 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 #: Measured 106.5 with complete hint tables, the matrix-backed CounterBatch
 #: and retiring, compacting fusion groups; 134.3 before them.  104.6 on the
 #: 300-request pass (102.9 on this one) once fusion groups advance through
-#: the driver's ``FrontierLaunch``; the ceiling keeps a ~5% margin over it.
-PROGRAM_CALLS_PER_TICK_CEILING = 110.0
+#: the driver's ``FrontierLaunch``; 104.2 once walk results stay columnar.
+#: The ceiling keeps a ~5% margin over it.
+PROGRAM_CALLS_PER_TICK_CEILING = 109.4
+
+#: Walker counts of the two standalone waves.
+WAVE_WALKERS = (1_000, 4_000)
+#: Ceilings on the calls one extra walker adds to a standalone wave.
+#: Measured 0.070 ``src/repro`` Python calls and 0.204 C calls with columnar
+#: results; 3.07 and 2.20 before (per-walker generator expressions in
+#: ``validate_queries`` and the ticket, a ``dict.setdefault`` and a
+#: ``list.append`` per finished walk).  What is left is the sampling
+#: kernels' growth with the frontier (longer rejection tails, more edge
+#: blocks), not per-walker work: no single call site grows by more than
+#: 0.03 calls per walker.  The C ceiling leaves room for numpy releases
+#: that make a few more C calls per kernel round.
+PROGRAM_CALLS_PER_WALKER_CEILING = 0.1
+C_CALLS_PER_WALKER_CEILING = 0.3
+SITE_CALLS_PER_WALKER_CEILING = 0.1
 
 
-@pytest.fixture(scope="module")
-def counts():
+def _run_script(function: str, **kwargs):
+    """Load ``scripts/superstep_calls.py`` and return ``function(**kwargs)``."""
     saved_path = list(sys.path)
     saved_modules = set(sys.modules)
     spec = importlib.util.spec_from_file_location(
@@ -38,7 +59,7 @@ def counts():
     sys.modules[spec.name] = module  # dataclasses resolve their module
     try:
         spec.loader.exec_module(module)
-        return module.closed_loop_pass(requests=70, seed=4)
+        return getattr(module, function)(**kwargs)
     finally:
         # The script puts perfbench's modules on the path; take them off.
         sys.path[:] = saved_path
@@ -46,6 +67,16 @@ def counts():
             origin = getattr(sys.modules[name], "__file__", None) or ""
             if origin.startswith(str(REPO_ROOT / "perfbench")) or name == spec.name:
                 del sys.modules[name]
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return _run_script("closed_loop_pass", requests=70, seed=4)
+
+
+@pytest.fixture(scope="module")
+def waves():
+    return [_run_script("wave_calls", walkers=walkers) for walkers in WAVE_WALKERS]
 
 
 def test_program_calls_per_superstep_stay_under_the_ceiling(counts):
@@ -61,3 +92,17 @@ def test_superseded_groups_retire(counts):
     # The pass crosses one graph delta; the old version's group retires
     # once its sessions drain and detach.
     assert counts.fusion_groups == 1
+
+
+def test_a_wave_makes_no_per_walker_calls(waves):
+    low, high = waves
+    extra = WAVE_WALKERS[1] - WAVE_WALKERS[0]
+    assert high.steps > low.steps  # both waves ran their walks
+    program = (high.program - low.program) / extra
+    c = (high.c - low.c) / extra
+    growth = high.sites.copy()
+    growth.subtract(low.sites)
+    worst = growth.most_common(3)
+    assert program < PROGRAM_CALLS_PER_WALKER_CEILING, (program, worst)
+    assert c < C_CALLS_PER_WALKER_CEILING, (c, worst)
+    assert worst[0][1] / extra < SITE_CALLS_PER_WALKER_CEILING, worst
