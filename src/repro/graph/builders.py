@@ -7,7 +7,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_edge_array
 
 
 def from_edge_list(
@@ -20,55 +20,56 @@ def from_edge_list(
 ) -> CSRGraph:
     """Build a directed CSR graph from an iterable of ``(src, dst)`` pairs.
 
-    Neighbour lists are sorted by destination id so that
-    :meth:`CSRGraph.has_edge` can use binary search.  Per-edge ``weights`` and
-    ``labels`` follow their edge through the sort.
+    * Edges are ordered by a stable sort on ``(src, dst)``, so neighbour lists
+      are sorted by destination id (:meth:`CSRGraph.has_edge` binary-searches
+      them) and per-edge ``weights`` and ``labels`` follow their edge.
+    * Parallel copies of an edge keep their input order.
+    * ``deduplicate`` keeps one copy of each edge: the first in input order,
+      with that occurrence's weight and label.
+    * Node ids must be integral (``3.0`` is accepted, ``2.5`` or NaN raise
+      :class:`~repro.errors.GraphError`) and non-negative.
     """
-    edge_arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if edge_arr.size == 0:
-        edge_arr = edge_arr.reshape(0, 2)
-    if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
-        raise GraphError("edges must be an iterable of (src, dst) pairs")
-
-    src = edge_arr[:, 0]
-    dst = edge_arr[:, 1]
-    if edge_arr.shape[0] and (src.min() < 0 or dst.min() < 0):
+    edge_arr = as_edge_array(edges)
+    num_edges = edge_arr.shape[0]
+    if num_edges and edge_arr.min() < 0:
         raise GraphError("node ids must be non-negative")
 
-    inferred = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
+    inferred = int(edge_arr.max()) + 1 if num_edges else 0
     n = inferred if num_nodes is None else int(num_nodes)
     if n < inferred:
         raise GraphError(f"num_nodes={n} is smaller than the largest node id + 1 ({inferred})")
 
     weight_arr = None if weights is None else np.asarray(weights, dtype=np.float64)
     label_arr = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if weight_arr is not None and weight_arr.shape[0] != edge_arr.shape[0]:
+    if weight_arr is not None and weight_arr.shape[0] != num_edges:
         raise GraphError("weights must have one entry per edge")
-    if label_arr is not None and label_arr.shape[0] != edge_arr.shape[0]:
+    if label_arr is not None and label_arr.shape[0] != num_edges:
         raise GraphError("labels must have one entry per edge")
 
-    # Sort edges by (src, dst) to produce contiguous, sorted neighbour lists.
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # dst < n, so the edge key src * n + dst (the key CSRGraph._edge_keys
+    # rebuilds) orders edges by (src, dst), and a stable sort of it keeps
+    # parallel copies in input order.
+    nn = np.int64(n)
+    key = edge_arr[:, 0] * nn
+    key += edge_arr[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if deduplicate and num_edges:
+        keep = np.empty(num_edges, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        order = order[keep]
+        del keep
     if weight_arr is not None:
         weight_arr = weight_arr[order]
     if label_arr is not None:
         label_arr = label_arr[order]
+    del order
 
-    if deduplicate and src.size:
-        keep = np.ones(src.size, dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
-        if weight_arr is not None:
-            weight_arr = weight_arr[keep]
-        if label_arr is not None:
-            label_arr = label_arr[keep]
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-
-    return CSRGraph(indptr=indptr, indices=dst, weights=weight_arr, labels=label_arr, name=name)
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * nn)
+    indices = np.remainder(key, nn, out=key)
+    return CSRGraph(indptr=indptr, indices=indices, weights=weight_arr, labels=label_arr, name=name)
 
 
 def from_adjacency(

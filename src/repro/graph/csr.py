@@ -32,6 +32,34 @@ def check_edge_weights(weights: np.ndarray, edge_at) -> None:
         )
 
 
+def as_edge_array(edges) -> np.ndarray:
+    """The edge-id contract of every graph entry point: ``edges`` as a
+    ``(k, 2)`` int64 array of ``(src, dst)`` pairs.
+
+    Integer arrays pass through (int64 ones without a copy); other numeric
+    input must hold integral ids within int64 range, such as ``3.0``.  A
+    fractional, NaN, infinite or overflowing id raises a
+    :class:`~repro.errors.GraphError` naming the first bad pair instead of
+    being cast to some other node.  Range checks stay with the callers,
+    whose node spaces differ.
+    """
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if arr.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError("edges must be an iterable of (src, dst) pairs")
+    if arr.dtype.kind not in "iu":
+        ids = arr.astype(np.float64)
+        integral = (np.trunc(ids) == ids) & (np.abs(ids) < 2.0**63)  # NaN fails both
+        if not integral.all():
+            j = int(np.argmin(integral.all(axis=1)))
+            raise GraphError(
+                f"edge {j} {tuple(arr[j].tolist())!r} has a node id that is not "
+                "an int64 integer; node ids must be integers"
+            )
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class CSRGraph:
     """A directed graph in CSR form with per-edge property weights.

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, check_edge_weights
+from repro.graph.csr import CSRGraph, as_edge_array, check_edge_weights
 
 __all__ = ["DeltaCSRGraph", "GraphDelta"]
 
@@ -61,16 +61,6 @@ __all__ = ["DeltaCSRGraph", "GraphDelta"]
 #: larger overlay gathers through one index array instead, whose cost does
 #: not grow with the number of runs.
 _EDGES_PER_SLICE_RUN = 64
-
-
-def _as_edge_array(edges) -> np.ndarray:
-    """Normalise an iterable of (src, dst) pairs to an ``(k, 2)`` int64 array."""
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError("edges must be an iterable of (src, dst) pairs")
-    return arr
 
 
 def _intra_offsets(counts: np.ndarray) -> np.ndarray:
@@ -228,7 +218,7 @@ class DeltaCSRGraph:
         then travel with it and the explicit arguments must be empty).
         """
         if isinstance(additions, GraphDelta):
-            if len(_as_edge_array(removals)) or weights is not None or labels is not None:
+            if len(as_edge_array(removals)) or weights is not None or labels is not None:
                 raise GraphError(
                     "pass either a GraphDelta or explicit additions/removals, not both"
                 )
@@ -237,8 +227,8 @@ class DeltaCSRGraph:
             weights, labels = delta.weights, delta.labels
 
         n = self.num_nodes
-        add = _as_edge_array(additions)
-        rem = _as_edge_array(removals)
+        add = as_edge_array(additions)
+        rem = as_edge_array(removals)
         for tag, arr in (("addition", add), ("removal", rem)):
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise GraphError(
@@ -316,31 +306,27 @@ class DeltaCSRGraph:
             positions = np.repeat(lo, counts) + _intra_offsets(counts)
             new_removed = np.union1d(self._removed_pos, positions)
 
-        # Merge surviving prior additions with the new ones and re-sort by
-        # (src, dst): delta keys are unique, so the order is deterministic.
-        src = np.concatenate([self._add_src[keep_add], add[:, 0]])
-        dst = np.concatenate([self._add_dst[keep_add], add[:, 1]])
-        w = np.concatenate([self._add_w[keep_add], add_w])
-        lbl = (
-            np.concatenate([self._add_lbl[keep_add], add_lbl])
-            if self._add_lbl is not None
-            else None
-        )
-        order = np.lexsort((dst, src))
+        # Merge surviving prior additions with the new ones and sort by the
+        # edge key, i.e. by (src, dst): delta keys are unique, so the order
+        # is deterministic.
+        keys = np.concatenate([self._add_keys[keep_add], add_keys])
+        order = np.argsort(keys)
+
+        def merged(prior: np.ndarray, added: np.ndarray) -> np.ndarray:
+            return np.concatenate([prior[keep_add], added])[order]
 
         child = DeltaCSRGraph.__new__(DeltaCSRGraph)
         child.base = self.base
         child.version = self.version + 1
         child.delta = GraphDelta(additions=add, removals=rem, weights=add_w, labels=add_lbl)
-        child._add_src = src[order]
-        child._add_dst = dst[order]
-        child._add_w = w[order]
-        child._add_lbl = None if lbl is None else lbl[order]
+        child._add_src = merged(self._add_src, add[:, 0])
+        child._add_dst = merged(self._add_dst, add[:, 1])
+        child._add_w = merged(self._add_w, add_w)
+        child._add_lbl = None if add_lbl is None else merged(self._add_lbl, add_lbl)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, child._add_src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(child._add_src, minlength=n), out=indptr[1:])
         child._add_indptr = indptr
-        child._add_keys = child._add_src * nn + child._add_dst
+        child._add_keys = keys[order]
         child._removed_pos = new_removed
         child._snapshot = None
         child._degree_cache = None

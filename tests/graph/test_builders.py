@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,24 @@ class TestFromEdgeList:
     def test_malformed_edges_rejected(self):
         with pytest.raises(GraphError):
             from_edge_list(np.array([[0, 1, 2]]))
+
+    def test_build_memory_stays_within_five_edge_arrays(self):
+        """The build's traced peak stays under five int64 arrays of the input's
+        length, and the graph keeps only indptr, indices and weights: the edge
+        keys the sort used are not held as the (lazy) edge-key cache."""
+        num_edges = 200_000
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 20_000, size=(num_edges, 2))
+        weights = rng.uniform(1.0, 5.0, num_edges)
+        tracemalloc.start()
+        try:
+            g = from_edge_list(edges, num_nodes=20_000, weights=weights, deduplicate=True)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * num_edges
+        assert g._edge_key_cache is None
+        assert held <= g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes + 4096
 
 
 class TestFromAdjacency:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph.builders import from_edge_list
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, as_edge_array
+from repro.graph.delta import DeltaCSRGraph
 
 
 def simple_graph() -> CSRGraph:
@@ -81,6 +82,39 @@ class TestWeightContract:
     def test_later_bad_edges_are_not_named(self, bad):
         with pytest.raises(GraphError, match=r"edge \(0, 2\)"):
             from_edge_list([(0, 1), (0, 2), (2, 0)], weights=[1.0, bad, bad])
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 1e20])
+class TestEdgeIdContract:
+    """Both edge entry points reject ids they would otherwise cast to another node."""
+
+    def test_edge_list_builder_names_the_first_bad_pair(self, bad):
+        message = r"edge 1 \(1\.0, .*\) has a node id that is not an int64 integer"
+        with pytest.raises(GraphError, match=message):
+            from_edge_list([(0, 1), (1, bad), (bad, 0)])
+        with pytest.raises(GraphError, match=r"edge 0 .*not an int64 integer"):
+            from_edge_list(np.array([[bad, 2.0]]))
+
+    def test_graph_delta_names_the_first_bad_pair(self, bad):
+        dynamic = DeltaCSRGraph(from_edge_list([(0, 1), (1, 2)], num_nodes=4))
+        with pytest.raises(GraphError, match=r"edge 0 .*not an int64 integer"):
+            dynamic.apply_delta(np.array([[bad, 3.0]]))
+        with pytest.raises(GraphError, match=r"edge 1 .*not an int64 integer"):
+            dynamic.apply_delta([], removals=[(0, 1), (1, bad)])
+
+
+class TestEdgeIdNormalisation:
+    def test_integral_floats_are_accepted(self):
+        g = from_edge_list(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        assert g.num_nodes == 3
+        assert np.array_equal(g.neighbors(0), [2])
+        v1 = DeltaCSRGraph(g).apply_delta([(2.0, 1.0)])
+        assert v1.has_edge(2, 1)
+
+    def test_int64_arrays_pass_without_a_copy(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        assert as_edge_array(edges) is edges
+        assert as_edge_array(edges.astype(np.int32)).dtype == np.int64
 
 
 class TestAccessors:
