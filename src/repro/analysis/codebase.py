@@ -16,7 +16,8 @@ Four invariants, each an ERROR:
     at the measurement boundaries, which carry explicit
     ``# repro: ignore[internal/wall-clock]`` suppressions.
 ``internal/cache-contract``
-    ``CSRGraph._edge_key_cache`` / ``_in_degree_cache`` may be touched only
+    ``CSRGraph._edge_key_cache`` / ``_edge_filter_cache`` /
+    ``_in_degree_cache`` may be touched only
     by ``graph/csr.py`` and ``graph/invalidation.py``, and
     ``TransitionCache`` private state only by
     ``sampling/transition_cache.py`` and ``graph/invalidation.py`` — the
@@ -54,7 +55,7 @@ from repro.analysis.diagnostics import (
 )
 
 #: CSRGraph topology-cache slots with an invalidation contract.
-_GRAPH_CACHE_ATTRS = frozenset({"_edge_key_cache", "_in_degree_cache"})
+_GRAPH_CACHE_ATTRS = frozenset({"_edge_key_cache", "_edge_filter_cache", "_in_degree_cache"})
 _GRAPH_CACHE_ALLOWED = ("graph/csr.py", "graph/invalidation.py")
 
 #: TransitionCache private state (weights/CDF/alias tables + fill masks).

@@ -7,7 +7,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, as_edge_array
+from repro.graph.csr import CSRGraph, as_edge_array, as_edge_labels
 
 
 def from_edge_list(
@@ -27,7 +27,8 @@ def from_edge_list(
     * ``deduplicate`` keeps one copy of each edge: the first in input order,
       with that occurrence's weight and label.
     * Node ids must be integral (``3.0`` is accepted, ``2.5`` or NaN raise
-      :class:`~repro.errors.GraphError`) and non-negative.
+      :class:`~repro.errors.GraphError`) and non-negative; labels must be
+      integral in the same way.
     """
     edge_arr = as_edge_array(edges)
     num_edges = edge_arr.shape[0]
@@ -40,11 +41,13 @@ def from_edge_list(
         raise GraphError(f"num_nodes={n} is smaller than the largest node id + 1 ({inferred})")
 
     weight_arr = None if weights is None else np.asarray(weights, dtype=np.float64)
-    label_arr = None if labels is None else np.asarray(labels, dtype=np.int64)
+    label_arr = None if labels is None else np.asarray(labels)
     if weight_arr is not None and weight_arr.shape[0] != num_edges:
         raise GraphError("weights must have one entry per edge")
-    if label_arr is not None and label_arr.shape[0] != num_edges:
-        raise GraphError("labels must have one entry per edge")
+    if label_arr is not None:
+        if label_arr.shape[0] != num_edges:
+            raise GraphError("labels must have one entry per edge")
+        label_arr = as_edge_labels(label_arr, edge_arr.__getitem__)
 
     # dst < n, so the edge key src * n + dst (the key CSRGraph._edge_keys
     # rebuilds) orders edges by (src, dst), and a stable sort of it keeps

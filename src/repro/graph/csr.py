@@ -18,6 +18,14 @@ import numpy as np
 
 from repro.errors import GraphError
 
+#: Bits of the edge-membership filter per edge, rounded up to a power of two
+#: in total: about 0.5 MB for a quarter of a million edges, small enough to
+#: stay in cache, and one hash leaves about 1 - e^(-1/16) = 6.1% of the
+#: non-edges to the exact search.
+_FILTER_BITS_PER_EDGE = 16
+#: Fibonacci hashing multiplier (2^64 / golden ratio, odd).
+_FILTER_HASH = np.uint64(0x9E3779B97F4A7C15)
+
 
 def check_edge_weights(weights: np.ndarray, edge_at) -> None:
     """The edge-weight contract of every graph entry point: finite and
@@ -30,6 +38,20 @@ def check_edge_weights(weights: np.ndarray, edge_at) -> None:
             f"edge ({int(src)}, {int(dst)}) has weight {weights[j]!r}; "
             "edge property weights must be finite and non-negative"
         )
+
+
+def _first_non_int64(values: np.ndarray) -> int | None:
+    """Flat index of the first entry of ``values`` that is not an integer
+    within int64 range (fractional, NaN, infinite or too large), or ``None``
+    when every entry is one."""
+    if np.can_cast(values.dtype, np.int64):
+        return None
+    if values.dtype.kind == "u":
+        bad = values > np.iinfo(np.int64).max
+    else:
+        as_float = values.astype(np.float64)
+        bad = ~((np.trunc(as_float) == as_float) & (np.abs(as_float) < 2.0**63))  # NaN fails both
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def as_edge_array(edges) -> np.ndarray:
@@ -48,16 +70,34 @@ def as_edge_array(edges) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphError("edges must be an iterable of (src, dst) pairs")
-    if arr.dtype.kind not in "iu":
-        ids = arr.astype(np.float64)
-        integral = (np.trunc(ids) == ids) & (np.abs(ids) < 2.0**63)  # NaN fails both
-        if not integral.all():
-            j = int(np.argmin(integral.all(axis=1)))
-            raise GraphError(
-                f"edge {j} {tuple(arr[j].tolist())!r} has a node id that is not "
-                "an int64 integer; node ids must be integers"
-            )
+    bad = _first_non_int64(arr)
+    if bad is not None:
+        j = bad // 2
+        raise GraphError(
+            f"edge {j} {tuple(arr[j].tolist())!r} has a node id that is not "
+            "an int64 integer; node ids must be integers"
+        )
     return arr.astype(np.int64, copy=False)
+
+
+def as_edge_labels(labels: np.ndarray, edge_at) -> np.ndarray:
+    """The edge-label contract of every graph entry point: ``labels`` as
+    int64, checked like node ids by :func:`as_edge_array`.
+
+    int64 arrays pass through without a copy and integral floats such as
+    ``3.0`` are accepted; a fractional, NaN, infinite or out-of-int64 label
+    raises a :class:`~repro.errors.GraphError` naming the first bad edge,
+    whose ``(src, dst)`` pair ``edge_at(index)`` returns.  Shape checks stay
+    with the callers.
+    """
+    bad = _first_non_int64(labels)
+    if bad is not None:
+        src, dst = edge_at(bad)
+        raise GraphError(
+            f"edge ({int(src)}, {int(dst)}) has label {labels.flat[bad].item()!r}; "
+            "edge labels must be int64 integers"
+        )
+    return labels.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -88,6 +128,7 @@ class CSRGraph:
     name: str = ""
     _in_degree_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
     _edge_key_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _edge_filter_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -107,19 +148,22 @@ class CSRGraph:
             raise GraphError("indptr must be non-decreasing")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.num_nodes):
             raise GraphError("edge destination out of range")
+
+        def edge_at(j: int) -> tuple[int, int]:
+            return np.searchsorted(self.indptr, j, "right") - 1, self.indices[j]
+
         if self.weights is None:
             self.weights = np.ones(self.indices.size, dtype=np.float64)
         else:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != self.indices.shape:
                 raise GraphError("weights must be parallel to indices")
-            check_edge_weights(
-                self.weights, lambda j: (np.searchsorted(self.indptr, j, "right") - 1, self.indices[j])
-            )
+            check_edge_weights(self.weights, edge_at)
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != self.indices.shape:
+            labels = np.asarray(self.labels)
+            if labels.shape != self.indices.shape:
                 raise GraphError("labels must be parallel to indices")
+            self.labels = as_edge_labels(labels, edge_at)
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -202,10 +246,11 @@ class CSRGraph:
         """``src * num_nodes + dst`` of every edge, globally sorted.
 
         CSR rows are contiguous in source order and each row's destinations
-        are sorted, so the combined key array is sorted as a whole — one
-        global binary search answers an edge-existence query.  Built lazily
-        and cached (host-side acceleration only; simulated costs are charged
-        by the workloads' cost hooks, not by how membership is computed).
+        are sorted, so the combined key array is sorted as a whole — a
+        binary search over it is the exact edge-existence check behind the
+        membership filter.  Built lazily and cached (host-side acceleration
+        only; simulated costs are charged by the workloads' cost hooks, not
+        by how membership is computed).
         """
         if self._edge_key_cache is None:
             sources = np.repeat(
@@ -214,24 +259,64 @@ class CSRGraph:
             self._edge_key_cache = sources * np.int64(self.num_nodes) + self.indices
         return self._edge_key_cache
 
+    def _filter_hits(self, keys: np.ndarray) -> np.ndarray:
+        """Flat indices of the edge ``keys`` that may be edges of this graph.
+
+        The membership filter is a bitset of ``2^bits`` bits, at least
+        :data:`_FILTER_BITS_PER_EDGE` per edge, with one bit set per edge
+        key at ``(key * _FILTER_HASH) >> (64 - bits)``.  Every edge's bit is
+        set, so a key whose bit is clear is not an edge; a key whose bit is
+        set may be one.  The bitset is built lazily from :meth:`_edge_keys`
+        and cached; a graph without edges has none and no hits.
+        """
+        if self.num_edges == 0:
+            return np.zeros(0, dtype=np.int64)
+        if self._edge_filter_cache is None:
+            bits = max(3, (_FILTER_BITS_PER_EDGE * self.num_edges - 1).bit_length())
+            slots = self._edge_keys().view(np.uint64) * _FILTER_HASH
+            slots >>= np.uint64(64 - bits)
+            masks = (slots & np.uint64(7)).astype(np.uint8)
+            np.left_shift(np.uint8(1), masks, out=masks)
+            slots >>= np.uint64(3)
+            packed = np.zeros(1 << (bits - 3), dtype=np.uint8)
+            np.bitwise_or.at(packed, slots.view(np.int64), masks)
+            self._edge_filter_cache = packed
+        packed = self._edge_filter_cache
+        bits = packed.size.bit_length() + 2           # packed.size == 2^(bits - 3)
+        slots = keys.reshape(-1).view(np.uint64) * _FILTER_HASH
+        slots >>= np.uint64(64 - bits)
+        # take() with int64 byte offsets skips the cast fancy indexing
+        # makes of a uint64 index, and nonzero over a bool view skips the
+        # branch per element it spends on other dtypes.
+        hit = packed.take((slots >> np.uint64(3)).view(np.int64))
+        slots &= np.uint64(7)
+        hit >>= slots.astype(np.uint8)
+        hit &= np.uint8(1)
+        return np.flatnonzero(hit.view(bool))
+
     def has_edges(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge` over parallel source/destination arrays.
 
         The batched second-order workloads (Node2Vec, 2nd-order PageRank) ask
         for the ``dist(v', u) == 1`` classification of every candidate edge of
-        a whole frontier at once; answering through one global searchsorted
-        over the sorted edge keys replaces a per-segment Python-level
-        bisection loop.  Results are exact booleans, so this cannot perturb
-        any transition weight.
+        a whole frontier at once.  Most candidates are not edges: the hashed
+        membership filter (:meth:`_filter_hits`) rules those out from a
+        cache-sized bitset, and only the queries it passes are verified by
+        one binary search over the sorted edge keys.  Results are exact
+        booleans, so this cannot perturb any transition weight.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
-        if srcs.size == 0 or self.num_edges == 0:
-            return np.zeros(srcs.shape, dtype=bool)
         keys = srcs * np.int64(self.num_nodes) + np.asarray(dsts, dtype=np.int64)
-        edge_keys = self._edge_keys()
-        pos = np.searchsorted(edge_keys, keys)
-        pos = np.minimum(pos, self.num_edges - 1)
-        return edge_keys[pos] == keys
+        flat = np.reshape(keys, -1)
+        found = np.zeros(flat.size, dtype=bool)
+        hits = self._filter_hits(flat)
+        if hits.size:
+            candidates = flat[hits]
+            edge_keys = self._edge_keys()
+            pos = np.searchsorted(edge_keys, candidates)
+            np.minimum(pos, self.num_edges - 1, out=pos)
+            found[hits] = edge_keys[pos] == candidates
+        return found.reshape(np.shape(keys))
 
     # ------------------------------------------------------------------ #
     # Derived graphs
@@ -239,8 +324,9 @@ class CSRGraph:
     def with_weights(self, weights: np.ndarray, name: str | None = None) -> CSRGraph:
         """Return a copy of this graph with replaced property weights.
 
-        ``indptr``/``indices`` are shared unchanged, so the in-degree and
-        edge-key caches (both pure functions of the topology) carry over —
+        ``indptr``/``indices`` are shared unchanged, so the in-degree,
+        edge-key and membership-filter caches (pure functions of the
+        topology) carry over —
         a derived graph must not silently rebuild O(E) structures its parent
         already paid for.
         """
@@ -252,6 +338,7 @@ class CSRGraph:
             name=self.name if name is None else name,
             _in_degree_cache=self._in_degree_cache,
             _edge_key_cache=self._edge_key_cache,
+            _edge_filter_cache=self._edge_filter_cache,
         )
 
     def with_labels(self, labels: np.ndarray) -> CSRGraph:
@@ -263,10 +350,11 @@ class CSRGraph:
             indptr=self.indptr,
             indices=self.indices,
             weights=self.weights,
-            labels=np.asarray(labels, dtype=np.int64),
+            labels=labels,
             name=self.name,
             _in_degree_cache=self._in_degree_cache,
             _edge_key_cache=self._edge_key_cache,
+            _edge_filter_cache=self._edge_filter_cache,
         )
 
     def memory_footprint_bytes(self, weight_bytes: int = 8) -> int:

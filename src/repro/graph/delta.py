@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, as_edge_array, check_edge_weights
+from repro.graph.csr import CSRGraph, as_edge_array, as_edge_labels, check_edge_weights
 
 __all__ = ["DeltaCSRGraph", "GraphDelta"]
 
@@ -247,13 +247,10 @@ class DeltaCSRGraph:
         if self.has_labels:
             if labels is None and add.shape[0]:
                 raise GraphError("labeled graphs need labels for every added edge")
-            add_lbl = (
-                np.zeros(0, dtype=np.int64)
-                if add.shape[0] == 0
-                else np.asarray(labels, dtype=np.int64)
-            )
+            add_lbl = np.zeros(0, dtype=np.int64) if add.shape[0] == 0 else np.asarray(labels)
             if add_lbl.shape != (add.shape[0],):
                 raise GraphError("delta labels must be parallel to the additions")
+            add_lbl = as_edge_labels(add_lbl, add.__getitem__)
         else:
             if labels is not None:
                 raise GraphError("the base graph has no edge labels")

@@ -5,7 +5,8 @@ Every derived structure the engine layers built on top of a frozen
 usually, one workload): the cross-superstep
 :class:`~repro.sampling.transition_cache.TransitionCache`, the per-node
 compiler :class:`~repro.runtime.frontier.NodeHintTables`, the CSR-level
-topology caches (``_edge_key_cache`` / ``_in_degree_cache``), the
+topology caches (``_edge_key_cache`` / ``_edge_filter_cache`` /
+``_in_degree_cache``), the
 :class:`~repro.graph.sharded.ShardedCSRGraph` decompositions and their ghost
 caches.  When a :class:`~repro.graph.delta.DeltaCSRGraph` folds a delta into
 a new version, all of them go stale — but only *scoped* to the touched-node
@@ -32,7 +33,12 @@ executed.  Per structure:
   incrementally on the new snapshot by two bincounts over the delta
   endpoints; the sorted edge-key cache needs no repair, because
   :meth:`~repro.graph.delta.DeltaCSRGraph.compact` splices it alongside the
-  edge arrays and hands it to the snapshot.
+  edge arrays and hands it to the snapshot.  The hashed membership filter
+  over those keys is not carried: the snapshot builds its own lazily from
+  the spliced keys on its first ``has_edges`` call (a service running no
+  second-order workload never makes one), while
+  :class:`~repro.graph.delta.DeltaCSRGraph` versions search their base's
+  sorted keys directly and never build it.
 * **ShardedCSRGraph** — re-owns only touched nodes: the owner map is kept
   (delta edges are attributed to the current owners), shards owning no
   touched node are reused *by object identity*, and only affected shards are

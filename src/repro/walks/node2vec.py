@@ -44,8 +44,9 @@ def _second_order_bias(graph: CSRGraph, batch: BatchStepContext) -> tuple[np.nda
     ``has_prev`` marks edges of walkers that have a previous node, ``linked``
     marks candidates that are themselves neighbours of that previous node —
     the ``dist(v', u) == 1`` test, answered for the whole frontier by one
-    global binary search over the graph's sorted edge keys
-    (:meth:`~repro.graph.csr.CSRGraph.has_edges`).
+    :meth:`~repro.graph.csr.CSRGraph.has_edges` call: the graph's hashed
+    membership filter rules out most non-neighbours, and a binary search
+    over the sorted edge keys verifies the rest.
     """
     seg = batch.seg_ids
     prev_per_edge = batch.prev[seg]
@@ -123,8 +124,9 @@ class Node2VecSpec(WalkSpec):
         """Eq. 2 for arbitrary ``(walker, edge)`` pairs — the one batched formula.
 
         The ``dist(v', u) == 1`` test of every pair whose walker has a
-        previous node is one global binary search over the graph's sorted
-        edge keys (:meth:`~repro.graph.csr.CSRGraph.has_edges`).
+        previous node is one :meth:`~repro.graph.csr.CSRGraph.has_edges`
+        call: the membership filter rules out most non-edges, and only the
+        pairs it passes are binary-searched in the sorted edge keys.
         """
         prev = batch.prev[walkers]
         post = graph.indices[edges]

@@ -62,6 +62,16 @@ class TestCacheContractInvariant:
         )
         assert "internal/cache-contract" in rules_of(diags)
 
+    def test_membership_filter_outside_contract_fails(self):
+        diags = lint_source(
+            "def peek(graph):\n    return graph._edge_filter_cache\n",
+            "src/repro/walks/fresh.py",
+        )
+        assert "internal/cache-contract" in rules_of(diags)
+        assert lint_source(
+            "def peek(graph):\n    return graph._edge_filter_cache\n", "src/repro/graph/csr.py"
+        ) == ()
+
     def test_transition_cache_internals_outside_contract_fail(self):
         diags = lint_source(
             "def poke(cache):\n    return cache._weights\n",

@@ -62,7 +62,8 @@ class TestFromEdgeList:
     def test_build_memory_stays_within_five_edge_arrays(self):
         """The build's traced peak stays under five int64 arrays of the input's
         length, and the graph keeps only indptr, indices and weights: the edge
-        keys the sort used are not held as the (lazy) edge-key cache."""
+        keys the sort used are not held as the (lazy) edge-key cache, and no
+        membership filter is built."""
         num_edges = 200_000
         rng = np.random.default_rng(0)
         edges = rng.integers(0, 20_000, size=(num_edges, 2))
@@ -75,6 +76,7 @@ class TestFromEdgeList:
             tracemalloc.stop()
         assert peak < 5 * 8 * num_edges
         assert g._edge_key_cache is None
+        assert g._edge_filter_cache is None
         assert held <= g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes + 4096
 
 

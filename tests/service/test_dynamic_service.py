@@ -471,3 +471,33 @@ class TestVersionCarryAndRelease:
                              (service._profiles, -2)):
             assert {key[at] for key in registry} <= {version}
         assert len(service._compiled) == len(specs)  # carried, not dropped
+
+
+class TestMembershipFilterLifetime:
+    def test_deepwalk_sessions_never_build_the_membership_filter(self):
+        """The filter is built on a ``CSRGraph``'s first ``has_edges`` call,
+        which only second-order workloads make: DeepWalk sessions leave it
+        (and the edge keys) unbuilt, a delta's validation searches the base
+        keys without building it, and a compacted snapshot starts without
+        one until a Node2Vec session asks."""
+        graph = build_graph()
+        service = WalkService(graph, fleet=DeviceFleet(DEVICE, 1))
+        config = FlexiWalkerConfig(device=DEVICE)
+        queries = make_queries(graph.num_nodes, walk_length=6, num_queries=30)
+
+        def run(spec):
+            session = service.session(spec, config)
+            session.submit(queries)
+            session.collect()
+            session.close()
+
+        run(DeepWalkSpec())
+        assert graph._edge_filter_cache is None and graph._edge_key_cache is None
+        mutate(service, seed=3)
+        run(DeepWalkSpec())
+        assert graph._edge_filter_cache is None
+        snapshot = service.graph
+        assert snapshot is not graph
+        assert snapshot._edge_filter_cache is None
+        run(Node2VecSpec())
+        assert snapshot._edge_filter_cache is not None
