@@ -15,8 +15,11 @@ def test_fig11_runtime_ablation(benchmark):
         adaptive = float(row["FlexiWalker"])
         ervs_only = float(row["eRVS-only"])
         erjs_only = float(row["eRJS-only"])
-        # The adaptive runtime never tracks the *worse* fixed kernel.
+        # The adaptive runtime never tracks the *worse* fixed kernel, and
+        # stays close to the better one (paper: it tracks the better of the
+        # two everywhere, occasionally losing slightly on extreme skews).
         assert adaptive <= max(ervs_only, erjs_only) * 1.05
+        assert row["adaptive_vs_best_fixed"] <= 1.25
     # Under the most skewed weights, the eRJS-only configuration collapses
     # relative to eRVS-only (the failure mode adaptation protects against).
     skewed = [r for r in result["rows"] if r["weights"] == "alpha=1"]

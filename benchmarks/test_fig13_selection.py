@@ -10,10 +10,9 @@ from repro.bench.experiments import fig13_selection as experiment
 def test_fig13_selection(benchmark, quick_config):
     result = run_once(benchmark, experiment, quick_config)
     summary = result["summary"]
-    # The cost model is at least as good as the degree-threshold policy and
-    # not meaningfully worse than random selection (paper: 15.86x over random,
-    # 2.66x over degree-based; the scale-model graphs cap the damage a wrong
-    # per-step choice can do, which compresses both margins — see
-    # EXPERIMENTS.md).
+    # The cost model beats both the degree-threshold policy and random
+    # selection (paper: 15.86x over random, 2.66x over degree-based; the
+    # scale-model graphs cap the damage a wrong per-step choice can do,
+    # which compresses both margins — see EXPERIMENTS.md).
     assert summary["geomean_speedup_vs_degree"] >= 1.0
-    assert summary["geomean_speedup_vs_random"] >= 0.9
+    assert summary["geomean_speedup_vs_random"] > 1.0

@@ -16,6 +16,12 @@ the expensive hub walks on device 0 — and the gap to ideal explained by load
 imbalance (worst on AB).  The degree-aware ``balanced`` policy is this
 reproduction's extension: greedy longest-processing-time packing by start
 degree.
+
+The hash-over-range premise — a walk costs in proportion to its hubs'
+degrees — holds for eRVS, whose scan is linear in the degree.  The adaptive
+runtime sends hub steps to eRJS wherever that is cheaper, which flattens the
+per-walk cost and with it the gap between the two mappings, so the
+``ervs_*`` columns repeat the 4-device hash / range cells with eRVS only.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ WORKLOAD = "node2vec"
 DATASETS = ("FS", "EU", "AB", "TW", "SK")
 GPU_COUNTS = (1, 2, 3, 4)
 POLICIES = ("hash", "range", "balanced")
+#: Mappings repeated on the eRVS-only run, at the largest device count.
+ERVS_POLICIES = ("hash", "range")
 
 
 def run_experiment(config: ExperimentConfig | None = None) -> dict:
@@ -60,9 +68,8 @@ def run_experiment(config: ExperimentConfig | None = None) -> dict:
         # below re-targets the session's engine at a specific count/policy
         # without recompiling anything.
         service = WalkService(graph, fleet=DeviceFleet(device, max(GPU_COUNTS)))
-        session = service.session(
-            make_workload(WORKLOAD), FlexiWalkerConfig(device=device, seed=config.seed)
-        )
+        spec = make_workload(WORKLOAD)
+        session = service.session(spec, FlexiWalkerConfig(device=device, seed=config.seed))
         session.submit(queries)
         single = session.collect()
 
@@ -78,6 +85,16 @@ def run_experiment(config: ExperimentConfig | None = None) -> dict:
                 row[f"{policy}_x{gpus}"] = single.kernel.time_ns / result.kernel.time_ns
                 if gpus == max(GPU_COUNTS):
                     row[f"imbalance_{policy}_x{gpus}"] = result.load_imbalance
+        top = max(GPU_COUNTS)
+        ervs = service.session(
+            spec, FlexiWalkerConfig(device=device, seed=config.seed, selection="ervs_only")
+        )
+        ervs.submit(queries)
+        ervs_single = ervs.collect()
+        for policy in ERVS_POLICIES:
+            result = ervs.engine.with_devices(top, partition_policy=policy).run(queries)
+            row[f"ervs_{policy}_x{top}"] = ervs_single.kernel.time_ns / result.kernel.time_ns
+            row[f"ervs_imbalance_{policy}_x{top}"] = result.load_imbalance
         rows.append(row)
 
     return {
@@ -93,6 +110,8 @@ def format_result(result: dict) -> str:
         ["dataset"]
         + [f"{policy}_x{g}" for policy in POLICIES for g in GPU_COUNTS]
         + [f"imbalance_{policy}_x{top}" for policy in POLICIES]
+        + [f"ervs_{policy}_x{top}" for policy in ERVS_POLICIES]
+        + [f"ervs_imbalance_{policy}_x{top}" for policy in ERVS_POLICIES]
     )
     return format_table(
         headers,

@@ -7,7 +7,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, as_edge_array, as_edge_labels
+from repro.graph.csr import CSRGraph, as_edge_array, as_edge_labels, as_entry_array
 
 
 def from_edge_list(
@@ -41,7 +41,7 @@ def from_edge_list(
         raise GraphError(f"num_nodes={n} is smaller than the largest node id + 1 ({inferred})")
 
     weight_arr = None if weights is None else np.asarray(weights, dtype=np.float64)
-    label_arr = None if labels is None else np.asarray(labels)
+    label_arr = None if labels is None else as_entry_array(labels)
     if weight_arr is not None and weight_arr.shape[0] != num_edges:
         raise GraphError("weights must have one entry per edge")
     if label_arr is not None:

@@ -12,6 +12,7 @@ makes warp-coalesced scans (reservoir sampling) and strided random probes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,18 +41,46 @@ def check_edge_weights(weights: np.ndarray, edge_at) -> None:
         )
 
 
+def _is_int64_value(value) -> bool:
+    """True when one Python or numpy scalar is an integer within int64 range."""
+    if isinstance(value, (int, np.integer)):
+        return -(2**63) <= int(value) < 2**63
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value) and math.trunc(value) == value and abs(value) < 2.0**63
+    return False
+
+
 def _first_non_int64(values: np.ndarray) -> int | None:
     """Flat index of the first entry of ``values`` that is not an integer
-    within int64 range (fractional, NaN, infinite or too large), or ``None``
-    when every entry is one."""
+    within int64 range (fractional, NaN, infinite, too large or not a number
+    at all, such as a string), or ``None`` when every entry is one."""
     if np.can_cast(values.dtype, np.int64):
         return None
     if values.dtype.kind == "u":
         bad = values > np.iinfo(np.int64).max
+    elif values.dtype.kind not in "f":
+        # Strings, bytes or Python objects: numpy would parse or reject them
+        # wholesale, so check entry by entry.
+        return next(
+            (i for i, value in enumerate(values.flat) if not _is_int64_value(value)), None
+        )
     else:
         as_float = values.astype(np.float64)
         bad = ~((np.trunc(as_float) == as_float) & (np.abs(as_float) < 2.0**63))  # NaN fails both
     return int(np.argmax(bad)) if bad.any() else None
+
+
+def as_entry_array(values) -> np.ndarray:
+    """``values`` as an array for the id and label checks below.
+
+    numpy turns a list that mixes numbers with strings into an all-string
+    array, after which no check can tell which entry was not a number; such
+    a list becomes an object array of its own entries instead.
+    """
+    if isinstance(values, np.ndarray):
+        return values
+    arr = np.asarray(values)
+    return np.array(values, dtype=object) if arr.dtype.kind in "US" else arr
 
 
 def as_edge_array(edges) -> np.ndarray:
@@ -65,7 +94,7 @@ def as_edge_array(edges) -> np.ndarray:
     being cast to some other node.  Range checks stay with the callers,
     whose node spaces differ.
     """
-    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    arr = as_entry_array(edges if isinstance(edges, np.ndarray) else list(edges))
     if arr.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -93,8 +122,10 @@ def as_edge_labels(labels: np.ndarray, edge_at) -> np.ndarray:
     bad = _first_non_int64(labels)
     if bad is not None:
         src, dst = edge_at(bad)
+        label = labels.flat[bad]
+        label = label.item() if isinstance(label, np.generic) else label
         raise GraphError(
-            f"edge ({int(src)}, {int(dst)}) has label {labels.flat[bad].item()!r}; "
+            f"edge ({int(src)}, {int(dst)}) has label {label!r}; "
             "edge labels must be int64 integers"
         )
     return labels.astype(np.int64, copy=False)

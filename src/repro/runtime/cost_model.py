@@ -29,9 +29,15 @@ class CostModel:
     Attributes
     ----------
     edge_cost_ratio:
-        ``EdgeCost_RJS / EdgeCost_RVS`` — how much more an uncoalesced
-        rejection probe costs than one coalesced reservoir-scan element.
-        Profiled on the target device; ~8 on the A6000 preset.
+        ``EdgeCost_RJS / EdgeCost_RVS`` — what one expected rejection trial
+        costs in units of one degree of reservoir scan, so that Eq. 11's
+        break-even matches the measured kernels.  Calibrated per workload
+        and graph by :func:`~repro.runtime.profiler.profile_edge_costs`: on
+        the A6000 preset, 4.80 for perfbench's DeepWalk on a 100k-node BA
+        graph, 4.05 for its Node2Vec on a 2^15-node RMAT graph and 4.05 for
+        DeepWalk on a 20k-node BA graph (seed 7); 0.6–33 for Node2Vec on
+        the YT / EU scale models of Fig. 11.  The default of 8 is what a
+        selector built without a profile uses.
     """
 
     edge_cost_ratio: float = 8.0

@@ -37,6 +37,7 @@ from repro.compiler.generator import (
     analyze_workload,
     compile_workload,
 )
+from repro.compiler.flags import BoundGranularity
 from repro.core.config import FlexiWalkerConfig
 from repro.errors import ServiceError
 from repro.graph.csr import CSRGraph
@@ -366,6 +367,7 @@ class WalkService:
                 self.fleet.device,
                 seed=seed,
                 resume=self._profile_resume.pop(key, None),
+                compiled=self.compile(spec),
             )
             self._registry_put(self._profiles, key, result)
         return result
@@ -457,7 +459,11 @@ class WalkService:
         for key, profile in [(k, p) for k, p in self._profiles.items() if k[-2] == old_version]:
             *spec_key, _, seed = key
             compiled = self._compiled.get((*spec_key, version))
-            if compiled is None or not compiled.weights_node_only:
+            if (
+                compiled is None
+                or not compiled.weights_node_only
+                or compiled.granularity is BoundGranularity.PER_KERNEL
+            ):
                 continue
             index = profile_resume_index(old_graph, new_graph, touched, seed=seed)
             if index is None:

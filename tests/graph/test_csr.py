@@ -103,6 +103,51 @@ class TestEdgeIdContract:
             dynamic.apply_delta([], removals=[(0, 1), (1, bad)])
 
 
+@pytest.mark.parametrize("bad", ["x", b"x", "3", None])
+class TestNonNumericEdgeIds:
+    """A string, bytes or ``None`` id is a GraphError naming the pair, not a
+    numpy ValueError from parsing it as a number."""
+
+    def test_edge_list_builder_names_the_first_bad_pair(self, bad):
+        with pytest.raises(GraphError, match=r"edge 0 .*not an int64 integer"):
+            from_edge_list([(bad, 1)])
+        with pytest.raises(GraphError, match=r"edge 1 .*not an int64 integer"):
+            from_edge_list([(0, 1), (1, bad)], num_nodes=2)
+
+    def test_graph_delta_names_the_first_bad_pair(self, bad):
+        dynamic = DeltaCSRGraph(from_edge_list([(0, 1), (1, 2)], num_nodes=4))
+        with pytest.raises(GraphError, match=r"edge 0 .*not an int64 integer"):
+            dynamic.apply_delta([(bad, 3)])
+        with pytest.raises(GraphError, match=r"edge 1 .*not an int64 integer"):
+            dynamic.apply_delta([], removals=[(0, 1), (1, bad)])
+
+
+@pytest.mark.parametrize("bad", ["a", b"a", "3", None, object()])
+class TestNonNumericEdgeLabels:
+    """Every label entry point names the edge of a non-numeric label."""
+
+    def test_edge_list_builder_names_the_first_bad_edge(self, bad):
+        with pytest.raises(GraphError, match=r"edge \(0, 1\) has label .*int64 integers"):
+            from_edge_list([(0, 1)], num_nodes=2, labels=[bad])
+
+    def test_csr_constructor_names_the_first_bad_edge(self, bad):
+        labels = np.empty(3, dtype=object)
+        labels[:] = [4, bad, 5]
+        with pytest.raises(GraphError, match=r"edge \(0, 2\) has label"):
+            CSRGraph(indptr=np.array([0, 2, 3, 3]), indices=np.array([1, 2, 2]), labels=labels)
+
+    def test_with_labels_names_the_first_bad_edge(self, bad):
+        labels = np.empty(3, dtype=object)
+        labels[:] = [0, 1, bad]
+        with pytest.raises(GraphError, match=r"edge \(1, 2\) has label"):
+            simple_graph().with_labels(labels)
+
+    def test_graph_delta_names_the_first_bad_edge(self, bad):
+        base = from_edge_list([(0, 1), (1, 2)], num_nodes=4, labels=[0, 1])
+        with pytest.raises(GraphError, match=r"edge \(3, 0\) has label"):
+            DeltaCSRGraph(base).apply_delta([(2, 3), (3, 0)], labels=[2, bad])
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan, np.inf, 2.0**63, 1e20])
 class TestEdgeLabelContract:
     """Every label entry point rejects labels it would otherwise truncate."""

@@ -96,8 +96,8 @@ def test_fused_and_solo_scheduler_chunks():
     chunks = _scheduled()
     assert {name: len(c) for name, c in chunks.items()} == {"a": 9, "b": 6, "c": 4}
     assert {name: _digest(c) for name, c in chunks.items()} == {
-        "a": "ab53036a0d49cafa",
-        "b": "ee37911d3dbe1dba",
+        "a": "79f6a1a85e9bb7ab",
+        "b": "0fd8a22965c0d9bc",
         "c": "a618593a2aca71ed",
     }
 
@@ -105,4 +105,4 @@ def test_fused_and_solo_scheduler_chunks():
 def test_standalone_two_wave_chunks():
     chunks = _standalone()
     assert len(chunks) == 14
-    assert _digest(chunks) == "87a7d50ece6e863c"
+    assert _digest(chunks) == "f6b0f4e6c7b9a47f"

@@ -135,12 +135,12 @@ RUNS = {
 
 GOLDEN: dict[str, dict] = {
     "replicated": {
-        "recovery_time_ns": 52451.44,
+        "recovery_time_ns": 52436.58,
         "checkpoints_taken": 10,
         "degraded_devices": (0,),
-        "kernel_time_ns": 52839.76,
-        "device_kernel_ns": (0.0, 388.31999999999994),
-        "digest": "4b49639ccde0570a",
+        "kernel_time_ns": 52806.98,
+        "device_kernel_ns": (0.0, 370.4),
+        "digest": "07a29815d980e078",
         "chunks": (
             (2, (0, 9)), (3, (2, 11)), (4, (4,)), (5, (6,)), (6, (8,)), (7, (1, 10)),
             (8, (3,)), (9, (5,)), (10, (7,)), (13, (27,)), (14, (20, 29)), (15, (22,)),
@@ -151,21 +151,21 @@ GOLDEN: dict[str, dict] = {
         "recovery_time_ns": 29288.219999999998,
         "checkpoints_taken": 7,
         "degraded_devices": (0,),
-        "kernel_time_ns": 271.6,
+        "kernel_time_ns": 254.26,
         "device_kernel_ns": (),
-        "digest": "4141192546d1b729",
+        "digest": "452b84c1e787ec44",
         "chunks": (
             (2, (0,)), (3, (2,)), (4, (4,)), (7, (1,)), (8, (3, 40)), (9, (42,)), (10, (44,)),
             (13, (41,)), (14, (43,)),
         ),
     },
     "sharded": {
-        "recovery_time_ns": 55053.44,
+        "recovery_time_ns": 55038.08,
         "checkpoints_taken": 10,
         "degraded_devices": (1,),
-        "kernel_time_ns": 60258.44,
-        "device_kernel_ns": (5205.0, 3902.5),
-        "digest": "4b49639ccde0570a",
+        "kernel_time_ns": 60242.08,
+        "device_kernel_ns": (5204.0, 3902.0),
+        "digest": "07a29815d980e078",
         "chunks": (
             (2, (0, 9)), (3, (2, 11)), (4, (4,)), (5, (6,)), (6, (8,)), (7, (1, 10)),
             (8, (3,)), (9, (5,)), (10, (7,)), (13, (27,)), (14, (20, 29)), (15, (22,)),
@@ -173,12 +173,12 @@ GOLDEN: dict[str, dict] = {
         ),
     },
     "standalone": {
-        "recovery_time_ns": 52451.44,
+        "recovery_time_ns": 52436.58,
         "checkpoints_taken": 10,
         "degraded_devices": (0,),
-        "kernel_time_ns": 52839.76,
+        "kernel_time_ns": 52806.98,
         "device_kernel_ns": (),
-        "digest": "4b49639ccde0570a",
+        "digest": "07a29815d980e078",
         "chunks": (
             (2, (0, 9)), (3, (2, 11)), (4, (4,)), (5, (6,)), (6, (8,)), (7, (1, 10)),
             (8, (3,)), (9, (5,)), (10, (7,)), (13, (27,)), (14, (20, 29)), (15, (22,)),

@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.compiler.flags import BoundGranularity
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
 from repro.graph.builders import from_edge_list
@@ -35,9 +36,17 @@ from repro.sampling.erjs import EnhancedRejectionSampler
 from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
+from repro.walks.spec import WalkSpec
 from repro.walks.state import WalkQuery, make_queries
 
 DEVICE = dataclasses.replace(A6000, parallel_lanes=8)
+
+
+class ConstantWeightSpec(WalkSpec):
+    """Every edge weighs the same: edge-only weights, PER_KERNEL hints."""
+
+    def get_weight(self, graph, state, edge):
+        return 2.0
 
 MODE_CONFIGS = {
     "batched": dict(),
@@ -380,6 +389,23 @@ class TestVersionCarryAndRelease:
         assert key not in service._profiles
         fresh = service.session(spec, config).profile
         assert service._profiles[key] is fresh
+        assert fresh == profile_edge_costs(service.graph, spec, DEVICE, seed=0)
+
+    def test_a_per_kernel_workload_always_reprofiles(self):
+        spec = ConstantWeightSpec()
+        config = FlexiWalkerConfig(device=DEVICE)
+        service = WalkService(DeltaCSRGraph(build_graph()), fleet=DeviceFleet(DEVICE, 1))
+        compiled = service.compile(spec)
+        assert compiled.weights_node_only
+        assert compiled.granularity is BoundGranularity.PER_KERNEL
+        service.session(spec, config)
+        sampled = _sample_nodes(service.graph, 0.02, 64, seed=0)
+        history = service.graph.indices[service.graph.indptr[sampled]]
+        service.apply_delta(*quiet_delta(service, 6, np.concatenate([sampled, history])))
+        key = (*service._registry_key(spec), 0)
+        assert key not in service._profiles
+        assert key not in service._profile_resume
+        fresh = service.session(spec, config).profile
         assert fresh == profile_edge_costs(service.graph, spec, DEVICE, seed=0)
 
     def test_a_delta_touching_a_sampled_node_reprofiles(self):
