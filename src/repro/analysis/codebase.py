@@ -64,6 +64,7 @@ _TC_PRIVATE_ATTRS = frozenset(
         "_weights",
         "_row_max",
         "_have_weights",
+        "_weights_complete",
         "_cdf",
         "_totals",
         "_have_cdf",

@@ -9,8 +9,7 @@ Each module exposes
 * ``main()`` — runs and prints it, so every experiment is directly runnable
   with ``python -m repro.bench.experiments.<name>``.
 
-The mapping between modules and paper items is recorded in DESIGN.md's
-per-experiment index and in EXPERIMENTS.md.
+The mapping between modules and paper items is recorded in EXPERIMENTS.md.
 """
 
 EXPERIMENT_MODULES = (

@@ -5,8 +5,8 @@ processing unit grabs new work the moment it finishes, instead of being
 assigned a fixed contiguous range up front.  This experiment quantifies that
 design choice on the reproduction's simulator: the same per-query work is
 replayed under both policies and the makespan, utilisation and load imbalance
-are compared.  (This ablation is called out in DESIGN.md; the paper describes
-the mechanism but does not plot it separately.)
+are compared.  (The paper describes the mechanism but does not plot it
+separately.)
 """
 
 from __future__ import annotations

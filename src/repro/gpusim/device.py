@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gpusim.counters import CostCounters, CounterBatch
+from repro.gpusim.counters import COUNT_ROWS, CostCounters, CounterBatch
 
 
 @dataclass(frozen=True)
@@ -145,22 +145,29 @@ class DeviceSpec:
         same association order, so slot ``i`` of the result is bit-identical
         to ``lane_time_ns`` of the equivalent scalar counter object — the
         property the batched engine relies on for exact timing parity.
+        Counter rows that are zero in every slot are skipped: each of their
+        terms is ``+0.0``, and ``x + 0.0 == x`` for lane times, which are
+        never negative.
         """
-        width_scale = batch.bytes_per_weight / 8.0
-        memory_ns = (
-            batch.coalesced_accesses * self.coalesced_access_ns
-            + batch.random_accesses * self.random_access_ns
-        ) * width_scale
-        compute_ns = (
-            batch.weight_computations * self.weight_compute_ns
-            + batch.rng_draws * self.rng_ns
-            + batch.reduction_elements * self.reduction_ns
-            + batch.prefix_sum_elements * self.prefix_sum_ns
-            + batch.warp_syncs * self.warp_sync_ns
-            + batch.atomic_ops * self.atomic_ns
-            + batch.table_builds * self.table_build_ns
-        )
-        return memory_ns + compute_ns
+        counts = batch.counts
+        live = counts.any(axis=1).tolist()
+        memory_ns = _priced(counts, live, (
+            (COUNT_ROWS["coalesced_accesses"], self.coalesced_access_ns),
+            (COUNT_ROWS["random_accesses"], self.random_access_ns),
+        ))
+        compute_ns = _priced(counts, live, (
+            (COUNT_ROWS["weight_computations"], self.weight_compute_ns),
+            (COUNT_ROWS["rng_draws"], self.rng_ns),
+            (COUNT_ROWS["reduction_elements"], self.reduction_ns),
+            (COUNT_ROWS["prefix_sum_elements"], self.prefix_sum_ns),
+            (COUNT_ROWS["warp_syncs"], self.warp_sync_ns),
+            (COUNT_ROWS["atomic_ops"], self.atomic_ns),
+            (COUNT_ROWS["table_builds"], self.table_build_ns),
+        ))
+        if memory_ns is None:
+            return np.zeros(batch.size) if compute_ns is None else compute_ns
+        memory_ns *= batch.bytes_per_weight / 8.0
+        return memory_ns if compute_ns is None else memory_ns + compute_ns
 
     def migration_time_ns(self, num_bytes: int) -> float:
         """Interconnect cost of shipping ``num_bytes`` to a peer device.
@@ -202,6 +209,22 @@ class DeviceSpec:
             name=name if name is not None else f"{self.name} x{factor:g}",
             parallel_lanes=max(1, int(self.parallel_lanes * factor)),
         )
+
+
+def _priced(
+    counts: np.ndarray, live: list[bool], terms: tuple[tuple[int, float], ...]
+) -> np.ndarray | None:
+    """``Σ counts[row] * price`` over the ``(row, price)`` terms whose row is
+    ``live``, summed left to right; ``None`` when no row is."""
+    total = None
+    for row, price in terms:
+        if live[row]:
+            term = counts[row] * price
+            if total is None:
+                total = term
+            else:
+                total += term
+    return total
 
 
 #: NVIDIA RTX A6000 preset (84 SMs, 48 GB, 300 W TDP).

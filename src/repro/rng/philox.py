@@ -16,10 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 # Multipliers/Weyl constants borrowed from the Philox/SplitMix literature.
-_PHILOX_M0 = np.uint64(0xD2B74407B1CE6E93)
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
+# They and the shift counts are 0-d arrays, not NumPy scalars: arithmetic
+# with an array operand runs through the ufunc loops, which wrap uint64
+# silently (even for a scalar counter) and, on small arrays, cost less per
+# operation than converting a scalar operand.
+_PHILOX_M0 = np.array(0xD2B74407B1CE6E93, dtype=np.uint64)
+_GOLDEN_GAMMA = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MIX_1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_MIX_2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
+    np.array(shift, dtype=np.uint64) for shift in (11, 27, 30, 31)
+)
 
 # 2**-53 — converts the top 53 bits of a uint64 into a double in [0, 1).
 _U64_TO_UNIT = float(2.0**-53)
@@ -48,18 +55,18 @@ def philox_uniform_premixed(mixed_key: np.ndarray, counter: int | np.ndarray) ->
     """:func:`philox_uniform` for keys already passed through :func:`premix_key`.
 
     The multiply-mix round updates one buffer of the broadcast shape in
-    place; only the shifts allocate a temporary.
+    place; only the shifts allocate a temporary.  Every operation has a 0-d
+    array operand, so none warns on the intended uint64 wrap-around.
     """
-    with np.errstate(over="ignore"):
-        x = np.asarray(counter, dtype=np.uint64) + _GOLDEN_GAMMA
-        x *= _PHILOX_M0
-        x = np.bitwise_xor(x, mixed_key)
-        x ^= x >> np.uint64(30)
-        x *= _MIX_1
-        x ^= x >> np.uint64(27)
-        x *= _MIX_2
-        x ^= x >> np.uint64(31)
-        x >>= np.uint64(11)
+    x = np.asarray(counter, dtype=np.uint64) + _GOLDEN_GAMMA
+    x *= _PHILOX_M0
+    x = np.bitwise_xor(x, mixed_key)
+    x ^= x >> _SHIFT_30
+    x *= _MIX_1
+    x ^= x >> _SHIFT_27
+    x *= _MIX_2
+    x ^= x >> _SHIFT_31
+    x >>= _SHIFT_11
     out = x.astype(np.float64)
     out *= _U64_TO_UNIT
     return out

@@ -282,8 +282,8 @@ class BatchStreams:
             # counters with one fancy-index update.
             pool = self._pool
             starts = pool._counters[self._slots]
-            with np.errstate(over="ignore"):
-                pool._counters[self._slots] = starts + counts.astype(np.uint64)
+            # Array arithmetic: the uint64 counters wrap without a warning.
+            pool._counters[self._slots] = starts + counts.view(np.uint64)
             pool._draws[self._slots] += counts
             return starts
         starts = np.zeros(counts.size, dtype=np.uint64)
@@ -331,9 +331,9 @@ class AdoptedStreamPool:
     :class:`StreamPool` this pool never shares slots: every adopted walker
     owns a fresh ``(key, counter, draws)`` slot, exactly like two separate
     solo sessions would.  Slot numbers are frontier positions, so
-    :meth:`batch_all` is unique by construction and keeps the
-    :meth:`BatchStreams.reserve_flat` vectorised fast path on for the whole
-    fused frontier.
+    :meth:`batch_all` and :meth:`batch_at` are unique by construction and
+    keep the :meth:`BatchStreams.reserve_flat` vectorised fast path on for
+    the fused frontier.
     """
 
     def __init__(self) -> None:
@@ -387,8 +387,13 @@ class AdoptedStreamPool:
 
     def batch_all(self) -> BatchStreams:
         """Bundle every adopted stream, indexed by frontier position."""
-        slots = np.arange(len(self), dtype=np.int64)
-        return BatchStreams._from_pool(self, slots, slots, unique=True)
+        return self.batch_at(np.arange(len(self), dtype=np.int64))
+
+    def batch_at(self, positions: np.ndarray) -> BatchStreams:
+        """Bundle the streams at strictly increasing frontier ``positions``
+        (``nonzero`` output, say).  Distinct positions are distinct slots,
+        so the batch is unique without a check."""
+        return BatchStreams._from_pool(self, positions, positions, unique=True)
 
     def snapshot_counters(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of every slot's ``(counter, draws)`` state.

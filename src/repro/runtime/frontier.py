@@ -253,13 +253,12 @@ class FrontierRun:
     cannot change any walker's accounting.
     """
 
-    __slots__ = ("engine", "frontier", "pool", "streams", "per_query_ns")
+    __slots__ = ("engine", "frontier", "pool", "per_query_ns")
 
     def __init__(self, engine: WalkEngine) -> None:
         self.engine = engine
         self.frontier = WalkerFrontier([])
         self.pool = AdoptedStreamPool()
-        self.streams = self.pool.batch_all()
         self.per_query_ns = np.zeros(0, dtype=np.float64)
 
     def __len__(self) -> int:
@@ -274,7 +273,6 @@ class FrontierRun:
         """
         self.frontier.compact(keep)
         self.pool.compact(keep)
-        self.streams = self.pool.batch_all()
         self.per_query_ns = self.per_query_ns[keep]
 
     def admit(self, queries: list[WalkQuery], seed: int) -> np.ndarray:
@@ -285,7 +283,6 @@ class FrontierRun:
         """
         self.frontier.extend(queries)
         self.pool.adopt(seed, [q.query_id for q in queries])
-        self.streams = self.pool.batch_all()
         fetch = CounterBatch(len(queries), bytes_per_weight=self.engine.weight_bytes)
         fetch.atomic_ops += 1
         fetch_ns = self.engine.device.lane_times_ns(fetch)
@@ -320,7 +317,7 @@ def iter_supersteps(
     (reports carry an empty ``finished``) — used by one-shot driver runs,
     which never read it.
 
-    The run's frontier, streams and per-query times are re-read at the top
+    The run's frontier, stream pool and per-query times are re-read at the top
     of every superstep, so walkers admitted between ``next()`` calls join
     the very next superstep and a checkpoint restore rewinds the loop in
     place.  The generator returns when a ``next()`` finds no walker
@@ -341,19 +338,24 @@ def iter_supersteps(
 
     while True:
         frontier = run.frontier
-        streams = run.streams
         per_query_ns = run.per_query_ns
         active = frontier.active_indices()
         if active.size == 0:
             return
         # Consolidated dead-end rule, vectorised (see sampling.base.is_dead_end).
-        current = frontier.current[active]
-        degrees = graph.indptr[current + 1] - graph.indptr[current]
+        # The nodes the steps execute on are captured before the frontier
+        # advances (fancy indexing copies, so the later in-place advance
+        # cannot alias them).
+        step_nodes = frontier.current[active]
+        edge_start = graph.indptr[step_nodes]
+        degrees = graph.indptr[step_nodes + 1] - edge_start
         dead = degrees == 0
         dead_finished = active[dead]
         if dead_finished.size:
             frontier.terminate(dead_finished)
-            active = active[~dead]
+            live = ~dead
+            active, step_nodes = active[live], step_nodes[live]
+            edge_start, degrees = edge_start[live], degrees[live]
             if active.size == 0:
                 # Every remaining walker hit a dead end: report the
                 # completions without charging a step.
@@ -366,10 +368,6 @@ def iter_supersteps(
                 )
                 continue  # walkers admitted meanwhile step next
         k = active.size
-        # The nodes the steps execute on, captured before the frontier
-        # advances (fancy indexing copies, so the later in-place advance
-        # cannot alias this).
-        step_nodes = frontier.current[active]
 
         counters = CounterBatch(k, bytes_per_weight=engine.weight_bytes)
         bound_hints = sum_hints = None
@@ -400,7 +398,7 @@ def iter_supersteps(
             spec=spec,
             frontier=frontier,
             walkers=active,
-            rng=streams.subset(active),
+            rng=run.pool.batch_at(active),
             counters=counters,
             slots=arena.arange(k),
             bound_hints=bound_hints,
@@ -409,16 +407,21 @@ def iter_supersteps(
             transition_cache=cache,
             arena=arena,
             node_aggregates=node_aggregates,
+            _flat={"edge_start": edge_start, "degrees": degrees},
         )
         samplers, assignment = engine.selector.select_batch(ctx)
 
         next_nodes = np.full(k, -1, dtype=np.int64)
         # Dead-end walkers have no candidates, so this is the active set's.
         blocked = int(degrees.sum()) > _EDGE_BLOCK
+        sizes = np.bincount(assignment, minlength=len(samplers)).tolist()
         for position, sampler in enumerate(samplers):
-            part = (assignment == position).nonzero()[0]
-            if part.size == 0:
+            if sizes[position] == 0:
                 continue
+            # A kernel that owns the whole superstep runs on the context
+            # itself (whose slots are its walkers' indices, 0..k-1).
+            whole = sizes[position] == k
+            part = ctx.slots if whole else (assignment == position).nonzero()[0]
             warp = sampler.processing_unit == "warp"
             if engine.warp_switch_overhead and warp:
                 # The concurrent kernel votes (__ballot_sync) and shares the
@@ -431,11 +434,14 @@ def iter_supersteps(
                     rows = part[block]
                     next_nodes[rows] = sampler.sample_batch(ctx.subset(rows))
             else:
-                next_nodes[part] = sampler.sample_batch(ctx.subset(part))
+                next_nodes[part] = sampler.sample_batch(ctx if whole else ctx.subset(part))
             usage[sampler.name] = usage.get(sampler.name, 0) + int(part.size)
             if engine.step_overhead is not None:
                 _apply_step_overhead(engine, ctx, part, sampler)
 
+        # The kernels ran on ``ctx`` itself: release the flattened arrays
+        # they cached on it before the generator suspends.
+        del ctx
         step_ns = device.lane_times_ns(counters)
         per_query_ns[active] += step_ns
         totals = counters.totals()

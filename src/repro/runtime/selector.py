@@ -128,11 +128,11 @@ class CostModelSelector(SamplerSelector):
         """Vectorised Eq. 11 over the whole frontier."""
         ctx.charge("coalesced_accesses", 2)
         ctx.charge("weight_computations", 2)
-        prefer = np.zeros(ctx.size, dtype=bool)
-        if ctx.bound_hints is not None and ctx.sum_hints is not None:
-            bound, total = ctx.bound_hints, ctx.sum_hints
-            valid = ~np.isnan(bound) & ~np.isnan(total) & (bound > 0) & (total > 0)
-            prefer[valid] = self.cost_model.edge_cost_ratio * bound[valid] < total[valid]
+        bound, total = ctx.bound_hints, ctx.sum_hints
+        if bound is None or total is None:
+            return [self._erjs, self._ervs], np.ones(ctx.size, dtype=np.int64)
+        # A missing hint is NaN, and every comparison with NaN is False.
+        prefer = (bound > 0) & (total > 0) & (self.cost_model.edge_cost_ratio * bound < total)
         return [self._erjs, self._ervs], np.where(prefer, 0, 1)
 
 

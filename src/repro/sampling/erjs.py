@@ -21,6 +21,7 @@ import numpy as np
 from repro.sampling.base import Sampler, StepContext, gather_transition_weights
 from repro.sampling.batch import BatchStepContext
 from repro.sampling.rejection import (
+    emit_choices,
     probe_weights,
     run_rejection_trials,
     run_rejection_trials_batch,
@@ -112,42 +113,46 @@ class EnhancedRejectionSampler(Sampler):
         are charged their scan without a gather.
         """
         degrees = batch.degrees
-        hinted = np.zeros(batch.size, dtype=bool)
-        if self.use_estimated_bound and batch.bound_hints is not None:
-            hints = batch.bound_hints
-            hinted = ~np.isnan(hints) & (hints > 0)
+        hints = batch.bound_hints if self.use_estimated_bound else None
+        # A missing hint is NaN, which compares False.
+        hinted = None if hints is None else hints > 0
         probe, true_max = probe_weights(batch, self._on_demand(batch, hinted))
 
-        bounds = np.empty(batch.size, dtype=np.float64)
-        hint_idx = np.nonzero(hinted)[0]
-        if hint_idx.size:
-            # Estimating the bound touches one preprocessed value plus a bit
-            # of arithmetic (Fig. 5b).
-            bounds[hint_idx] = batch.bound_hints[hint_idx]
-            batch.charge("random_accesses", 1, hint_idx)
-            batch.charge("weight_computations", 1, hint_idx)
-        scan_idx = np.nonzero(~hinted)[0]
-        if scan_idx.size:
+        if hinted is not None and hinted.all():
+            # Every walker estimates its bound, touching one preprocessed
+            # value plus a bit of arithmetic (Fig. 5b); that read is charged
+            # with the trials.  Widen hint-violating bounds so correctness
+            # never depends on the helper really being an upper bound (same
+            # rule as the scalar path); on-demand walkers' row maxima are
+            # unknown (-inf) but provably at most their hint.
+            bounds = np.maximum(hints, true_max)
+            alive = np.arange(batch.size, dtype=np.int64)
+            bound_reads = 1
+        else:
+            bounds = np.empty(batch.size, dtype=np.float64)
+            if hinted is None:
+                hinted = np.zeros(batch.size, dtype=bool)
+            hint_idx = hinted.nonzero()[0]
+            if hint_idx.size:
+                bounds[hint_idx] = hints[hint_idx]
+                batch.charge("random_accesses", 1, hint_idx)
+                batch.charge("weight_computations", 1, hint_idx)
+            scan_idx = (~hinted).nonzero()[0]
             # Fallback: exact maximum via a full scan + max reduction (Fig. 5a).
             batch.charge_scan(idx=scan_idx)
             batch.charge("reduction_elements", degrees[scan_idx], scan_idx)
             bounds[scan_idx] = true_max[scan_idx]
-
-        alive = np.nonzero(bounds > 0)[0]
-        if alive.size == 0:
-            return out
-        # Widen hint-violating bounds so correctness never depends on the
-        # helper really being an upper bound (same rule as the scalar path).
-        # On-demand walkers' row maxima are unknown (-inf) but provably at
-        # most their hint, so their bound stays the hint.
-        bounds = np.maximum(bounds, true_max)
+            alive = (bounds > 0).nonzero()[0]
+            if alive.size == 0:
+                return out
+            bounds = np.maximum(bounds, true_max)
+            bound_reads = 0
 
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
-        choice = np.full(batch.size, -1, dtype=np.int64)
-        choice[alive] = run_rejection_trials_batch(
-            batch, alive, probe, bounds[alive], max_trials[alive]
+        choice, failed = run_rejection_trials_batch(
+            batch, alive, probe, bounds, max_trials, bound_reads
         )
-        for i in alive[choice[alive] < 0]:
+        for i in failed:
             wslice = probe.row(i)
             total = float(wslice.sum())
             if total <= 0.0:
@@ -161,12 +166,10 @@ class EnhancedRejectionSampler(Sampler):
             u = batch.stream(i).uniform()
             batch.charge("rng_draws", 1, only)
             choice[i] = min(int(np.searchsorted(cdf, u * total, side="right")), degree - 1)
-        picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
-        return out
+        return emit_choices(batch, choice, out)
 
     @staticmethod
-    def _on_demand(batch: BatchStepContext, hinted: np.ndarray) -> np.ndarray | None:
+    def _on_demand(batch: BatchStepContext, hinted: np.ndarray | None) -> np.ndarray | None:
         """Hinted walkers whose hint provably bounds every weight of their row.
 
         A walker whose exact weight ceiling
@@ -176,7 +179,7 @@ class EnhancedRejectionSampler(Sampler):
         only the candidates they probe.  ``None`` when the transition cache
         already serves probes in place or the spec has no ceiling.
         """
-        if batch.transition_cache is not None or not hinted.any():
+        if batch.transition_cache is not None or hinted is None or not hinted.any():
             return None
         ceiling = batch.spec.weight_ceiling_batch(batch.graph, batch)
         if ceiling is None:

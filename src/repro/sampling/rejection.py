@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.rng.philox import philox_uniform_premixed
 from repro.sampling.base import Sampler, StepContext, gather_transition_weights
+from repro.gpusim.counters import COUNT_ROWS
 from repro.sampling.batch import BatchStepContext, segment_max
 
 #: Size of the trial blocks each round reserves per walker.  It fixes which
@@ -30,6 +31,18 @@ _TRIAL_CHUNKS = (1, 1, 2, 4, 8)
 #: round is evaluated in one chunk — narrow frontiers pay one numpy pass per
 #: round instead of one per chunk.
 _ONE_SHOT_CELLS = 2048
+
+#: Counter rows a trial charges (a column, for one add into the counter
+#: matrix) and what one trial costs in each: two random numbers, one probe
+#: access (plus the spec's probe words), one weight computation, one trial.
+_TRIAL_ROWS = np.array(
+    [COUNT_ROWS[name] for name in
+     ("rng_draws", "random_accesses", "weight_computations", "rejection_trials")]
+)[:, None]
+_TRIAL_COSTS = np.array([2, 1, 1, 1], dtype=np.int64)
+
+#: Trial offsets within a block, as the uint64 counter increments they are.
+_TRIAL_OFFSETS = np.arange(_TRIAL_BATCH, dtype=np.uint64)
 
 
 def run_rejection_trials(
@@ -163,11 +176,12 @@ def probe_weights(
 
 def run_rejection_trials_batch(
     batch: BatchStepContext,
-    idx: np.ndarray,
+    alive: np.ndarray,
     probe: WeightProbe,
     bounds: np.ndarray,
     max_trials: np.ndarray,
-) -> np.ndarray:
+    bound_reads: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Accept/reject trials for many walkers at once.
 
     The batched twin of :func:`run_rejection_trials`.  Per round every still
@@ -180,46 +194,92 @@ def run_rejection_trials_batch(
 
     Parameters
     ----------
-    idx:
-        Batch-local indices of the participating walkers.
+    alive:
+        Strictly increasing batch-local indices of the walkers that run
+        trials (at least one), each with an out-edge and a positive bound.
     probe:
         Reads each probed candidate's weight (see :func:`probe_weights`).
     bounds / max_trials:
-        Per-walker proposal bounds and trial budgets, parallel to ``idx``.
+        Per-walker proposal bounds and trial budgets of the whole batch.
+    bound_reads:
+        Bound reads each alive walker already made (one uncoalesced access
+        and one weight computation apiece: eRJS's hint read), charged
+        together with its trials.
 
-    Returns the accepted candidate index *within each walker's neighbour
-    list* (``-1`` when the budget was exhausted), charging exactly the trial
-    costs the scalar helper charges.
+    Returns ``(choice, failed)``: the accepted candidate index *within each
+    walker's neighbour list* for every walker of the batch (``-1`` where
+    none was accepted), and the alive walkers whose budget ran out, which
+    the kernels finish by inversion.  The trial costs charged are exactly
+    the scalar helper's; they land in one add into the counter matrix, as
+    integer sums do not depend on their order.
     """
-    choice = np.full(idx.size, -1, dtype=np.int64)
-    if idx.size == 0:
-        return choice
-    degrees = batch.degrees[idx]
-    probe_words = 1 + batch.spec.probe_cost_words_batch(batch.graph, batch)[idx]
-    done = np.zeros(idx.size, dtype=np.int64)
-    active = np.nonzero((degrees > 0) & (bounds > 0))[0]
-    while active.size:
-        block = np.minimum(_TRIAL_BATCH, max_trials[active] - done[active])
+    n = alive.size
+    # An increasing selection as wide as the batch is the whole batch, in order.
+    whole = n == batch.size
+    degrees, keys, slots = batch.degrees, batch.rng.mixed_keys, batch.slots
+    words = batch.spec.probe_cost_words_batch(batch.graph, batch)
+    if not whole:
+        degrees, keys, slots, words = degrees[alive], keys[alive], slots[alive], words[alive]
+        bounds, max_trials = bounds[alive], max_trials[alive]
+    # Budgets and candidate counts are int64 (CSR degrees are).
+    block = np.minimum(max_trials, _TRIAL_BATCH)
+    rows = None  # the undecided walkers' positions in ``alive``; None while all are
+    while True:
         runnable = block > 0
-        active = active[runnable]
-        block = block[runnable]
-        if active.size == 0:
-            break
-        slots = idx[active]
-        streams = batch.rng.subset(slots)
-        starts = streams.reserve_flat(2 * block)
-        hit, used, winners = _first_accepts(
-            streams.mixed_keys, starts, block, degrees[active], bounds[active],
-            probe, slots,
-        )
-        batch.charge("rng_draws", 2 * used, slots)
-        batch.charge("random_accesses", probe_words[active] * used, slots)
-        batch.charge("weight_computations", used, slots)
-        batch.charge("rejection_trials", used, slots)
-        done[active] += used
-        choice[active[hit]] = winners[hit]
-        active = active[~hit]
-    return choice
+        if not runnable.all():
+            if rows is None:
+                rows = runnable.nonzero()[0]
+                choice = np.full(n, -1, dtype=np.int64)
+                trials = np.zeros(n, dtype=np.int64)
+            else:
+                rows = rows[runnable]
+            if rows.size == 0:
+                break
+            block = block[runnable]
+        if rows is None:
+            streams = batch.rng if whole else batch.rng.subset(alive)
+            hit, trials, choice = _first_accepts(
+                keys, streams.reserve_flat(2 * block), block, degrees, bounds, probe, alive
+            )
+            if hit.all():
+                break
+            choice[~hit] = -1
+            rows = (~hit).nonzero()[0]
+        else:
+            walkers = alive[rows]
+            hit, used, winners = _first_accepts(
+                keys[rows], batch.rng.subset(walkers).reserve_flat(2 * block), block,
+                degrees[rows], bounds[rows], probe, walkers,
+            )
+            trials[rows] += used
+            choice[rows[hit]] = winners[hit]
+            rows = rows[~hit]
+            if rows.size == 0:
+                break
+        block = np.minimum(max_trials[rows] - trials[rows], _TRIAL_BATCH)
+    # Rows rng_draws, random_accesses, weight_computations, rejection_trials.
+    cost = np.multiply.outer(_TRIAL_COSTS, trials)
+    cost[1] += words * trials
+    if bound_reads:
+        cost[1:3] += bound_reads
+    batch.counters.counts[_TRIAL_ROWS, slots] += cost
+    if whole:
+        return choice, (choice < 0).nonzero()[0]
+    full = np.full(batch.size, -1, dtype=np.int64)
+    full[alive] = choice
+    return full, alive[choice < 0]
+
+
+def emit_choices(batch: BatchStepContext, choice: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``choice[i]``-th neighbour of every walker that picked one
+    into ``out`` (one gather when every walker did)."""
+    picked = choice >= 0
+    if picked.all():
+        out[:] = batch.graph.indices[batch.edge_start + choice]
+        return out
+    rows = picked.nonzero()[0]
+    out[rows] = batch.graph.indices[batch.edge_start[rows] + choice[rows]]
+    return out
 
 
 def _first_accepts(
@@ -240,43 +300,66 @@ def _first_accepts(
     walkers still undecided, so a walker that accepts on its first trial
     costs two Philox evaluations — and one weight probe — instead of
     ``2·block``.  Once the undecided walkers × remaining trials fall to
-    :data:`_ONE_SHOT_CELLS`, the rest of the round runs in one chunk.
+    :data:`_ONE_SHOT_CELLS`, the rest of the round runs in one chunk.  The
+    per-walker inputs are gathered only once some walker has decided, and
+    a chunk that finishes every walker's round at once is read off whole.
 
-    Returns per walker ``(accepted, trials used, accepted candidate)``.
+    Returns per walker ``(accepted, trials used, accepted candidate)``; the
+    candidate of a walker that accepted none is arbitrary.
     """
     n = block.size
-    hit = np.zeros(n, dtype=bool)
-    used = block.copy()
-    winners = np.zeros(n, dtype=np.int64)
-    pending = np.arange(n, dtype=np.int64)
+    hit = None  # allocated once a chunk leaves some walker undecided
+    pending = None  # undecided walkers; None while that is every walker
     t = 0
+    # Each walker's first candidate and first acceptance counter.
+    base = np.empty((2, n, 1), dtype=np.uint64)
+    base[0, :, 0] = starts
+    np.add(starts, block.view(np.uint64), out=base[1, :, 0])
     for chunk in _TRIAL_CHUNKS:
-        blk = block[pending]
+        if pending is None:
+            blk, first, key, deg, bnd, who = block, base, keys, degrees, bounds, walkers
+        else:
+            blk, first, key = block[pending], base[:, pending], keys[pending]
+            deg, bnd, who = degrees[pending], bounds[pending], walkers[pending]
         rest = int(blk.max()) - t
-        width = rest if pending.size * rest <= _ONE_SHOT_CELLS else min(chunk, rest)
-        trial = np.arange(t, t + width, dtype=np.int64)
-        # ctr[0]: candidate counters, ctr[1]: acceptance counters.
-        ctr = np.empty((2, pending.size, width), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            np.add(starts[pending][:, None], trial.astype(np.uint64), out=ctr[0])
-            np.add(ctr[0], blk.astype(np.uint64)[:, None], out=ctr[1])
-        u = philox_uniform_premixed(keys[pending][:, None], ctr)
-        xs = np.floor(u[0] * degrees[pending][:, None]).astype(np.int64)
-        accept = u[1] * bounds[pending][:, None] <= probe(walkers[pending], xs)
+        width = rest if blk.size * rest <= _ONE_SHOT_CELLS else min(chunk, rest)
+        trial = _TRIAL_OFFSETS[t:t + width]
+        # ctr[0]: candidate counters, ctr[1]: acceptance counters (uint64
+        # array arithmetic wraps silently, as the generator's counters do).
+        ctr = first + trial
+        u = philox_uniform_premixed(key[:, None], ctr)
+        xs = (u[0] * deg[:, None]).astype(np.int64)
+        accept = u[1] * bnd[:, None] <= probe(who, xs)
         if int(blk.min()) < t + width:
             # Trials past a walker's own (budget-shortened) block were never
             # reserved: they cannot accept.
-            accept &= trial < blk[:, None]
+            accept &= trial.view(np.int64) < blk[:, None]
+        if pending is None and width == rest:
+            # Every walker's round ends in this chunk.
+            first_hit = accept.argmax(axis=1)
+            rows = np.arange(n)
+            won = accept[rows, first_hit]
+            return won, np.where(won, t + first_hit + 1, block), xs[rows, first_hit]
+        if hit is None:
+            hit = np.zeros(n, dtype=bool)
+            used = block.copy()
+            winners = np.zeros(n, dtype=np.int64)
         row_hit = accept.any(axis=1)
-        rows = np.nonzero(row_hit)[0]
+        rows = row_hit.nonzero()[0]
         if rows.size:
-            first = accept[rows].argmax(axis=1)
-            won = pending[rows]
+            first_hit = accept[rows].argmax(axis=1)
+            won = rows if pending is None else pending[rows]
             hit[won] = True
-            used[won] = t + first + 1
-            winners[won] = xs[rows, first]
+            used[won] = t + first_hit + 1
+            winners[won] = xs[rows, first_hit]
         t += width
-        pending = pending[~row_hit & (blk > t)]
+        keep = ~row_hit & (blk > t)
+        if pending is None:
+            if keep.all():
+                continue
+            pending = keep.nonzero()[0]
+        else:
+            pending = pending[keep]
         if pending.size == 0:
             break
     return hit, used, winners
@@ -329,18 +412,14 @@ class RejectionSampler(Sampler):
         probe, bounds = probe_weights(batch)
         batch.charge_scan(coalesced=False)
         batch.charge("reduction_elements", degrees)
-        alive = np.nonzero(bounds > 0)[0]
+        alive = (bounds > 0).nonzero()[0]
         if alive.size == 0:
             return out
-
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
-        choice = np.full(batch.size, -1, dtype=np.int64)
-        choice[alive] = run_rejection_trials_batch(
-            batch, alive, probe, bounds[alive], max_trials[alive]
-        )
+        choice, failed = run_rejection_trials_batch(batch, alive, probe, bounds, max_trials)
         # Trial-budget exhaustion: finish with a direct inversion per walker,
         # replaying the scalar fallback on the same weight slice and stream.
-        for i in alive[choice[alive] < 0]:
+        for i in failed:
             wslice = probe.row(i)
             total = float(wslice.sum())
             if total <= 0.0:
@@ -351,6 +430,4 @@ class RejectionSampler(Sampler):
             u = batch.stream(i).uniform()
             batch.charge("rng_draws", 1, np.array([i]))
             choice[i] = min(int(np.searchsorted(cdf, u * total)), degree - 1)
-        picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
-        return out
+        return emit_choices(batch, choice, out)

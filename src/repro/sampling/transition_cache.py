@@ -62,6 +62,9 @@ class TransitionCache:
         self._weights: np.ndarray | None = None
         self._row_max = np.full(num_nodes, -np.inf, dtype=np.float64)
         self._have_weights = np.zeros(num_nodes, dtype=bool)
+        #: True while every node's weights are filled (``ensure_weights``
+        #: has nothing to check).
+        self._weights_complete = False
         self._cdf: np.ndarray | None = None
         self._totals = np.zeros(num_nodes, dtype=np.float64)
         self._have_cdf = np.zeros(num_nodes, dtype=bool)
@@ -86,6 +89,8 @@ class TransitionCache:
         node without out-edges, like
         :func:`~repro.sampling.batch.segment_max`).
         """
+        if self._weights_complete:
+            return
         pending = np.unique(nodes[~self._have_weights[nodes]])
         if pending.size == 0:
             return
@@ -108,6 +113,7 @@ class TransitionCache:
                 # the preceding segment, so one reduceat is exact.
                 self._row_max[nonempty] = np.maximum.reduceat(bulk, indptr[nonempty])
             self._have_weights[:] = True
+            self._weights_complete = True
             self.weight_fills += int(self.graph.num_nodes)
             return
         if self._weights is None:
@@ -183,6 +189,7 @@ class TransitionCache:
         self._alias_prob = new_alias_prob
         self._alias_idx = new_alias_idx
         self._have_weights[touched] = False
+        self._weights_complete = self._weights_complete and touched.size == 0
         self._row_max[touched] = -np.inf
         self._have_cdf[touched] = False
         self._have_alias[touched] = False

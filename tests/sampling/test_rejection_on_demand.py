@@ -6,7 +6,9 @@ actually tries.  On hubs whose 64 (or 40) out-edges put nearly all the
 weight on one edge, walkers need many rounds and, with a short trial budget,
 many exhaust it and finish by inversion.  Every walker must then still pick the scalar
 kernel's neighbour, be charged the scalar kernel's counts, and leave its
-stream exactly where the scalar kernel leaves it.
+stream exactly where the scalar kernel leaves it.  The trial cases run at a
+narrow and a wide frontier, so both the one-chunk and the chunked first
+round meet the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ from repro.runtime.selector import FixedSelector
 from repro.sampling.base import StepContext
 from repro.sampling.batch import BatchStepContext
 from repro.sampling.erjs import EnhancedRejectionSampler
-from repro.sampling.rejection import _TRIAL_BATCH, _TRIAL_CHUNKS, RejectionSampler
+from repro.sampling.rejection import (
+    _ONE_SHOT_CELLS,
+    _TRIAL_BATCH,
+    _TRIAL_CHUNKS,
+    RejectionSampler,
+)
 from repro.sampling.transition_cache import TransitionCache
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
@@ -118,12 +125,16 @@ CASES = {
 }
 
 
+@pytest.mark.parametrize("width", [8, 200], ids=["narrow", "wide"])
 @pytest.mark.parametrize("cached", [False, True], ids=["flat", "cached"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_batched_trials_match_scalar_oracle(case, cached):
+def test_batched_trials_match_scalar_oracle(case, cached, width):
     graph = skewed_hub_graph()
     factory, kwargs, hint = CASES[case]
-    query_ids = np.arange(200) * 3 + 1
+    query_ids = np.arange(width) * 3 + 1
+    # The narrow frontier runs each first round as one chunk, the wide one
+    # in growing chunks.
+    assert (width * _TRIAL_BATCH <= _ONE_SHOT_CELLS) == (width == 8)
     if hint is None:
         hints = np.where(np.arange(query_ids.size) % 2 == 0, 4 * HEAVY, np.nan)
     else:
