@@ -20,7 +20,7 @@ Usage::
 
     PYTHONPATH=src python scripts/superstep_calls.py                 # 1,000 requests
     PYTHONPATH=src python scripts/superstep_calls.py --requests 120 --top 30
-    PYTHONPATH=src python scripts/superstep_calls.py --wave 1000 4000
+    PYTHONPATH=src python scripts/superstep_calls.py --wave 1000 8000
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ def wave_calls(walkers: int, seed: int = 4, nodes: int = 5_000, length: int = 20
     The graph is a weighted ``nodes``-node BA graph; a 100-walker wave warms
     the service first, so the counted wave (``submit`` of every walker,
     ``stream``, ``collect``) pays no one-off set-up.  ``ticks`` counts the
-    streamed chunks.  Walkers up to the device's lane count (4,032) keep the
-    executor's schedule an identity, so the difference between two walker
-    counts is the per-walker host work.
+    streamed chunks.  The executor's queue schedule works in whole-array
+    rounds at any walker count, so the difference between two walker counts
+    is the per-walker host work, below or above the device's 4,032 lanes.
     """
     import numpy as np
 

@@ -82,7 +82,7 @@ from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import Node2VecSpec, UnweightedNode2VecSpec
 from repro.walks.second_order_pr import SecondOrderPRSpec
 from repro.walks.spec import UniformWalkSpec, WalkSpec
-from repro.walks.state import WalkerState, WalkQuery, make_queries
+from repro.walks.state import QueryBatch, WalkerState, WalkQuery, make_queries
 
 __version__ = "2.0.0"
 
@@ -165,6 +165,7 @@ __all__ = [
     "SecondOrderPRSpec",
     "DeepWalkSpec",
     "WalkQuery",
+    "QueryBatch",
     "WalkerState",
     "make_queries",
     "__version__",

@@ -15,7 +15,6 @@ experiment (Fig. 15), enters the model.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,25 +193,60 @@ class KernelExecutor:
 
         Each fetch pays one atomic operation.  Queries are consumed in their
         submission order, exactly like the global-counter queue in
-        Section 5.3.
+        Section 5.3: query ``q`` goes to the lane with the smallest
+        ``(busy time, lane)`` key, which becomes ``busy + (t_q + atomic)``.
+
+        The greedy runs in rounds of whole-array work.  All lanes start
+        idle, kept sorted by ``(busy, lane)``.  A round hands the next
+        queries to the lanes in that order, one each, for as long as the
+        queue would have: the prefix in which no lane's new time is at or
+        below the old time of a lane later in the order (so an exact tie
+        ends the round early; the next round re-sorts and resolves it).
+        The moved lanes then merge back into the order, ties by lane.  Lane
+        times come out bit-identical to popping a heap once per query
+        (``tests/gpusim/test_executor.py`` checks them against a
+        brute-force queue).
         """
-        if lanes >= per_query_ns.size:
-            # One query per lane: the queue never makes anybody wait, so the
-            # earliest-free-lane assignment is the identity.  Bit-identical
-            # to the heap below (lane i serves query i, paying one fetch).
-            return per_query_ns + atomic_ns
-        # A sorted list is already a heap.  The (busy, lane) keys are unique,
-        # so one heapreplace on the root pops and pushes exactly what a
-        # heappop/heappush pair would.
-        heap = [(0.0, lane) for lane in range(lanes)]
-        lane_times = [0.0] * lanes
-        atomic_ns = float(atomic_ns)
-        for t in per_query_ns.tolist():
-            busy, lane = heap[0]
-            busy += t + atomic_ns
-            lane_times[lane] = busy
-            heapq.heapreplace(heap, (busy, lane))
-        return np.array(lane_times, dtype=np.float64)
+        inc = per_query_ns + atomic_ns  # t + atomic: the heap's association
+        num_queries = inc.size
+        busy = np.zeros(lanes, dtype=np.float64)  # sorted by (busy, lane)
+        order = np.arange(lanes, dtype=np.int64)  # lane of each busy entry
+        done = 0
+        while done < num_queries:
+            r = min(lanes, num_queries - done)
+            new = busy[:r] + inc[done : done + r]
+            if r > 1:
+                # Query j+1 goes to the next old lane only while every new
+                # time so far lies strictly after that lane's old time.
+                late = np.minimum.accumulate(new[:-1]) <= busy[1:r]
+                if late.any():
+                    r = int(late.argmax()) + 1
+                    new = new[:r]
+            done += r
+            moved = order[:r]
+            # The moved lanes in lane order, then stably by their new time:
+            # with the untouched (sorted) rest, a stable float sort sees two
+            # sorted runs, and equal times keep lane order within each run.
+            by_lane = np.argsort(moved)
+            moved, new = moved[by_lane], new[by_lane]
+            by_time = np.argsort(new, kind="stable")
+            keys = np.concatenate([new[by_time], busy[r:]])
+            lanes_of = np.concatenate([moved[by_time], order[r:]])
+            merged = np.argsort(keys, kind="stable")
+            busy, order = keys[merged], lanes_of[merged]
+            # A time shared by both runs lists the moved lanes first; only
+            # such tie groups need a re-sort by (tie group, lane).
+            from_moved = merged < r
+            cross = from_moved[:-1] & ~from_moved[1:] & (busy[1:] == busy[:-1])
+            if cross.any():
+                group = np.cumsum(np.concatenate([[True], busy[1:] != busy[:-1]]))
+                hit = np.zeros(int(group[-1]) + 1, dtype=bool)
+                hit[group[:-1][cross]] = True
+                tied = hit[group].nonzero()[0]
+                order[tied] = order[tied][np.argsort(group[tied] * lanes + order[tied])]
+        lane_times = np.empty(lanes, dtype=np.float64)
+        lane_times[order] = busy
+        return lane_times
 
     @staticmethod
     def _static_schedule(per_query_ns: np.ndarray, lanes: int) -> np.ndarray:

@@ -346,19 +346,21 @@ class AdoptedStreamPool:
     def __len__(self) -> int:
         return int(self._keys.size)
 
-    def adopt(self, seed: int, query_ids: Sequence[int]) -> np.ndarray:
-        """Append one stream per query id, derived as ``StreamPool(seed)``
-        would derive it, and return the new slot numbers."""
-        ids = np.asarray([int(q) for q in query_ids], dtype=np.int64)
+    def adopt(self, seed: int, query_ids: np.ndarray | Sequence[int]) -> np.ndarray:
+        """Append one stream per query id (an ``int64`` array, or a sequence
+        of ints), derived as ``StreamPool(seed)`` would derive it, and return
+        the new slot numbers.  An empty pool takes the new columns as they
+        are."""
+        ids = np.asarray(query_ids, dtype=np.int64)
         start = len(self)
         if ids.size:
-            new_keys = derive_child_keys(PhiloxEngine(seed).key, ids)
-            self._keys = np.concatenate([self._keys, new_keys])
-            self._mixed_keys = np.concatenate([self._mixed_keys, premix_key(new_keys)])
-            self._counters = np.concatenate(
-                [self._counters, np.zeros(ids.size, dtype=np.uint64)]
-            )
-            self._draws = np.concatenate([self._draws, np.zeros(ids.size, dtype=np.int64)])
+            keys = derive_child_keys(PhiloxEngine(seed).key, ids)
+            columns = [keys, premix_key(keys), np.zeros(ids.size, dtype=np.uint64),
+                       np.zeros(ids.size, dtype=np.int64)]
+            if start:
+                old = (self._keys, self._mixed_keys, self._counters, self._draws)
+                columns = [np.concatenate(pair) for pair in zip(old, columns, strict=True)]
+            self._keys, self._mixed_keys, self._counters, self._draws = columns
         return np.arange(start, start + ids.size, dtype=np.int64)
 
     def compact(self, keep: np.ndarray) -> None:

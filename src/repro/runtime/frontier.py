@@ -46,7 +46,7 @@ against.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -60,7 +60,7 @@ from repro.runtime.faults import reassign_owners
 from repro.runtime.scheduler import validate_queries
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.paths import PathTable
-from repro.walks.state import WalkerFrontier, WalkQuery
+from repro.walks.state import QueryBatch, WalkerFrontier, WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports frontier
     from repro.runtime.engine import WalkEngine, WalkRunResult
@@ -184,6 +184,9 @@ class SuperstepReport:
         walker ``active[j]`` executed — what lets a fused launch split its
         ``sampler_usage`` back out per owner exactly.  ``None`` for
         dead-end-only reports.
+    sizes:
+        Walkers each kernel of ``sampler_names`` ran (empty for dead-end-only
+        reports): a launch with one owner reads its usage from here.
     totals:
         ``counters.totals()``, as already merged into ``aggregate``
         (``None`` for dead-end-only reports).
@@ -197,6 +200,7 @@ class SuperstepReport:
     sampler_names: tuple[str, ...] = ()
     assignment: np.ndarray | None = None
     totals: CostCounters | None = None
+    sizes: tuple[int, ...] = ()
 
     @property
     def steps(self) -> int:
@@ -275,15 +279,16 @@ class FrontierRun:
         self.pool.compact(keep)
         self.per_query_ns = self.per_query_ns[keep]
 
-    def admit(self, queries: list[WalkQuery], seed: int) -> np.ndarray:
+    def admit(self, queries: QueryBatch | Sequence[WalkQuery], seed: int) -> np.ndarray:
         """Admit queries whose streams derive from ``StreamPool(seed)``.
 
         Returns their priced fetch times (already appended to
         ``per_query_ns``); the fetch atomics are the caller's to count.
         """
-        self.frontier.extend(queries)
-        self.pool.adopt(seed, [q.query_id for q in queries])
-        fetch = CounterBatch(len(queries), bytes_per_weight=self.engine.weight_bytes)
+        batch = QueryBatch.of(queries)
+        self.frontier.extend(batch)
+        self.pool.adopt(seed, batch.query_ids)
+        fetch = CounterBatch(len(batch), bytes_per_weight=self.engine.weight_bytes)
         fetch.atomic_ops += 1
         fetch_ns = self.engine.device.lane_times_ns(fetch)
         self.per_query_ns = np.concatenate([self.per_query_ns, fetch_ns])
@@ -368,6 +373,9 @@ def iter_supersteps(
                 )
                 continue  # walkers admitted meanwhile step next
         k = active.size
+        # Every walker steps (no dead end, none finished before): the
+        # per-walker updates below are whole-array passes, not scatters.
+        all_step = k == frontier.steps.size
 
         counters = CounterBatch(k, bytes_per_weight=engine.weight_bytes)
         bound_hints = sum_hints = None
@@ -443,7 +451,10 @@ def iter_supersteps(
         # they cached on it before the generator suspends.
         del ctx
         step_ns = device.lane_times_ns(counters)
-        per_query_ns[active] += step_ns
+        if all_step:
+            per_query_ns += step_ns
+        else:
+            per_query_ns[active] += step_ns
         totals = counters.totals()
         aggregate.merge(totals)
 
@@ -451,6 +462,7 @@ def iter_supersteps(
         moving = active[advancing]
         if moving.size < k:
             frontier.terminate(active[~advancing])
+            all_step = False
         if moving.size:
             targets = next_nodes[advancing]
             spec.update_batch(graph, frontier, moving, targets)
@@ -458,7 +470,9 @@ def iter_supersteps(
         # Walks complete by sampling failure (all-zero weights), by reaching
         # their maximum length, or — reported above the step charge — by
         # hitting a dead end.
-        if track_finished:
+        if track_finished and all_step:
+            finished = (frontier.steps >= frontier.max_lengths).nonzero()[0]
+        elif track_finished:
             exhausted = moving[frontier.steps[moving] >= frontier.max_lengths[moving]]
             if dead_finished.size or moving.size < k:
                 finished = np.sort(
@@ -477,7 +491,11 @@ def iter_supersteps(
             sampler_names=tuple([s.name for s in samplers]),
             assignment=assignment,
             totals=totals,
+            sizes=tuple(sizes),
         )
+        # Free this superstep's counter matrix before the next one
+        # allocates its own (the caller has dropped the report by then).
+        del counters
 
 
 def _partition_for_devices(engine: WalkEngine, starts: np.ndarray) -> list[np.ndarray]:
@@ -977,14 +995,14 @@ _NO_PATHS = PathTable(np.zeros((0, 1), dtype=np.int64), _NO_ORDINALS)
 class OwnerStep:
     """One owner's part of a superstep: the walker-steps and counts its
     walkers executed, and its walks that completed (ledger ordinals as an
-    array, query ids as a tuple and paths as a :class:`PathTable`; all empty
-    when none did)."""
+    array or a slice, query ids as a tuple and paths as a
+    :class:`PathTable`; all empty when none did)."""
 
     __slots__ = ("owner", "steps", "counters", "ordinals", "query_ids", "paths")
 
     def __init__(
         self, owner: FrontierDriver, steps: int, counters: CostCounters,
-        ordinals: np.ndarray = _NO_ORDINALS, query_ids: tuple[int, ...] = (),
+        ordinals: np.ndarray | slice = _NO_ORDINALS, query_ids: tuple[int, ...] = (),
         paths: PathTable = _NO_PATHS,
     ) -> None:
         self.owner = owner
@@ -1002,11 +1020,13 @@ class FrontierLaunch:
     fusion group keeps one for its whole life and admits into it at
     superstep boundaries.  Walker ``j`` belongs to ``owners[owner[j]]`` —
     the driver whose result ledger it settles into — at submission ordinal
-    ``ords[j]``.  :meth:`advance` runs one superstep and folds it into every
-    owner it held: counters and steps, sampler usage, the placement ledger
-    and the settled walks.  The fold is exact: integer counts sum per owner
-    and each walker's float times stay in its own slot, so an owner's
-    figures do not depend on who else shared the superstep.
+    ``ords[j]`` (``base + j`` while ``base`` is set: a launch that admitted
+    one ordinal range, whose settles are slices).  :meth:`advance` runs one
+    superstep and folds it into every owner it held: counters and steps,
+    sampler usage, the placement ledger and the settled walks.  The fold
+    is exact: integer counts sum per owner and each walker's float times
+    stay in its own slot, so an owner's figures do not depend on who else
+    shared the superstep.
 
     ``aggregate`` and ``usage`` are the run's own sinks, which a failure's
     restore rewinds; owners are charged once per superstep, never for its
@@ -1016,7 +1036,7 @@ class FrontierLaunch:
     """
 
     __slots__ = ("run", "aggregate", "usage", "recovery", "iterator", "track_finished",
-                 "on_failure", "owners", "owner", "ords", "steps")
+                 "on_failure", "owners", "owner", "ords", "base", "steps")
 
     def __init__(self, engine: WalkEngine, track_finished: bool = True, on_failure=None) -> None:
         self.run = FrontierRun(engine)
@@ -1031,30 +1051,42 @@ class FrontierLaunch:
         self.owners: list[FrontierDriver] = []
         self.owner = np.zeros(0, dtype=np.int64)
         self.ords = np.zeros(0, dtype=np.int64)
+        self.base: int | None = None
         # Supersteps run so far: within a driver's launch, every walker's
         # step index — the sharded ledger's migration-batch key.
         self.steps = 0
 
     def admit(
-        self, owners: list[FrontierDriver], held: np.ndarray, queries: list[WalkQuery],
-        ordinals: np.ndarray,
+        self, owners: list[FrontierDriver], held: np.ndarray,
+        queries: QueryBatch | Sequence[WalkQuery], ordinals: np.ndarray | int,
     ) -> None:
         """Admit ``queries``: walker ``j`` belongs to ``owners[held[j]]`` at
-        submission ordinal ``ordinals[j]``.  Each owner is charged its
-        walkers' queue-fetch atomics (a placement ledger opens their
-        columns), and the stale restore point is dropped."""
+        submission ordinal ``ordinals[j]`` (an int: the first of
+        ``len(queries)`` consecutive ordinals).  Each owner's result ledger
+        is sized for its walkers, each owner is charged their queue-fetch
+        atomics (a placement ledger opens their columns), and the stale
+        restore point is dropped."""
         run = self.run
-        fetch_ns = run.admit(queries, run.engine.seed)
-        starts = run.frontier.current[len(run) - len(queries) :]
+        batch = QueryBatch.of(queries)
+        if isinstance(ordinals, int):
+            self.base = ordinals if not self.ords.size else None
+            ordinals = np.arange(ordinals, ordinals + len(batch), dtype=np.int64)
+        else:
+            self.base = None
+        fetch_ns = run.admit(batch, run.engine.seed)
+        starts = batch.start_nodes
         self.owners += [o for o in owners if o not in self.owners]
         index = np.array([self.owners.index(o) for o in owners], dtype=np.int64)
         self.owner = np.concatenate([self.owner, index[held]])
         self.ords = np.concatenate([self.ords, ordinals])
+        sole = len(owners) == 1
         for j, owner in enumerate(owners):
-            mine = (held == j).nonzero()[0]
-            owner.charge(CostCounters(atomic_ops=mine.size, bytes_per_weight=run.engine.weight_bytes))
+            mine = slice(None) if sole else (held == j).nonzero()[0]
+            own = ordinals[mine]
+            owner.reserve(len(owner.index))
+            owner.charge(CostCounters(atomic_ops=own.size, bytes_per_weight=run.engine.weight_bytes))
             if owner.ledger is not None:
-                owner.ledger.charge_fetch(ordinals[mine], starts[mine], fetch_ns[mine])
+                owner.ledger.charge_fetch(own, starts[mine], fetch_ns[mine])
         if self.recovery is not None:
             self.recovery.invalidate()
 
@@ -1062,7 +1094,7 @@ class FrontierLaunch:
         """Keep only the walkers at the ascending positions ``keep``
         (:meth:`FrontierRun.compact`); owners left without one drop out."""
         self.run.compact(keep)
-        owner, self.ords = self.owner[keep], self.ords[keep]
+        owner, self.ords, self.base = self.owner[keep], self.ords[keep], None
         live = np.bincount(owner, minlength=len(self.owners)) > 0
         if not live.all():
             self.owners = [o for o, alive in zip(self.owners, live.tolist(), strict=True) if alive]
@@ -1109,10 +1141,63 @@ class FrontierLaunch:
             recovery.end(report, self.on_failure)
         return report, parts
 
+    def _ledger_rows(self, positions: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray | slice]:
+        """Frontier selection and ledger ordinals of the ascending walker
+        ``positions``: slices when they are consecutive in a one-range
+        launch, index arrays otherwise."""
+        base, m = self.base, positions.size
+        if base is not None and m and int(positions[-1]) - int(positions[0]) == m - 1:
+            first = int(positions[0])
+            return slice(first, first + m), slice(base + first, base + first + m)
+        return positions, self.ords[positions]
+
+    def _settle(self, owner: FrontierDriver, positions: np.ndarray) -> tuple[np.ndarray | slice, PathTable]:
+        """Settle ``owner``'s finished walkers at ``positions`` into its result
+        ledger; returns their ordinals and paths."""
+        run, frontier = self.run, self.run.frontier
+        sel, ords = self._ledger_rows(positions)
+        rows, lengths = frontier.path_buf[sel], frontier.path_len[sel]
+        owner.settle(ords, rows, lengths, run.per_query_ns[sel])
+        if isinstance(ords, slice):  # view the settled ledger rows, copy nothing
+            rows, lengths = owner.rows[ords], owner.lengths[ords]
+        return ords, PathTable(rows, lengths)
+
+    def _completed(self, owner: FrontierDriver, steps: int, totals: CostCounters,
+                   positions: np.ndarray) -> OwnerStep:
+        """``owner``'s part of a superstep in which its walkers at
+        ``positions`` finished (settled here)."""
+        ords, paths = self._settle(owner, positions)
+        ids = self.run.frontier.query_ids[positions]
+        return OwnerStep(owner, steps, totals, ords, tuple(ids.tolist()), paths)
+
     def _fold(self, report: SuperstepReport) -> list[OwnerStep]:
         owners, run, active, finished = self.owners, self.run, report.active, report.finished
         weight_bytes = run.engine.weight_bytes
         n, names = len(owners), report.sampler_names
+        if n == 1:
+            # Every walker is the one owner's: the report's totals and
+            # partition sizes are its share.
+            owner, steps = owners[0], active.size
+            if steps:
+                totals = report.totals
+                owner.aggregate.merge(totals)
+                owner.total_steps += steps
+                for name, size in zip(names, report.sizes, strict=True):
+                    if size:
+                        owner.usage[name] = owner.usage.get(name, 0) + size
+                ledger = owner.ledger
+                if ledger is not None:
+                    ledger.observe(report, run.frontier, self.steps, self.ords[active])
+                    if self.recovery is not None and isinstance(ledger, ShardedRunAccounting):
+                        src, dst = ledger.migrations_at(self.steps)
+                        self.recovery.faults.charge_interconnect_drop(
+                            self.steps, src, dst, WALKER_MIGRATION_BYTES
+                        )
+            else:
+                totals = CostCounters(bytes_per_weight=weight_bytes)
+            if finished.size:
+                return [self._completed(owner, steps, totals, finished)]
+            return [OwnerStep(owner, steps, totals)] if steps else []
         held = self.owner[active]
         counts = np.bincount(held, minlength=n)
         present = counts.nonzero()[0]
@@ -1125,17 +1210,17 @@ class FrontierLaunch:
             folded = [CostCounters(*c, bytes_per_weight=weight_bytes) for c in sums.T.tolist()]
         if present.size:
             used = np.bincount(report.assignment * n + held, minlength=len(names) * n).tolist()
-        # owner -> its finished walkers, as indices into `finished`
-        done: dict[int, slice | np.ndarray] = {}
+        # owner -> its finished walkers, as positions in the frontier
+        done: dict[int, np.ndarray] = {}
         if finished.size:
             held_done = self.owner[finished]
             first = int(held_done[0])
-            if n == 1 or (held_done == first).all():
-                done[first] = slice(None)
+            if (held_done == first).all():
+                done[first] = finished
             else:
                 order = np.argsort(held_done, kind="stable")
                 cuts = np.flatnonzero(np.diff(held_done[order])) + 1
-                done = {int(held_done[p[0]]): p for p in np.split(order, cuts)}
+                done = {int(held_done[p[0]]): finished[p] for p in np.split(order, cuts)}
         parts, charged = [], {}
         for j, i in enumerate(present.tolist()):
             owner, steps = owners[i], int(counts[i])
@@ -1145,36 +1230,92 @@ class FrontierLaunch:
                 if used[k * n + i]:  # the key set of a solo run: kernels this owner ran
                     owner.usage[name] = owner.usage.get(name, 0) + used[k * n + i]
             ledger = owner.ledger
-            if ledger is not None and present.size > 1:
+            if ledger is not None:
                 # Replicated: sharded placements never share a launch.
                 mine = (held == i).nonzero()[0]
                 ledger.add(self.ords[active[mine]], report.counters.counts[:, mine])
-            elif ledger is not None:
-                ledger.observe(report, run.frontier, self.steps, self.ords[active])
-                if self.recovery is not None and isinstance(ledger, ShardedRunAccounting):
-                    src, dst = ledger.migrations_at(self.steps)
-                    self.recovery.faults.charge_interconnect_drop(
-                        self.steps, src, dst, WALKER_MIGRATION_BYTES
-                    )
             if i in done:
                 charged[i] = (steps, folded[j])
             else:
                 parts.append(OwnerStep(owner, steps, folded[j]))
-        if done:
-            frontier = run.frontier
-            rows, lengths = frontier.path_buf[finished], frontier.path_len[finished]
-            ns, queries = run.per_query_ns[finished], frontier.queries
-            for i, picks in done.items():
-                mine = finished[picks]
-                ords, own_rows, own_lengths = self.ords[mine], rows[picks], lengths[picks]
-                owners[i].settle(ords, own_rows, own_lengths, ns[picks])
-                steps, totals = charged.get(i) or (0, CostCounters(bytes_per_weight=weight_bytes))
-                parts.append(OwnerStep(
-                    owners[i], steps, totals, ords,
-                    tuple([queries[k].query_id for k in mine.tolist()]),
-                    PathTable(own_rows, own_lengths),
-                ))
+        for i, positions in done.items():
+            steps, totals = charged.get(i) or (0, CostCounters(bytes_per_weight=weight_bytes))
+            parts.append(self._completed(owners[i], steps, totals, positions))
         return parts
+
+
+class OrdinalIndex:
+    """Query id → submission ordinal map of one result ledger, both ways.
+
+    While every id registered so far forms one consecutive ascending run,
+    ordinal ``o`` is id ``base + o``: the map is an offset and holds no
+    array.  The first batch that breaks the run switches it to arrays: the
+    ids by ordinal, and a sorted copy with each id's ordinal for
+    ``searchsorted`` lookups (a registration then inserts in ``O(n)``).
+    """
+
+    __slots__ = ("size", "_base", "_by_ordinal", "_sorted", "_sorted_ordinals")
+
+    def __init__(self) -> None:
+        self.size = 0
+        self._base = 0
+        self._by_ordinal: np.ndarray | None = None  # None: offset form
+        self._sorted = _NO_ORDINALS
+        self._sorted_ordinals = _NO_ORDINALS
+
+    def __len__(self) -> int:
+        return self.size
+
+    def add(self, batch: QueryBatch) -> int:
+        """Give ``batch``'s ids (unique, and new to the map) the next
+        ordinals; returns the first."""
+        first = self.size
+        if not len(batch):
+            return first
+        span = batch.id_range
+        if self._by_ordinal is None:
+            if span is not None and (first == 0 or span.start == self._base + first):
+                if first == 0:
+                    self._base = span.start
+                self.size += len(span)
+                return first
+            self._by_ordinal = np.arange(self._base, self._base + first, dtype=np.int64)
+            self._sorted = self._by_ordinal
+            self._sorted_ordinals = np.arange(first, dtype=np.int64)
+        ids = batch.query_ids
+        order = np.argsort(ids, kind="stable")
+        keys = ids[order]
+        at = np.searchsorted(self._sorted, keys)
+        self._sorted = np.insert(self._sorted, at, keys)
+        self._sorted_ordinals = np.insert(self._sorted_ordinals, at, first + order)
+        self._by_ordinal = np.concatenate([self._by_ordinal, ids])
+        self.size += ids.size
+        return first
+
+    def ordinals(self, ids: np.ndarray) -> np.ndarray:
+        """The ordinal of each of ``ids``; ``-1`` where it is not registered."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self._by_ordinal is None:
+            out = ids - self._base
+            out[(out < 0) | (out >= self.size)] = -1
+            return out
+        at = np.minimum(np.searchsorted(self._sorted, ids), self.size - 1)
+        return np.where(self._sorted[at] == ids, self._sorted_ordinals[at], -1)
+
+    def clashes(self, batch: QueryBatch) -> np.ndarray:
+        """The ids of ``batch`` already registered, in batch order."""
+        span = batch.id_range
+        if self._by_ordinal is None and span is not None:
+            lo, hi = max(span.start, self._base), min(span.stop, self._base + self.size)
+            return np.arange(lo, max(lo, hi), dtype=np.int64)
+        ids = batch.query_ids
+        return ids[self.ordinals(ids) >= 0]
+
+    def ids(self, first: int, count: int) -> np.ndarray:
+        """The ids of ordinals ``first .. first + count - 1``."""
+        if self._by_ordinal is None:
+            return np.arange(self._base + first, self._base + first + count, dtype=np.int64)
+        return self._by_ordinal[first : first + count]
 
 
 class FrontierDriver:
@@ -1194,8 +1335,9 @@ class FrontierDriver:
     ends.
 
     The result ledger is a set of columns indexed by submission ordinal
-    (:meth:`register`; ``ordinals`` maps query ids to ordinals): walk ``o``
-    is ``rows[o, :lengths[o]]`` and took ``ns[o]`` simulated nanoseconds.
+    (:meth:`register`; ``index``, an :class:`OrdinalIndex`, maps query ids
+    to ordinals): walk ``o`` is ``rows[o, :lengths[o]]`` and took ``ns[o]``
+    simulated nanoseconds.
     :meth:`settle` is the only way a finished or cancelled in-flight walk
     enters it, always from a :class:`FrontierLaunch` — this driver's own,
     or a scheduler fusion group's that holds some of its walkers — or from
@@ -1203,10 +1345,13 @@ class FrontierDriver:
     walk cancelled while queued never does.  Two more columns hold the
     queue-delay clock: the superstep walk ``o`` was submitted at
     (``enqueue_step[o]``) and the one it was first claimed for execution at
-    (``start_step[o]``, ``-1`` while it has not been).  The columns'
-    capacity doubles as walks register, so they run past the last ordinal
-    (unsettled, unclaimed); ``rows`` is as wide as the longest registered
-    walk.
+    (``start_step[o]``, ``-1`` while it has not been).  The columns are
+    sized when walks are first claimed (:meth:`reserve`, at admission), for
+    every ordinal registered by then: a session that submits a wave and
+    then streams it gets columns of exactly its size, and later claims
+    grow them by doubling.  Ordinals past the columns' end are unclaimed.
+    ``rows`` is allocated at the first :meth:`settle` to the columns' size,
+    as wide as the longest registered walk (``width``).
 
     :meth:`run` launches everything and collects; a
     :class:`~repro.service.WalkSession` calls :meth:`launch` per wave and
@@ -1234,8 +1379,9 @@ class FrontierDriver:
         self.checkpoints_taken = 0
         self.degraded: list[int] = []
         # The result ledger, by submission ordinal.
-        self.ordinals: dict[int, int] = {}
+        self.index = OrdinalIndex()
         self.rows = np.full((0, 1), -1, dtype=np.int64)
+        self.width = 1  # of `rows`: the longest registered walk, plus its start
         self.lengths = np.zeros(0, dtype=np.int64)
         self.ns = np.zeros(0, dtype=np.float64)
         self.enqueue_step = np.zeros(0, dtype=np.int64)
@@ -1255,67 +1401,82 @@ class FrontierDriver:
         return int(self._launch.run.frontier.active_indices().size)
 
     # ------------------------------------------------------------------ #
-    def register(self, query_ids: list[int], max_length: int) -> int:
-        """Give the queries ``query_ids`` (walks of at most ``max_length``
-        steps) the next submission ordinals; returns the first."""
-        first = len(self.ordinals)
-        end = first + len(query_ids)
-        self.ordinals.update(zip(query_ids, range(first, end)))
-        capacity, width = self.lengths.size, self.rows.shape[1]
+    def register(self, queries: QueryBatch) -> int:
+        """Give ``queries`` the next submission ordinals; returns the first.
+        Their ids must be new to this ledger (see
+        :meth:`OrdinalIndex.clashes`).  The rows widen to hold the
+        longest of them."""
+        self.width = max(self.width, queries.longest + 1)
+        return self.index.add(queries)
+
+    def reserve(self, end: int) -> None:
+        """Size the columns for ordinals below ``end``: exactly on the first
+        claim, by doubling after.  The row matrix follows at the next
+        :meth:`settle`."""
+        capacity = self.lengths.size
         if end > capacity:
             capacity = max(end, 2 * capacity)
             self.lengths = _grown(self.lengths, capacity, 0)
             self.ns = _grown(self.ns, capacity, 0.0)
             self.enqueue_step = _grown(self.enqueue_step, capacity, -1)
             self.start_step = _grown(self.start_step, capacity, -1)
-        if capacity > len(self.rows) or max_length >= width:
-            rows = np.full((capacity, max(width, max_length + 1)), -1, dtype=np.int64)
-            rows[: len(self.rows), :width] = self.rows
-            self.rows = rows
-        return first
+
+    def claimed(self, ordinal: int) -> bool:
+        """Whether walk ``ordinal`` was launched or admitted."""
+        return ordinal < self.start_step.size and self.start_step[ordinal] >= 0
+
+    def settled(self, ordinal: int) -> bool:
+        """Whether walk ``ordinal`` finished (or was cancelled in flight)."""
+        return ordinal < self.lengths.size and self.lengths[ordinal] > 0
 
     def settle(
-        self, ordinals: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+        self, ordinals: np.ndarray | slice, rows: np.ndarray, lengths: np.ndarray,
         per_query_ns: np.ndarray,
     ) -> None:
         """Enter finished (or cancelled in-flight) walks into the result
-        ledger: walk ``ordinals[j]`` is ``rows[j, :lengths[j]]``."""
-        width = min(rows.shape[1], self.rows.shape[1])
+        ledger: walk ``ordinals[j]`` is ``rows[j, :lengths[j]]`` (a slice of
+        ordinals copies a block; columns past ``width`` are padding).  The
+        row matrix is allocated (or grown) here, to the columns' size and
+        ``width``, so it does not exist while a wave's first walks are
+        still running."""
+        capacity, width = self.lengths.size, self.width
+        old_rows, old_width = self.rows.shape
+        if capacity > old_rows or width > old_width:
+            grown = np.full((capacity, width), -1, dtype=np.int64)
+            grown[:old_rows, :old_width] = self.rows
+            self.rows = grown
+        width = min(width, rows.shape[1])
         self.rows[ordinals, :width] = rows[:, :width]
         self.lengths[ordinals] = lengths
         self.ns[ordinals] = per_query_ns
 
     # ------------------------------------------------------------------ #
     def run(
-        self, queries: list[WalkQuery], profile: ProfileResult | None = None
+        self, queries: QueryBatch | Sequence[WalkQuery], profile: ProfileResult | None = None
     ) -> WalkRunResult:
         """Launch every query, advance until all walks end, assemble."""
-        validate_queries(queries, self.engine.graph.num_nodes)
-        self.launch(queries)
+        self.launch(validate_queries(queries, self.engine.graph.num_nodes))
         while self._launch is not None:
             self.advance()
         return self.assemble(profile)
 
-    def launch(self, queries: list[WalkQuery]) -> None:
+    def launch(self, queries: QueryBatch | Sequence[WalkQuery], first: int | None = None) -> None:
         """Start executing a batch of queries (the previous one must be done).
 
-        The batch holds consecutive submission ordinals (registered here if new).
+        The batch holds consecutive submission ordinals from ``first``
+        (``None``: registered here).
         """
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
         if self._launch is not None:
             raise SimulationError("the previous launch is still executing")
-        offset = self.ordinals.get(queries[0].query_id) if queries else None
-        if offset is None:
-            offset = self.register(
-                [q.query_id for q in queries], max([q.max_length for q in queries], default=0)
-            )
-        n = len(queries)
+        batch = QueryBatch.of(queries)
+        if first is None:
+            first = self.register(batch)
         self._launch = FrontierLaunch(
             self.engine, self.track_finished, None if self.ledger is None else self._take_over
         )
-        self._launch.admit(
-            [self], np.zeros(n, dtype=np.int64), queries, np.arange(offset, offset + n)
-        )
+        if len(batch):
+            self._launch.admit([self], np.zeros(len(batch), dtype=np.int64), batch, first)
         self.wall_clock_s += time.perf_counter() - started  # repro: ignore[internal/wall-clock]
 
     def advance(self) -> tuple[SuperstepReport, list[OwnerStep]] | None:
@@ -1342,9 +1503,8 @@ class FrontierDriver:
 
     def _finish(self, launch: FrontierLaunch) -> None:
         run = launch.run
-        if not self.track_finished:  # no superstep reported a completion
-            walks = run.frontier.paths()
-            self.settle(launch.ords, walks.matrix, walks.lengths, run.per_query_ns)
+        if not self.track_finished and len(run):  # no superstep reported a completion
+            launch._settle(self, np.arange(len(run)))
         if launch.recovery is not None:
             faults = launch.recovery.faults
             self.recovery_ns += faults.recovery_ns
@@ -1376,9 +1536,13 @@ class FrontierDriver:
 
         engine = self.engine
         settled = self.lengths.nonzero()[0]
-        per_query_ns = self.ns[settled]
+        num_queries = int(settled.size)
+        if num_queries and int(settled[-1]) == num_queries - 1:
+            settled = slice(0, num_queries)  # a prefix: the paths view the ledger
+            per_query_ns = self.ns[settled].copy()
+        else:
+            per_query_ns = self.ns[settled]
         aggregate = self.aggregate.copy()
-        num_queries = int(per_query_ns.size)
         ledger = self.ledger
         placement: dict[str, object] = {}
         if ledger is None:
@@ -1438,7 +1602,7 @@ class FrontierDriver:
 
 def run_multi_device_serial(
     engine: WalkEngine,
-    queries: list[WalkQuery],
+    queries: QueryBatch | Sequence[WalkQuery],
     profile: ProfileResult | None = None,
 ) -> WalkRunResult:
     """Serial per-device composition: the replicated ledger's executable spec.
@@ -1453,12 +1617,11 @@ def run_multi_device_serial(
     from repro.runtime.engine import WalkRunResult
     from repro.runtime.scheduler import split_for_devices
 
-    validate_queries(queries, engine.graph.num_nodes)
+    queries = validate_queries(queries, engine.graph.num_nodes)
     single = engine.with_devices(1)
     if engine.num_devices == 1:
         return FrontierDriver(single).run(queries, profile)
-    starts = np.array([q.start_node for q in queries], dtype=np.int64)
-    partitions = _partition_for_devices(engine, starts)
+    partitions = _partition_for_devices(engine, queries.start_nodes)
     runs = [FrontierDriver(single).run(sub) for sub in split_for_devices(queries, partitions)]
 
     n = len(queries)

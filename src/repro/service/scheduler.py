@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.errors import QueueFull, ServiceError
 from repro.runtime.frontier import FrontierDriver, FrontierLaunch
-from repro.walks.state import WalkQuery
+from repro.walks.state import QueryBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import FlexiWalkerConfig
@@ -164,17 +164,20 @@ class _TenantState:
 
 
 class _Pending:
-    """One queued walker awaiting admission."""
+    """One queued walker awaiting admission: its query's fields, its
+    session and tenant, and its place in the admission order."""
 
-    __slots__ = ("seq", "entry", "tenant", "query", "sub_ord", "enqueue_tick",
-                 "deadline_steps")
+    __slots__ = ("seq", "entry", "tenant", "query_id", "start_node", "max_length",
+                 "sub_ord", "enqueue_tick", "deadline_steps")
 
-    def __init__(self, seq, entry, tenant, query, sub_ord, enqueue_tick,
-                 deadline_steps) -> None:
+    def __init__(self, seq, entry, tenant, query_id, start_node, max_length, sub_ord,
+                 enqueue_tick, deadline_steps) -> None:
         self.seq = seq
         self.entry = entry
         self.tenant = tenant
-        self.query = query
+        self.query_id = query_id
+        self.start_node = start_node
+        self.max_length = max_length
         self.sub_ord = sub_ord  # submission ordinal: the walker's ledger column
         self.enqueue_tick = enqueue_tick
         self.deadline_steps = deadline_steps
@@ -286,9 +289,9 @@ class ServiceScheduler:
         self._entries: dict[int, _SessionEntry] = {}  # id(session) -> entry
         self._groups: dict[tuple, _Group] = {}
         self._slo: deque[_Pending] = deque()
-        # Hard per-walker deadlines: (expiry_tick, seq, entry, query_id),
-        # a heap popped at every tick boundary.
-        self._deadlines: list[tuple[int, int, _SessionEntry, int]] = []
+        # Hard per-walker deadlines: (expiry_tick, seq, entry, query_id,
+        # ordinal), a heap popped at every tick boundary.
+        self._deadlines: list[tuple[int, int, _SessionEntry, int, int]] = []
         self._quarantined: list[_SessionEntry] = []
         # The fault tallies of every group ever created under a fault plan,
         # live or retired, in creation order (recovery time sums in it);
@@ -350,7 +353,7 @@ class ServiceScheduler:
                 if session._scheduler is self
                 else "session is attached to a different scheduler"
             )
-        if session._driver.ordinals:
+        if len(session._driver.index):
             raise ServiceError(
                 "attach before submitting: the session already has queued, "
                 "in-flight or executed work of its own"
@@ -627,19 +630,24 @@ class ServiceScheduler:
     # ------------------------------------------------------------------ #
     def _drop_pending(self, p: _Pending, reason: str) -> None:
         """Dead-letter one still-queued walker (caller removes it from its lane)."""
-        p.entry.session._cancelled_ids[p.query.query_id] = reason
+        p.entry.session._cancelled_ids[p.query_id] = reason
         p.tenant.outstanding -= 1
         p.tenant.dead_letters += 1
         p.entry.queued -= 1
         self._queued -= 1
 
-    def _cancel_queries(self, session, query_ids, reason: str) -> int:
+    def _cancel_queries(self, session, ordinals: range, reason: str) -> int:
+        """Cancel the session's unfinished walks among ``ordinals``."""
         entry = self._entries.get(id(session))
         if entry is None:
             raise ServiceError("session is not attached to this scheduler")
-        return sum(1 for qid in query_ids if self._cancel_query(entry, int(qid), reason))
+        ids = session._driver.index.ids(ordinals.start, len(ordinals)).tolist()
+        return sum(
+            1 for qid, ordinal in zip(ids, ordinals, strict=True)
+            if self._cancel_query(entry, qid, ordinal, reason)
+        )
 
-    def _cancel_query(self, entry: _SessionEntry, qid: int, reason: str) -> bool:
+    def _cancel_query(self, entry: _SessionEntry, qid: int, ordinal: int, reason: str) -> bool:
         """Drop one unfinished walker, queued or in flight; False if done.
 
         In-flight walkers are terminated in the fused frontier; the walk
@@ -649,13 +657,12 @@ class ServiceScheduler:
         """
         session = entry.session
         driver = session._driver
-        ordinal = driver.ordinals[qid]
-        if driver.lengths[ordinal] or qid in session._cancelled_ids:
+        if driver.settled(ordinal) or qid in session._cancelled_ids:
             return False
-        if driver.start_step[ordinal] < 0:  # still queued
+        if not driver.claimed(ordinal):  # still queued
             for lane in [self._slo, *(t.queue for t in self._tenants.values())]:
                 for p in lane:
-                    if p.entry is entry and p.query.query_id == qid:
+                    if p.entry is entry and p.sub_ord == ordinal:
                         lane.remove(p)
                         self._drop_pending(p, reason)
                         return True
@@ -674,9 +681,9 @@ class ServiceScheduler:
     def _expire_deadlines(self) -> None:
         """Cancel walkers whose hard ``deadline_ticks`` has passed."""
         while self._deadlines and self._deadlines[0][0] <= self._tick:
-            _, _, entry, qid = heapq.heappop(self._deadlines)
+            _, _, entry, qid, ordinal = heapq.heappop(self._deadlines)
             if entry.quarantined is None:
-                self._cancel_query(entry, qid, reason="deadline")
+                self._cancel_query(entry, qid, ordinal, reason="deadline")
 
     def _shed_overdue(self) -> None:
         """Shed queued walkers that outwaited ``shed_after_ticks``.
@@ -732,12 +739,12 @@ class ServiceScheduler:
         launch = group.launch
         owner, ords = launch.owner.tolist(), launch.ords.tolist()
         tenant_of = group.tenant.tolist()
-        for pos, query in enumerate(launch.run.frontier.queries):
+        for pos, qid in enumerate(launch.run.frontier.query_ids.tolist()):
             driver = launch.owners[owner[pos]]
             if driver.lengths[ords[pos]]:
                 continue
             entry = group.sessions[driver]
-            entry.session._cancelled_ids[query.query_id] = "quarantined"
+            entry.session._cancelled_ids[qid] = "quarantined"
             tenant = self._tenant_slots[tenant_of[pos]]
             tenant.outstanding -= 1
             tenant.dead_letters += 1
@@ -753,8 +760,9 @@ class ServiceScheduler:
         """Release an abandoned session's outstanding walkers (dropped stream)."""
         if entry.quarantined is not None:
             return
-        for qid in entry.session._driver.ordinals:  # finished walks are skipped
-            self._cancel_query(entry, qid, reason="abandoned")
+        index = entry.session._driver.index
+        for ordinal, qid in enumerate(index.ids(0, len(index)).tolist()):
+            self._cancel_query(entry, qid, ordinal, reason="abandoned")  # skips finished walks
 
     # ------------------------------------------------------------------ #
     # Admission: backpressure, fairness, mid-flight injection
@@ -824,31 +832,30 @@ class ServiceScheduler:
     def _enqueue(
         self,
         session: WalkSession,
-        queries: list[WalkQuery],
+        batch: QueryBatch,
+        first: int,
         options: SubmitOptions,
     ) -> None:
-        """Stage validated queries into the admission queues."""
+        """Stage validated queries (submission ordinals ``first`` on) into
+        the admission queues."""
         entry = self._entries[id(session)]
         tenant = self._submit_tenant(entry, options)
-        driver = session._driver
-        base, count = driver.ordinals[queries[0].query_id], len(queries)
-        driver.enqueue_step[base : base + count] = self._tick
-        for i, query in enumerate(queries):
+        count = len(batch)
+        tick = self._tick
+        columns = zip(
+            batch.query_ids.tolist(), batch.start_nodes.tolist(), batch.max_lengths.tolist(),
+            range(first, first + count), strict=True,
+        )
+        for qid, start, length, ordinal in columns:
             pending = _Pending(
-                seq=self._seq,
-                entry=entry,
-                tenant=tenant,
-                query=query,
-                sub_ord=base + i,
-                enqueue_tick=self._tick,
-                deadline_steps=options.deadline_steps,
+                self._seq, entry, tenant, qid, start, length, ordinal, tick,
+                options.deadline_steps,
             )
             self._seq += 1
             if options.deadline_ticks is not None:
                 heapq.heappush(
                     self._deadlines,
-                    (self._tick + options.deadline_ticks, pending.seq, entry,
-                     query.query_id),
+                    (tick + options.deadline_ticks, pending.seq, entry, qid, ordinal),
                 )
             if options.priority > 0:
                 self._slo.append(pending)
@@ -998,18 +1005,26 @@ class ServiceScheduler:
         held = []
         for p in batch:
             entry = p.entry
-            driver = entry.session._driver
-            held.append(drivers.setdefault(driver, len(drivers)))
-            driver.start_step[p.sub_ord] = tick
+            held.append(drivers.setdefault(entry.session._driver, len(drivers)))
             entry.queued -= 1
             entry.inflight += 1
             p.tenant.admitted += 1
+        queries = QueryBatch._of_arrays(
+            np.array([p.query_id for p in batch], dtype=np.int64),
+            np.array([p.start_node for p in batch], dtype=np.int64),
+            np.array([p.max_length for p in batch], dtype=np.int64),
+        )
         launch.admit(
             list(drivers),
             np.array(held, dtype=np.int64),
-            [p.query for p in batch],
+            queries,
             np.array([p.sub_ord for p in batch], dtype=np.int64),
         )
+        # The launch sized every session's ledger for its admitted walkers.
+        for p in batch:
+            driver = p.entry.session._driver
+            driver.start_step[p.sub_ord] = tick
+            driver.enqueue_step[p.sub_ord] = p.enqueue_tick
         group.tenant = np.concatenate(
             [group.tenant, np.array([p.tenant.slot for p in batch], dtype=np.int64)]
         )

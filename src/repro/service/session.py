@@ -48,7 +48,7 @@ from repro.runtime.engine import WalkRunResult
 from repro.runtime.frontier import FrontierDriver, OwnerStep
 from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
 from repro.walks.paths import PathTable
-from repro.walks.state import WalkQuery
+from repro.walks.state import QueryBatch, WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - service imports session
     from repro.service.scheduler import ServiceScheduler
@@ -179,11 +179,20 @@ class QueryTicket:
     Tickets are how a caller correlates incremental submissions with
     streamed results: they expose the submitted query ids, a coarse status,
     and — once every query of the ticket completed — the finished walks.
+    One submit holds consecutive submission ordinals, so a ticket is that
+    ordinal range of its session's result ledger.
     """
 
     ticket_id: int
-    query_ids: tuple[int, ...]
+    ordinals: range
     _session: WalkSession = field(repr=False, compare=False)
+
+    @property
+    def query_ids(self) -> tuple[int, ...]:
+        """The submitted query ids, in submission order."""
+        ordinals = self.ordinals
+        ids = self._session._driver.index.ids(ordinals.start, len(ordinals))
+        return tuple(ids.tolist())
 
     @property
     def status(self) -> str:
@@ -198,7 +207,7 @@ class QueryTicket:
         if cancelled and any(q in cancelled for q in self.query_ids):
             return "cancelled"
         driver = self._session._driver
-        if np.count_nonzero(self._column(driver.lengths)) == len(self.query_ids):
+        if np.count_nonzero(self._column(driver.lengths)) == len(self.ordinals):
             return "done"
         if np.count_nonzero(self._column(driver.start_step) >= 0):
             return "running"
@@ -226,9 +235,7 @@ class QueryTicket:
                 "cancel() requires a scheduler-attached session; a standalone "
                 "session has no admission queue to cancel from"
             )
-        return scheduler._cancel_queries(
-            self._session, self.query_ids, reason="cancelled"
-        )
+        return scheduler._cancel_queries(self._session, self.ordinals, reason="cancelled")
 
     def paths(self) -> PathTable:
         """The completed walks of this ticket, in submission order, as a
@@ -242,12 +249,13 @@ class QueryTicket:
         first.
         """
         session = self._session
-        dropped = [q for q in self.query_ids if q in session._cancelled_ids]
+        cancelled = session._cancelled_ids
+        dropped = [q for q in self.query_ids if q in cancelled] if cancelled else []
         if dropped:
-            reasons = sorted({session._cancelled_ids[q] for q in dropped})
+            reasons = sorted({cancelled[q] for q in dropped})
             detail = (
                 f"ticket {self.ticket_id}: {len(dropped)} of its "
-                f"{len(self.query_ids)} walks were dropped before completing "
+                f"{len(self.ordinals)} walks were dropped before completing "
                 f"({', '.join(reasons)})"
             )
             if "deadline" in reasons or "shed" in reasons:
@@ -263,10 +271,11 @@ class QueryTicket:
 
     def _column(self, column: np.ndarray) -> np.ndarray:
         """This ticket's entries of a result-ledger column (``lengths`` holds
-        0 until a walk settles, ``start_step`` -1 until it is claimed); one
-        submit call holds consecutive submission ordinals."""
-        first = self._session._driver.ordinals[self.query_ids[0]]
-        return column[first : first + len(self.query_ids)]
+        0 until a walk settles, ``start_step`` -1 until it is claimed); the
+        columns end before the first unclaimed ordinal, so an unclaimed
+        ticket's entries are missing, which reads the same."""
+        ordinals = self.ordinals
+        return column[ordinals.start : ordinals.stop]
 
 
 class WalkSession:
@@ -318,6 +327,10 @@ class WalkSession:
         self._unpin_finalizer = None
 
         self._queue = DynamicQueryQueue()
+        # The queued walks as [first ordinal, count, submission superstep]
+        # runs, in queue order: a launch claims them and fills their
+        # enqueue-step column.
+        self._enqueued: list[list[int]] = []
         self._tickets: list[QueryTicket] = []
         # Walks dropped before completing, qid -> reason ("cancelled",
         # "deadline", "shed", "abandoned" or "quarantined").  Only the
@@ -343,15 +356,18 @@ class WalkSession:
     # ------------------------------------------------------------------ #
     def submit(
         self,
-        queries: Sequence[WalkQuery],
+        queries: QueryBatch | Sequence[WalkQuery],
         *,
         options: SubmitOptions | None = None,
     ) -> QueryTicket:
         """Enqueue walk queries and return a ticket tracking them.
 
-        Scheduling knobs travel in one keyword-only frozen
-        :class:`SubmitOptions` — ``submit(queries, options=SubmitOptions(...))``;
-        plain ``submit(queries)`` uses the defaults.
+        ``queries`` is a :class:`~repro.walks.state.QueryBatch` (three
+        integer arrays) or a sequence of :class:`~repro.walks.state.WalkQuery`,
+        read once into one.  Scheduling knobs travel in one keyword-only
+        frozen :class:`SubmitOptions` —
+        ``submit(queries, options=SubmitOptions(...))``; plain
+        ``submit(queries)`` uses the defaults.
 
         On a standalone session queries execute in submission order; on a
         scheduler-attached session they enter the tenant's admission queue
@@ -366,29 +382,34 @@ class WalkSession:
             raise TypeError(
                 f"options must be a SubmitOptions, not {type(options).__name__}"
             )
-        queries = list(queries)
-        if not queries:
+        batch = QueryBatch.of(queries)
+        count = batch.query_ids.size
+        if not count:
             raise ServiceError("no walk queries to submit")
-        ids = validate_queries(queries, self.service.graph.num_nodes)
-        ordinals = self._driver.ordinals
-        clashes = [i for i in ids if i in ordinals]
-        if clashes:
+        validate_queries(batch, self.service.graph.num_nodes)
+        driver = self._driver
+        clashes = driver.index.clashes(batch)
+        if clashes.size:
             raise ServiceError(
-                f"query ids {clashes[:5]} were already submitted to this session; "
-                "ids must be unique per session (each id owns one random stream)"
+                f"query ids {clashes[:5].tolist()} were already submitted to this "
+                "session; ids must be unique per session (each id owns one random stream)"
             )
         if self._scheduler is not None:
             # Backpressure before any session state mutates: a QueueFull
             # submission must leave the session exactly as it was.
-            self._scheduler._reserve_capacity(self, len(queries), options)
-        first = self._driver.register(ids, max([q.max_length for q in queries]))
-        ticket = QueryTicket(ticket_id=len(self._tickets), query_ids=tuple(ids), _session=self)
+            self._scheduler._reserve_capacity(self, count, options)
+        first = driver.register(batch)
+        ticket = QueryTicket(len(self._tickets), range(first, first + count), self)
         self._tickets.append(ticket)
         if self._scheduler is not None:
-            self._scheduler._enqueue(self, queries, options)
+            self._scheduler._enqueue(self, batch, first, options)
         else:
-            self._driver.enqueue_step[first : first + len(queries)] = self._supersteps
-            self._queue.extend(queries)
+            self._queue.extend(batch)
+            enqueued = self._enqueued
+            if enqueued and enqueued[-1][2] == self._supersteps:
+                enqueued[-1][1] += count
+            else:
+                enqueued.append([first, count, self._supersteps])
         return ticket
 
     # ------------------------------------------------------------------ #
@@ -405,10 +426,11 @@ class WalkSession:
         usable — its engine holds every cache it needs directly and its
         result ledger every finished walk — but its shared registry entries
         may be evicted or migrated from under the service afterwards.  A
-        collected result owns its paths (a :class:`~repro.walks.paths.PathTable`
-        over its own copy of the ledger rows), so it holds neither the
-        ledger nor any cache once the session is closed and dropped; a
-        ticket's ``paths()`` is a view of the ledger and keeps it alive.
+        collected result's paths (a :class:`~repro.walks.paths.PathTable`)
+        view the ledger's row matrix, or own a copy when the settled walks
+        are not a prefix of the submissions; either way the result holds
+        no cache once the session is closed and dropped.  A ticket's
+        ``paths()`` is a view of the ledger too.
         """
         if self._unpin_finalizer is not None:
             self._unpin_finalizer()
@@ -444,7 +466,7 @@ class WalkSession:
             "device": self.engine.device.name,
             "graph_version": self.graph_version,
             "plan": self.plan.describe(),
-            "submitted": len(self._driver.ordinals),
+            "submitted": len(self._driver.index),
             "completed": self.completed,
             "pending": self.pending,
         }
@@ -476,15 +498,19 @@ class WalkSession:
                 if remaining == 0:
                     return
                 # Claim every queued query (consecutive ordinals) into one wave.
-                queries = self._queue.fetch_batch(remaining)
-                first, n = driver.ordinals[queries[0].query_id], len(queries)
-                driver.start_step[first : first + n] = self._supersteps
-                driver.launch(queries)
+                first = self._enqueued[0][0]
+                driver.launch(self._queue.fetch_batch(remaining), first)
+                driver.start_step[first : first + remaining] = self._supersteps
+                for run_first, count, superstep in self._enqueued:
+                    driver.enqueue_step[run_first : run_first + count] = superstep
+                self._enqueued.clear()
             step = driver.advance()
             if step is None:
                 continue
             self._supersteps += 1
-            for part in step[1]:  # the one owner: this session's driver
+            parts = step[1]  # the one owner's: this session's driver
+            del step  # the report's arrays go before the next superstep runs
+            for part in parts:
                 if part.query_ids:
                     yield self._emit(part)
 

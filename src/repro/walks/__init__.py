@@ -11,7 +11,7 @@ Node2Vec, weighted/unweighted MetaPath and second-order PageRank, plus
 DeepWalk as a static-walk reference.
 """
 
-from repro.walks.state import WalkerFrontier, WalkerState, WalkQuery, make_queries
+from repro.walks.state import QueryBatch, WalkerFrontier, WalkerState, WalkQuery, make_queries
 from repro.walks.spec import WalkSpec, UniformWalkSpec
 from repro.walks.node2vec import Node2VecSpec, UnweightedNode2VecSpec
 from repro.walks.metapath import MetaPathSpec
@@ -23,6 +23,7 @@ __all__ = [
     "WalkerState",
     "WalkerFrontier",
     "WalkQuery",
+    "QueryBatch",
     "make_queries",
     "WalkSpec",
     "UniformWalkSpec",

@@ -9,6 +9,7 @@ precisely because ``get_weight`` reads this state.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,16 +83,196 @@ class WalkerState:
         return len(self.path) - 1
 
 
+class QueryBatch(Sequence):
+    """Walk queries as three ``int64`` arrays: ids, start nodes and max lengths.
+
+    The array form of a ``list[WalkQuery]``, field for field:
+    ``QueryBatch(query_ids, start_nodes, max_lengths)``.  It is a read-only
+    :class:`~collections.abc.Sequence` of :class:`WalkQuery`, so ``b[i]`` and
+    iteration build query objects on demand, ``b[a:b]`` (or ``b[positions]``
+    with an index array) is a batch of those queries and ``==`` compares
+    with any sequence of queries.  The constructor copies its inputs into
+    non-writeable arrays.
+
+    Construction checks :class:`WalkQuery`'s contract for every query at
+    once: integer columns of one length, start nodes non-negative, lengths
+    at least one step.  Where a batch meets a graph,
+    :func:`~repro.runtime.scheduler.validate_queries` adds the node range
+    and the uniqueness of the ids.
+    """
+
+    __slots__ = ("query_ids", "start_nodes", "max_lengths", "_id_range", "_start_bounds",
+                 "_longest")
+
+    def __init__(self, query_ids, start_nodes, max_lengths) -> None:
+        ids = _int_column(query_ids, "query_ids")
+        starts = _int_column(start_nodes, "start_nodes")
+        lengths = _int_column(max_lengths, "max_lengths")
+        if ids.ndim != 1 or not ids.shape == starts.shape == lengths.shape:
+            raise WalkSpecError(
+                "query_ids, start_nodes and max_lengths must be one-dimensional "
+                f"and of one length (got shapes {ids.shape}, {starts.shape}, "
+                f"{lengths.shape})"
+            )
+        if ids.size and int(lengths.min()) < 1:
+            raise WalkSpecError("walk length must be at least 1 step")
+        if ids.size and int(starts.min()) < 0:
+            raise WalkSpecError("start node must be non-negative")
+        for column in (ids, starts, lengths):
+            column.flags.writeable = False
+        self._set(ids, starts, lengths)
+
+    def _set(self, ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> None:
+        self.query_ids = ids
+        self.start_nodes = starts
+        self.max_lengths = lengths
+        self._id_range = self._start_bounds = self._longest = None  # computed on first use
+
+    @classmethod
+    def _of_arrays(cls, ids: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> QueryBatch:
+        """A batch over ``int64`` columns that already meet the contract
+        and that nothing writes to."""
+        batch = cls.__new__(cls)
+        batch._set(ids, starts, lengths)
+        return batch
+
+    @classmethod
+    def of(cls, queries: QueryBatch | Sequence[WalkQuery]) -> QueryBatch:
+        """``queries`` as a batch: a batch is returned as is, a sequence of
+        :class:`WalkQuery` (which checked its own contract) is read once
+        into the three columns."""
+        if isinstance(queries, QueryBatch):
+            return queries
+        if not isinstance(queries, (list, tuple)):
+            queries = list(queries)
+        ids = [q.query_id for q in queries]
+        starts = [q.start_node for q in queries]
+        batch = cls.__new__(cls)
+        batch.query_ids = np.array(ids, dtype=np.int64)
+        batch.start_nodes = np.array(starts, dtype=np.int64)
+        lengths = [q.max_length for q in queries]
+        batch.max_lengths = np.array(lengths, dtype=np.int64)
+        # The facts validation and registration read, taken from the lists
+        # at hand: no numpy call for them on a small submission.
+        first = ids[0] if ids else 0
+        batch._id_range = (
+            range(first, first + len(ids)) if ids == list(range(first, first + len(ids))) else ()
+        )
+        batch._start_bounds = (min(starts), max(starts)) if starts else (0, -1)
+        batch._longest = max(lengths, default=0)
+        return batch
+
+    @classmethod
+    def concat(cls, batches: Sequence[QueryBatch]) -> QueryBatch:
+        """One batch holding ``batches`` back to back."""
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return _EMPTY_BATCH
+        return cls._of_arrays(
+            np.concatenate([b.query_ids for b in batches]),
+            np.concatenate([b.start_nodes for b in batches]),
+            np.concatenate([b.max_lengths for b in batches]),
+        )
+
+    @property
+    def id_range(self) -> range | None:
+        """The ids as a ``range`` when they are consecutive and ascending
+        (``first, first + 1, ...``), else ``None``; computed once."""
+        if self._id_range is None:
+            ids, n = self.query_ids, self.query_ids.size
+            first = int(ids[0]) if n else 0
+            consecutive = n < 2 or (
+                int(ids[-1]) - first == n - 1
+                and bool(np.logical_and.reduce(ids == np.arange(first, first + n)))
+            )
+            self._id_range = range(first, first + n) if consecutive else ()
+        return self._id_range or None
+
+    @property
+    def start_bounds(self) -> tuple[int, int]:
+        """The smallest and largest start node (``(0, -1)`` when empty);
+        computed once."""
+        if self._start_bounds is None:
+            starts = self.start_nodes
+            self._start_bounds = (
+                (int(np.minimum.reduce(starts)), int(np.maximum.reduce(starts)))
+                if starts.size else (0, -1)
+            )
+        return self._start_bounds
+
+    @property
+    def longest(self) -> int:
+        """The largest ``max_length`` (0 when empty); computed once."""
+        if self._longest is None:
+            lengths = self.max_lengths
+            self._longest = int(np.maximum.reduce(lengths)) if lengths.size else 0
+        return self._longest
+
+    def __len__(self) -> int:
+        return self.query_ids.size
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return QueryBatch._of_arrays(
+                self.query_ids[index], self.start_nodes[index], self.max_lengths[index]
+            )
+        return WalkQuery(
+            int(self.query_ids[index]), int(self.start_nodes[index]), int(self.max_lengths[index])
+        )
+
+    def __iter__(self) -> Iterator[WalkQuery]:
+        for qid, start, length in zip(
+            self.query_ids.tolist(), self.start_nodes.tolist(), self.max_lengths.tolist(),
+            strict=True,
+        ):
+            yield WalkQuery(qid, start, length)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QueryBatch):
+            return (
+                np.array_equal(self.query_ids, other.query_ids)
+                and np.array_equal(self.start_nodes, other.start_nodes)
+                and np.array_equal(self.max_lengths, other.max_lengths)
+            )
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            mine == theirs for mine, theirs in zip(self, other, strict=True)
+        )
+
+    __hash__ = None  # equal to lists, which are unhashable
+
+    def __repr__(self) -> str:
+        head = ", ".join(repr(self[i]) for i in range(min(len(self), 2)))
+        more = ", ..." if len(self) > 2 else ""
+        return f"QueryBatch([{head}{more}], queries={len(self)})"
+
+
+def _int_column(values, name: str) -> np.ndarray:
+    """``values`` as an ``int64`` array of its own (the caller's array is
+    never aliased); non-integer entries are refused."""
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise WalkSpecError(f"{name} must be integers, not {array.dtype}")
+    return array.astype(np.int64)
+
+
+_EMPTY_BATCH = QueryBatch((), (), ())
+
+
 @dataclass
 class FrontierSnapshot:
     """A decoupled copy of a :class:`WalkerFrontier`'s mutable state.
 
     Produced by :meth:`WalkerFrontier.snapshot` and consumed by
     :meth:`WalkerFrontier.restore`; every array is a private copy, so one
-    snapshot survives any number of restores.
+    snapshot survives any number of restores.  The query columns are
+    immutable and shared.
     """
 
-    queries: list[WalkQuery]
+    query_ids: np.ndarray
+    start_nodes: np.ndarray
     max_lengths: np.ndarray
     current: np.ndarray
     prev: np.ndarray
@@ -103,7 +284,7 @@ class FrontierSnapshot:
 
     @property
     def num_walkers(self) -> int:
-        return len(self.queries)
+        return self.query_ids.size
 
 
 class WalkerFrontier:
@@ -121,8 +302,9 @@ class WalkerFrontier:
 
     Attributes
     ----------
-    queries:
-        The originating queries, in submission order.
+    query_ids / start_nodes / max_lengths:
+        The originating queries' columns, in submission order (read-only;
+        :meth:`query` builds one :class:`WalkQuery`).
     current / prev / steps:
         Per-walker position, previous node (-1 before the first step) and
         number of steps taken, as ``int64`` arrays.
@@ -132,50 +314,62 @@ class WalkerFrontier:
         ``path_buf[i, :path_len[i]]`` is walker ``i``'s path so far.
     """
 
-    def __init__(self, queries: list[WalkQuery]) -> None:
-        self.queries = list(queries)
-        n = len(self.queries)
-        starts = np.array([q.start_node for q in self.queries], dtype=np.int64)
-        self.max_lengths = np.array([q.max_length for q in self.queries], dtype=np.int64)
-        self.current = starts.copy()
+    def __init__(self, queries: QueryBatch | Sequence[WalkQuery] = ()) -> None:
+        self._admit_into_empty(QueryBatch.of(queries))
+
+    def _admit_into_empty(self, batch: QueryBatch) -> None:
+        n = len(batch)
+        self.query_ids = batch.query_ids
+        self.start_nodes = batch.start_nodes
+        self.max_lengths = batch.max_lengths
+        self.current = batch.start_nodes.copy()
         self.prev = np.full(n, -1, dtype=np.int64)
         self.steps = np.zeros(n, dtype=np.int64)
         self.alive = np.ones(n, dtype=bool)
         width = int(self.max_lengths.max()) + 1 if n else 1
         self.path_buf = np.full((n, width), -1, dtype=np.int64)
-        if n:
-            self.path_buf[:, 0] = starts
+        self.path_buf[:, 0] = self.current
         self.path_len = np.ones(n, dtype=np.int64)
         self._states: list[WalkerState | None] = [None] * n
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return self.query_ids.size
+
+    def query(self, index: int) -> WalkQuery:
+        """The originating query of walker ``index``."""
+        return WalkQuery(
+            int(self.query_ids[index]), int(self.start_nodes[index]), int(self.max_lengths[index])
+        )
 
     # ------------------------------------------------------------------ #
-    def extend(self, queries: list[WalkQuery]) -> np.ndarray:
+    def extend(self, queries: QueryBatch | Sequence[WalkQuery]) -> np.ndarray:
         """Append fresh walkers mid-flight and return their frontier positions.
 
         The continuous-batching scheduler admits newly submitted queries
         into a frontier whose earlier walkers are still running, so every
         per-walker array grows in place (the path buffer widens when a new
         query's ``max_length`` exceeds the current width).  Existing walker
-        state is untouched — positions already handed out stay valid.
+        state is untouched — positions already handed out stay valid.  An
+        empty frontier takes the batch's columns as they are.
         """
-        queries = list(queries)
-        k = len(queries)
-        if k == 0:
-            return np.zeros(0, dtype=np.int64)
-        old = len(self.queries)
+        batch = QueryBatch.of(queries)
+        k = len(batch)
+        old = len(self)
         positions = np.arange(old, old + k, dtype=np.int64)
-        starts = np.array([q.start_node for q in queries], dtype=np.int64)
-        max_lengths = np.array([q.max_length for q in queries], dtype=np.int64)
-        self.queries.extend(queries)
-        self.max_lengths = np.concatenate([self.max_lengths, max_lengths])
+        if k == 0:
+            return positions
+        if old == 0:
+            self._admit_into_empty(batch)
+            return positions
+        starts = batch.start_nodes
+        self.query_ids = np.concatenate([self.query_ids, batch.query_ids])
+        self.start_nodes = np.concatenate([self.start_nodes, starts])
+        self.max_lengths = np.concatenate([self.max_lengths, batch.max_lengths])
         self.current = np.concatenate([self.current, starts])
         self.prev = np.concatenate([self.prev, np.full(k, -1, dtype=np.int64)])
         self.steps = np.concatenate([self.steps, np.zeros(k, dtype=np.int64)])
         self.alive = np.concatenate([self.alive, np.ones(k, dtype=bool)])
-        width = max(self.path_buf.shape[1], int(max_lengths.max()) + 1)
+        width = max(self.path_buf.shape[1], int(batch.max_lengths.max()) + 1)
         path_buf = np.full((old + k, width), -1, dtype=np.int64)
         path_buf[:old, : self.path_buf.shape[1]] = self.path_buf
         path_buf[old:, 0] = starts
@@ -192,8 +386,8 @@ class WalkerFrontier:
         ``0..len(keep)-1`` in their old order, with their state (including
         materialised :class:`WalkerState` objects) unchanged.
         """
-        picks = keep.tolist()
-        self.queries = [self.queries[i] for i in picks]
+        self.query_ids = self.query_ids[keep]
+        self.start_nodes = self.start_nodes[keep]
         self.max_lengths = self.max_lengths[keep]
         self.current = self.current[keep]
         self.prev = self.prev[keep]
@@ -201,7 +395,8 @@ class WalkerFrontier:
         self.alive = self.alive[keep]
         self.path_buf = self.path_buf[keep]
         self.path_len = self.path_len[keep]
-        self._states = [self._states[i] for i in picks]
+        states = self._states
+        self._states = [states[i] for i in keep.tolist()]
 
     # ------------------------------------------------------------------ #
     def active_indices(self) -> np.ndarray:
@@ -213,12 +408,27 @@ class WalkerFrontier:
         self.alive[indices] = False
 
     def advance(self, indices: np.ndarray, next_nodes: np.ndarray) -> None:
-        """Move the given walkers to their sampled next nodes."""
-        self.prev[indices] = self.current[indices]
-        self.current[indices] = next_nodes
-        self.steps[indices] += 1
-        self.path_buf[indices, self.steps[indices]] = next_nodes
-        self.path_len[indices] += 1
+        """Move the given walkers (ascending positions) to their sampled
+        next nodes.  When they are every walker, the updates are
+        whole-array passes, and the path write is one column when all
+        walkers have taken as many steps."""
+        if indices.size < self.steps.size:
+            self.prev[indices] = self.current[indices]
+            self.current[indices] = next_nodes
+            self.steps[indices] += 1
+            self.path_buf[indices, self.steps[indices]] = next_nodes
+            self.path_len[indices] += 1
+            return
+        self.prev[:] = self.current
+        self.current[:] = next_nodes
+        steps = self.steps
+        steps += 1
+        column = int(steps[0])
+        if np.logical_and.reduce(steps == column):
+            self.path_buf[:, column] = next_nodes
+        else:
+            self.path_buf[np.arange(steps.size), steps] = next_nodes
+        self.path_len += 1
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> FrontierSnapshot:
@@ -232,29 +442,17 @@ class WalkerFrontier:
         workload's ``update``, so spec-mutated ``params`` (e.g. the MetaPath
         schema position) would otherwise be unrecoverable.
         """
-        states = [
-            None
-            if s is None
-            else WalkerState(
-                query=s.query,
-                current_node=s.current_node,
-                prev_node=s.prev_node,
-                step=s.step,
-                path=list(s.path),
-                params=dict(s.params),
-            )
-            for s in self._states
-        ]
         return FrontierSnapshot(
-            queries=list(self.queries),
-            max_lengths=self.max_lengths.copy(),
+            query_ids=self.query_ids,
+            start_nodes=self.start_nodes,
+            max_lengths=self.max_lengths,
             current=self.current.copy(),
             prev=self.prev.copy(),
             steps=self.steps.copy(),
             alive=self.alive.copy(),
             path_buf=self.path_buf.copy(),
             path_len=self.path_len.copy(),
-            states=states,
+            states=_copy_states(self._states),
         )
 
     def restore(self, snap: FrontierSnapshot) -> None:
@@ -264,32 +462,21 @@ class WalkerFrontier:
         holds — recovery policies checkpoint after every admission precisely
         so a restore never has to truncate live walkers.
         """
-        if len(snap.queries) != len(self.queries):
+        if snap.num_walkers != len(self):
             raise WalkSpecError(
-                f"snapshot covers {len(snap.queries)} walkers but the frontier "
-                f"holds {len(self.queries)}; checkpoint after admissions"
+                f"snapshot covers {snap.num_walkers} walkers but the frontier "
+                f"holds {len(self)}; checkpoint after admissions"
             )
-        self.queries = list(snap.queries)
-        self.max_lengths = snap.max_lengths.copy()
+        self.query_ids = snap.query_ids
+        self.start_nodes = snap.start_nodes
+        self.max_lengths = snap.max_lengths
         self.current = snap.current.copy()
         self.prev = snap.prev.copy()
         self.steps = snap.steps.copy()
         self.alive = snap.alive.copy()
         self.path_buf = snap.path_buf.copy()
         self.path_len = snap.path_len.copy()
-        self._states = [
-            None
-            if s is None
-            else WalkerState(
-                query=s.query,
-                current_node=s.current_node,
-                prev_node=s.prev_node,
-                step=s.step,
-                path=list(s.path),
-                params=dict(s.params),
-            )
-            for s in snap.states
-        ]
+        self._states = _copy_states(snap.states)
 
     # ------------------------------------------------------------------ #
     def state_view(self, index: int) -> WalkerState:
@@ -302,7 +489,7 @@ class WalkerFrontier:
         index = int(index)
         state = self._states[index]
         if state is None:
-            state = WalkerState.start(self.queries[index])
+            state = WalkerState.start(self.query(index))
             self._states[index] = state
         while state.step < int(self.steps[index]):
             state.advance(int(self.path_buf[index, state.step + 1]))
@@ -313,6 +500,23 @@ class WalkerFrontier:
         path buffer (``path_buf[i, :path_len[i]]``) that follows the walkers
         until the next :meth:`extend` or :meth:`compact`."""
         return PathTable(self.path_buf, self.path_len)
+
+
+def _copy_states(states: list[WalkerState | None]) -> list[WalkerState | None]:
+    """Independent copies of materialised walker states (``None`` stays)."""
+    return [
+        None
+        if s is None
+        else WalkerState(
+            query=s.query,
+            current_node=s.current_node,
+            prev_node=s.prev_node,
+            step=s.step,
+            path=list(s.path),
+            params=dict(s.params),
+        )
+        for s in states
+    ]
 
 
 def make_queries(

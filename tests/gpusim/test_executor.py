@@ -120,3 +120,35 @@ class TestDynamicScheduleReference:
         assert result.lane_times_ns.tobytes() == reference.tobytes()
         # Lane 0 takes queries 0, 3, 6 and 9; lanes 1 and 2 take three each.
         assert result.lane_times_ns.tolist() == [20.0, 15.0, 15.0]
+
+    def test_free_queries_keep_the_first_lane_idle(self):
+        # With free fetches a zero-cost query leaves lane 0 the earliest
+        # free lane, so it takes every query, not one each.
+        device = dataclasses.replace(A6000, parallel_lanes=3, atomic_ns=0.0)
+        result = KernelExecutor(device).execute(np.array([0.0, 0.0, 5.0]), scheduling="dynamic")
+        assert result.lane_times_ns.tolist() == [5.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_as_many_lanes_as_queries_with_zero_costs(self, seed):
+        rng = np.random.default_rng(seed)
+        num_queries = int(rng.integers(1, 12))
+        atomic_ns = 0.0 if seed % 2 else float(rng.choice([0.7, 3.0]))
+        # The device has at least as many lanes as queries: one per query.
+        device = dataclasses.replace(
+            A6000, parallel_lanes=num_queries + int(rng.integers(0, 3)), atomic_ns=atomic_ns
+        )
+        times = rng.choice([0.0, 0.0, 2.5, 4.0, 9.0], num_queries)
+        result = KernelExecutor(device).execute(times, scheduling="dynamic")
+        reference = _reference_dynamic_lanes(times, num_queries, atomic_ns)
+        assert result.lane_times_ns.tobytes() == reference.tobytes()
+
+    def test_a_full_device_of_lanes_and_a_large_wave(self):
+        # The A6000's 4,032 lanes and 50,000 queries: repeated values, zeros
+        # and a Pareto tail, so rounds end on ties and on long queries.
+        rng = np.random.default_rng(11)
+        times = (rng.pareto(1.5, 50_000) + 1.0) * 40.0
+        times[rng.random(times.size) < 0.3] = 25.0
+        times[rng.random(times.size) < 0.1] = 0.0
+        result = KernelExecutor(A6000).execute(times, scheduling="dynamic")
+        reference = _reference_dynamic_lanes(times, A6000.parallel_lanes, A6000.atomic_ns)
+        assert result.lane_times_ns.tobytes() == reference.tobytes()

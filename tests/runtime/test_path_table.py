@@ -122,35 +122,61 @@ class TestResultLedger:
         before = driver.rows[:10].copy()
         assert driver.rows.shape[1] == 4
         long = session.submit(_queries(10, 5, 9))
-        assert driver.rows.shape[1] == 10
+        assert driver.rows.shape[1] == 4  # submitting claims nothing yet
+        result = session.collect()
+        assert driver.rows.shape[1] == 10  # the launch widened it
         assert np.array_equal(driver.rows[:10, :4], before)
         assert (driver.rows[:10, 4:] == -1).all()
-        result = session.collect()
         assert list(result.paths[:10]) == list(short.paths())
         assert list(result.paths[10:]) == list(long.paths())
         assert result.paths.lengths[:10].max() <= 4
         assert result.paths.lengths[10:].max() == 10
 
-    def test_capacity_doubles_across_many_small_submits(self):
+    def test_a_fused_session_keeps_rows_as_wide_as_its_own_walks(self):
+        # Two sessions of one spec share a frontier as wide as the longer
+        # walks; the short session's ledger stays as wide as its own.
+        scheduler = _service().scheduler()
+        short, long = (scheduler.session(DeepWalkSpec(), FlexiWalkerConfig(seed=2))
+                       for _ in range(2))
+        short.submit(_queries(0, 6, 3))
+        long.submit(_queries(100, 6, 9))
+        scheduler.run_until_idle()
+        assert short._driver.rows.shape[1] == 4
+        assert long._driver.rows.shape[1] == 10
+        assert short.collect().paths.lengths.max() <= 4
+
+    def test_many_small_submits_size_the_ledger_once(self):
         session = _service().session(DeepWalkSpec(), FlexiWalkerConfig(seed=2))
         driver = session._driver
         capacities = []
         for k in range(40):
             session.submit(_queries(3 * k, 3, 4))
             capacities.append(driver.lengths.size)
-        assert capacities[-1] >= 120
-        assert capacities[-1] < 2 * 120
-        grown = sorted(set(capacities))
-        assert all(b >= 2 * a for a, b in zip(grown, grown[1:], strict=False))
-        assert len(grown) <= 7  # doubling, not one reallocation per submit
+        assert capacities == [0] * 40  # submits claim no ledger space
         result = session.collect()
+        # One launch claims all 120 walks: the columns are sized exactly,
+        # and the result's paths view the ledger's rows instead of copying.
+        assert driver.lengths.size == len(driver.rows) == 120
         assert len(result.paths) == session.completed == 120
-        assert (driver.lengths[120:] == 0).all()  # spare capacity never settles
+        assert np.shares_memory(result.paths.matrix, driver.rows)
         reference = WalkService(session.service.graph).session(
             DeepWalkSpec(), FlexiWalkerConfig(seed=2)
         )
         reference.submit(_queries(0, 120, 4))
         assert result.paths == reference.collect().paths
+
+    def test_later_waves_grow_the_ledger_by_doubling(self):
+        session = _service().session(DeepWalkSpec(), FlexiWalkerConfig(seed=2))
+        driver = session._driver
+        capacities = []
+        for k in range(40):
+            session.submit(_queries(3 * k, 3, 4))
+            session.collect()
+            capacities.append(driver.lengths.size)
+        grown = sorted(set(capacities))
+        assert grown[0] == 3 and capacities[-1] < 2 * 120
+        assert all(b >= 2 * a for a, b in zip(grown, grown[1:], strict=False))
+        assert (driver.lengths[120:] == 0).all()  # spare capacity never settles
 
 
 def test_a_finished_result_holds_its_paths_as_one_matrix():
